@@ -13,8 +13,8 @@ tournament with probability above one half.
 
 from .errors import InteriorityError, ParameterError, SolverError
 from .primitives import (DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf,
-                         TullockCsf, cost_eval, cost_marginal_inverse,
-                         effective_effort, win_prob, win_prob_partials)
+                         TullockCsf, effective_effort, win_prob,
+                         win_prob_partials)
 from .stage2 import (Effort, PayoffMenu, Stage2Solution, base_effort,
                      solve_stage2, stage2_payoff_menu, stage2_profile,
                      stage2_sabotage)
@@ -65,8 +65,6 @@ __all__ = [
     "bracket_win_probs",
     "continuation_values",
     "corner_deviation_gain",
-    "cost_eval",
-    "cost_marginal_inverse",
     "effective_effort",
     "existence_gate",
     "foc_residuals",

@@ -30,7 +30,7 @@ CSV_HEADER = ("player", "type", "stage1_x", "stage1_s", "stage1_b",
               "stage1_p", "win_prob", "payoff")
 
 _TOP_KEYS = {"prize", "csf", "cost", "bracket", "solver", "sim"}
-_SOLVER_KEYS = {"tolerance", "damping", "max_iterations", "oracle_grid"}
+_SOLVER_KEYS = {"tolerance", "oracle_grid"}
 _SIM_KEYS = {"trials", "seed", "mode"}
 
 
@@ -92,10 +92,6 @@ def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
         block = data["solver"]
         if "tolerance" in block:
             solver_kwargs["tolerance"] = _number(block, "tolerance", "solver")
-        if "damping" in block:
-            solver_kwargs["damping"] = _number(block, "damping", "solver")
-        if "max_iterations" in block:
-            solver_kwargs["max_iterations"] = _integer(block, "max_iterations", "solver")
         if "oracle_grid" in block:
             solver_kwargs["oracle_grid"] = _integer(block, "oracle_grid", "solver")
 
@@ -120,7 +116,6 @@ def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
         cost=cost,
         bracket=data.get("bracket", (("H", "D"), ("H", "D"))),
         solver=SolverSettings(**solver_kwargs),
-        seed=sim.seed,
     )
     return spec, sim
 
@@ -156,7 +151,6 @@ def _spec_to_dict(spec: TournamentSpec):
         "cost": {"exponent": spec.cost.exponent, "divisor": spec.cost.divisor},
         "bracket": [list(m) for m in spec.bracket],
         "solver": asdict(spec.solver),
-        "seed": spec.seed,
     }
 
 

@@ -201,11 +201,3 @@ def win_prob(csf: Csf, b_own, b_rival):
 def win_prob_partials(csf: Csf, b_own, b_rival):
     """Signed partials (d own, d rival) of the own win probability."""
     return csf.win_prob_partials(b_own, b_rival)
-
-
-def cost_eval(cost: PowerCost, s):
-    return cost.cost(s)
-
-
-def cost_marginal_inverse(cost: PowerCost, y):
-    return cost.marginal_inverse(y)

@@ -13,10 +13,11 @@ B - A equals the cost of final-stage sabotage exactly, for every q, which
 is why the dove always fights for strictly more and wins the mixed
 semifinal with probability above one half.
 
-In the seeded identical case (two mixed semifinals) symmetry ties q to the
-own win probability and the solver closes the loop with a damped scalar
-fixed point.  Asymmetric seedings make q constant per match and fall out
-of a short sweep.
+Every mixed semifinal reduces to one scalar equation phi(p) = p for the
+hawk's advance probability p on [0, 1], solved by a bracketed Brent root.
+In the seeded identical case (two mixed semifinals) symmetry ties q to p.
+Any other seeding has at most one mixed match and q is constant per match,
+so the mixed match is solved first and the same-type match after it.
 
 The solver always reports the interior candidate.  Whether that candidate
 survives global scrutiny (corner deviations, dropout free-riding, local
@@ -26,9 +27,9 @@ curvature) is the verification module's job, not this one's.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import InteriorityError, ParameterError, SolverError
 from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
@@ -41,22 +42,19 @@ DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Numerical knobs for the semifinal solvers and the grid oracle."""
+    """Largest semifinal residual a solution may certify with (the roots
+    themselves converge to machine precision), and the grid oracle size."""
 
     tolerance: float = 1e-10
-    damping: float = 0.5
-    max_iterations: int = 10_000
     oracle_grid: int = 400
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ParameterError("tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ParameterError("damping must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be at least 1")
-        if self.oracle_grid < 50:
-            raise ParameterError("oracle_grid must be at least 50")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ParameterError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if type(self.oracle_grid) is not int or self.oracle_grid < 50:
+            raise ParameterError(
+                f"oracle_grid must be an integer of at least 50, got {self.oracle_grid!r}")
 
 
 def _normalize_bracket(bracket) -> Bracket:
@@ -81,14 +79,11 @@ class TournamentSpec:
     cost: PowerCost
     bracket: Bracket = DEFAULT_BRACKET
     solver: SolverSettings = field(default_factory=SolverSettings)
-    seed: int = 42
 
     def __post_init__(self):
-        if self.prize <= 0:
-            raise ParameterError(f"prize must be positive, got {self.prize}")
+        if not (math.isfinite(self.prize) and self.prize > 0):
+            raise ParameterError(f"prize must be positive and finite, got {self.prize}")
         object.__setattr__(self, "bracket", _normalize_bracket(self.bracket))
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def types(self) -> tuple[str, str, str, str]:
@@ -129,16 +124,64 @@ def continuation_values(menu: PayoffMenu, p_parallel_hawk: float,
     )
 
 
-def _require_positive_values(values: ContinuationValues, where: str) -> None:
-    if values.hawk_value <= 0 or values.dove_value <= 0:
+# ----------------------------------------------------------------------
+# Mixed semifinals: one bracketed scalar root for p = phi(p).
+# ----------------------------------------------------------------------
+
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f on [lo, hi] by Brent's method (inverse quadratic, secant
+    and bisection steps), given endpoint values of opposite sign or zero.
+    Converges until the bracket is a few ulps wide."""
+    a, b, fa, fb = lo, hi, f_lo, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(500):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + sys.float_info.min
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                num, den = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                num = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                den = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            num, den = (num, -den) if num > 0 else (-num, den)
+            if 2.0 * num < min(3.0 * m * den - abs(tol * den), abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b
+
+
+def _positive_values(hawk_value_of_p, dove_value_of_p, p: float) -> tuple[float, float]:
+    a_val, b_val = hawk_value_of_p(p), dove_value_of_p(p)
+    if not (a_val > 0 and b_val > 0):
         raise InteriorityError(
-            f"prize too small: continuation values in {where} are not both "
-            f"positive (hawk {values.hawk_value:.6g}, dove {values.dove_value:.6g})")
+            f"prize too small: continuation values not positive at "
+            f"p={p:.6g} (hawk {a_val:.6g}, dove {b_val:.6g})")
+    return a_val, b_val
 
 
-# ----------------------------------------------------------------------
-# Mixed semifinal, ratio CSF: damped fixed point with bisection fallback.
-# ----------------------------------------------------------------------
+def _certify(residual: float, settings: SolverSettings) -> None:
+    if not residual <= settings.tolerance:
+        raise SolverError(
+            f"semifinal solution failed to certify: residual {residual:.3g} "
+            f"exceeds {settings.tolerance:.3g}")
+
 
 def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
                             r: float, settings: SolverSettings = SolverSettings(),
@@ -148,177 +191,19 @@ def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
     hawk_value_of_p / dove_value_of_p map the hawk's own win probability to
     the continuation values (constant closures for asymmetric seedings).
     Returns (hawk effective effort, dove effective effort, hawk win prob,
-    sabotage).  Efforts follow the closed form for asymmetric-prize ratio
-    contests, so only the scalar win probability needs iteration.
+    sabotage).  At p = A^r / (A^r + B^r) the asymmetric-prize ratio contest
+    has efforts r*A*p*(1-p) and r*B*p*(1-p), so only p needs a root.
     """
 
     def phi(p: float) -> float:
-        a_val = hawk_value_of_p(p)
-        b_val = dove_value_of_p(p)
-        if a_val <= 0 or b_val <= 0:
-            raise InteriorityError(
-                f"prize too small: continuation values not positive at "
-                f"p={p:.6g} (hawk {a_val:.6g}, dove {b_val:.6g})")
-        ar = a_val ** r
-        br = b_val ** r
-        return ar / (ar + br)
+        a_val, b_val = _positive_values(hawk_value_of_p, dove_value_of_p, p)
+        return 1.0 / (1.0 + (b_val / a_val) ** r)
 
-    target = settings.tolerance * 1e-2
-    p = 0.5
-    lam = settings.damping
-    converged = False
-    for _ in range(settings.max_iterations):
-        nxt = phi(p)
-        if abs(nxt - p) <= target:
-            converged = True
-            break
-        p = (1.0 - lam) * p + lam * nxt
-
-    if not converged:
-        # phi is strictly decreasing in p, so phi(p) - p crosses zero once
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) > mid:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16:
-                break
-        p = 0.5 * (lo + hi)
-
-    if abs(phi(p) - p) > settings.tolerance:
-        raise SolverError(
-            f"semifinal fixed point failed to certify: residual "
-            f"{abs(phi(p) - p):.3g} exceeds {settings.tolerance:.3g}")
-
-    a_val = hawk_value_of_p(p)
-    b_val = dove_value_of_p(p)
-    ar = a_val ** r
-    br = b_val ** r
-    tot2 = (ar + br) ** 2
-    b_hawk = r * a_val ** (r + 1.0) * b_val ** r / tot2
-    b_dove = r * a_val ** r * b_val ** (r + 1.0) / tot2
-    s1 = cost.marginal_inverse(a_val / b_val)
-    return b_hawk, b_dove, p, s1
-
-
-# ----------------------------------------------------------------------
-# Mixed semifinal, noise CSF: damped Newton with a nested-scalar fallback.
-# ----------------------------------------------------------------------
-
-def _probit_residuals(b: np.ndarray, csf: ProbitUniformCsf,
-                      hawk_value_of_p, dove_value_of_p) -> np.ndarray | None:
-    """FOC residuals at efforts b = (hawk, dove); None when out of domain."""
-    bh, bd = float(b[0]), float(b[1])
-    if bh <= 0 or bd <= 0:
-        return None
-    beta = csf.f_exponent
-    gap = bh ** beta - bd ** beta
-    if abs(gap) >= 2.0 * csf.half_width:
-        return None
-    p = csf.noise_diff_cdf(gap)
-    a_val = hawk_value_of_p(p)
-    b_val = dove_value_of_p(p)
-    if a_val <= 0 or b_val <= 0:
-        return None
-    dens = csf.noise_diff_density(gap)
-    return np.array([
-        dens * beta * bh ** (beta - 1.0) * a_val - 1.0,
-        dens * beta * bd ** (beta - 1.0) * b_val - 1.0,
-    ])
-
-
-def _newton_probit(b0: np.ndarray, csf, hawk_value_of_p, dove_value_of_p,
-                   settings: SolverSettings) -> np.ndarray | None:
-    b = b0.copy()
-    res = _probit_residuals(b, csf, hawk_value_of_p, dove_value_of_p)
-    if res is None:
-        return None
-    target = settings.tolerance * 1e-2
-    for _ in range(settings.max_iterations):
-        norm = float(np.max(np.abs(res)))
-        if norm <= target:
-            return b
-        jac = np.empty((2, 2))
-        for k in range(2):
-            h = 1e-6 * max(abs(b[k]), 1e-6)
-            bp = b.copy()
-            bp[k] += h
-            rp = _probit_residuals(bp, csf, hawk_value_of_p, dove_value_of_p)
-            if rp is None:
-                return None
-            jac[:, k] = (rp - res) / h
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        accepted = False
-        lam = 1.0
-        for _ in range(12):
-            trial = np.clip(b + lam * step, b / 8.0, b * 8.0)
-            rt = _probit_residuals(trial, csf, hawk_value_of_p, dove_value_of_p)
-            if rt is not None and np.max(np.abs(rt)) < norm:
-                b, res = trial, rt
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            return None
-    return b if np.max(np.abs(res)) <= settings.tolerance else None
-
-
-def _nested_scalar_probit(csf, cost, hawk_value_of_p, dove_value_of_p,
-                          settings: SolverSettings) -> np.ndarray | None:
-    """Fallback: damped outer iteration on p, exact inner bisection on the
-    dove effort.  The FOC ratio pins hawk effort at (A/B)^(1/(1-beta))
-    times the dove's, leaving one monotone scalar equation per p."""
-    beta = csf.f_exponent
-
-    def inner(p: float) -> tuple[float, float] | None:
-        a_val = hawk_value_of_p(p)
-        b_val = dove_value_of_p(p)
-        if a_val <= 0 or b_val <= 0:
-            return None
-        kappa = (a_val / b_val) ** (1.0 / (1.0 - beta))
-
-        def resid(bd: float) -> float:
-            gap = (kappa ** beta - 1.0) * bd ** beta
-            if abs(gap) >= 2.0 * csf.half_width:
-                return -1.0
-            dens = csf.noise_diff_density(gap)
-            return dens * beta * bd ** (beta - 1.0) * b_val - 1.0
-
-        lo = 1e-300
-        hi = base_effort(csf, max(a_val, b_val))
-        grow = 0
-        while resid(hi) > 0 and grow < 200:
-            hi *= 2.0
-            grow += 1
-        if resid(hi) > 0:
-            return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if resid(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        bd = 0.5 * (lo + hi)
-        return kappa * bd, bd
-
-    p = 0.5
-    lam = settings.damping
-    for _ in range(settings.max_iterations):
-        pair = inner(p)
-        if pair is None:
-            return None
-        bh, bd = pair
-        gap = bh ** beta - bd ** beta
-        nxt = csf.noise_diff_cdf(gap)
-        if abs(nxt - p) <= settings.tolerance * 1e-3:
-            return np.array([bh, bd])
-        p = (1.0 - lam) * p + lam * nxt
-    return None
+    p = _brent(lambda p: phi(p) - p, 0.0, 1.0, phi(0.0), phi(1.0) - 1.0)
+    _certify(abs(phi(p) - p), settings)
+    a_val, b_val = hawk_value_of_p(p), dove_value_of_p(p)
+    spread = r * p * (1.0 - p)
+    return spread * a_val, spread * b_val, p, cost.marginal_inverse(a_val / b_val)
 
 
 def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
@@ -327,44 +212,40 @@ def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
                            ) -> tuple[float, float, float, float]:
     """Solve the mixed semifinal under the noise CSF.
 
-    Same contract as the ratio solver.  A damped Newton iteration on both
-    effective efforts is tried from a symmetric initial guess and a ladder
-    of rescaled retries; a nested scalar reduction serves as fallback.
+    Same contract as the ratio solver.  At fixed p the FOC ratio pins the
+    hawk's effort at kappa = (A/B)^(1/(1-beta)) times the dove's, so both
+    FOCs reduce to one decreasing equation h(u) = 0 in u = b_dove^beta:
+    h(u) = (2a - |1 - kappa^beta| u) beta B - 4a^2 u^((1-beta)/beta).
+    h(0) > 0, and h <= 0 at the dove's zero-gap effort, which brackets it.
+    The outer root then matches p to the noise CDF at the resulting gap.
     """
-    probe = (hawk_value_of_p(0.5), dove_value_of_p(0.5))
-    if min(probe) <= 0:
-        raise InteriorityError(
-            f"prize too small: continuation values not positive at p=0.5 "
-            f"(hawk {probe[0]:.6g}, dove {probe[1]:.6g})")
-    b_guess = base_effort(csf, 0.5 * (probe[0] + probe[1]))
+    a, beta = csf.half_width, csf.f_exponent
 
-    scales = (1.0, 0.5, 2.0, 0.25, 4.0, 0.1, 10.0, 0.05)
-    solution = None
-    for scale in scales:
-        start = np.array([b_guess * scale, b_guess * scale * 1.05])
-        solution = _newton_probit(start, csf, hawk_value_of_p, dove_value_of_p, settings)
-        if solution is not None:
-            break
-    if solution is None:
-        solution = _nested_scalar_probit(csf, cost, hawk_value_of_p,
-                                         dove_value_of_p, settings)
-    if solution is None:
-        raise SolverError("semifinal Newton and fallback both failed to converge")
+    def efforts(p: float) -> tuple[float, float]:
+        a_val, b_val = _positive_values(hawk_value_of_p, dove_value_of_p, p)
+        kappa = (a_val / b_val) ** (1.0 / (1.0 - beta))
+        slope = abs(1.0 - kappa ** beta)
 
-    res = _probit_residuals(solution, csf, hawk_value_of_p, dove_value_of_p)
-    if res is None or np.max(np.abs(res)) > settings.tolerance:
-        raise SolverError(
-            "semifinal solution failed to certify: residual "
-            f"{np.max(np.abs(res)) if res is not None else np.inf:.3g} exceeds "
-            f"{settings.tolerance:.3g}")
+        def h(u: float) -> float:
+            return ((2.0 * a - slope * u) * beta * b_val
+                    - 4.0 * a * a * u ** ((1.0 - beta) / beta))
 
-    bh, bd = float(solution[0]), float(solution[1])
-    beta = csf.f_exponent
-    p = csf.noise_diff_cdf(bh ** beta - bd ** beta)
-    a_val = hawk_value_of_p(p)
-    b_val = dove_value_of_p(p)
-    s1 = cost.marginal_inverse(a_val / b_val)
-    return bh, bd, p, s1
+        u_hi = base_effort(csf, b_val) ** beta
+        bd = _brent(h, 0.0, u_hi, h(0.0), h(u_hi)) ** (1.0 / beta)
+        return kappa * bd, bd
+
+    def phi(p: float) -> float:
+        bh, bd = efforts(p)
+        return csf.noise_diff_cdf(bh ** beta - bd ** beta)
+
+    bh, bd = efforts(_brent(lambda p: phi(p) - p, 0.0, 1.0, phi(0.0), phi(1.0) - 1.0))
+    gap = bh ** beta - bd ** beta
+    p = csf.noise_diff_cdf(gap)
+    a_val, b_val = _positive_values(hawk_value_of_p, dove_value_of_p, p)
+    dens = csf.noise_diff_density(gap)
+    _certify(max(abs(dens * beta * bh ** (beta - 1.0) * a_val - 1.0),
+                 abs(dens * beta * bd ** (beta - 1.0) * b_val - 1.0)), settings)
+    return bh, bd, p, cost.marginal_inverse(a_val / b_val)
 
 
 def stage1_payoffs(p_hawk: float, values: ContinuationValues, b_hawk: float,
@@ -447,17 +328,8 @@ def bracket_win_probs(semifinal_win_probs, bracket) -> tuple[float, float, float
 
 
 def _reachable_pairings(bracket: Bracket) -> set[str]:
-    keys = set()
-    for t0 in set(bracket[0]):
-        for t1 in set(bracket[1]):
-            pair = {t0, t1}
-            if pair == {HAWK}:
-                keys.add("HH")
-            elif pair == {DOVE}:
-                keys.add("DD")
-            else:
-                keys.add("HD")
-    return keys
+    return {t0 + t1 if t0 == t1 else "HD"
+            for t0 in set(bracket[0]) for t1 in set(bracket[1])}
 
 
 _MENU_FLOORS = {
@@ -477,56 +349,36 @@ def _check_reachable_menu(menu: PayoffMenu, bracket: Bracket) -> None:
                     f"{value:.6g}, so finalists would rather drop out")
 
 
-def _solve_hd_match(csf, cost, hawk_value_of_p, dove_value_of_p, settings):
-    if isinstance(csf, TullockCsf):
-        return solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p,
-                                       cost, csf.r, settings)
-    return solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p,
-                                  cost, csf, settings)
-
-
-def _match_solution_hd(csf, cost, values: ContinuationValues, b_hawk, b_dove,
-                       p_hawk, s1, hawk_first: bool) -> MatchSolution:
-    pay_hawk, pay_dove = stage1_payoffs(p_hawk, values, b_hawk, b_dove, s1, cost)
+def _mixed_matches(spec: TournamentSpec, values_of_p, pools) -> tuple[MatchSolution, ...]:
+    """Solve the mixed semifinal whose continuation values are values_of_p(p)
+    at hawk win probability p, once per pool in that pool's slot order."""
+    value_fns = (lambda p: values_of_p(p).hawk_value,
+                 lambda p: values_of_p(p).dove_value, spec.cost)
+    if isinstance(spec.csf, TullockCsf):
+        b_hawk, b_dove, p_hawk, s1 = solve_stage1_hd_tullock(
+            *value_fns, spec.csf.r, spec.solver)
+    else:
+        b_hawk, b_dove, p_hawk, s1 = solve_stage1_hd_probit(
+            *value_fns, spec.csf, spec.solver)
+    values = values_of_p(p_hawk)
+    pay_hawk, pay_dove = stage1_payoffs(p_hawk, values, b_hawk, b_dove, s1, spec.cost)
     hawk = (HAWK, Effort(x=b_hawk, s=s1), b_hawk, p_hawk, values.hawk_value, pay_hawk)
     dove = (DOVE, Effort(x=b_dove + s1, s=0.0), b_dove, 1.0 - p_hawk,
             values.dove_value, pay_dove)
-    slots = (hawk, dove) if hawk_first else (dove, hawk)
-    return MatchSolution(
-        types=(slots[0][0], slots[1][0]),
-        efforts=(slots[0][1], slots[1][1]),
-        effective=(slots[0][2], slots[1][2]),
-        win_probs=(slots[0][3], slots[1][3]),
-        values=(slots[0][4], slots[1][4]),
-        payoffs=(slots[0][5], slots[1][5]),
-        hawk_advance_prob=p_hawk,
-    )
+    return tuple(MatchSolution(*zip(*((hawk, dove) if pool[0] == HAWK else (dove, hawk))),
+                               hawk_advance_prob=p_hawk)
+                 for pool in pools)
 
 
-def _match_solution_same_type(csf, cost, match_type: str,
-                              values: ContinuationValues) -> MatchSolution:
-    if match_type == HAWK:
-        value = values.hawk_value
-        s = stage2_sabotage(cost)
-    else:
-        value = values.dove_value
-        s = 0.0
-    if value <= 0:
-        raise InteriorityError(
-            f"prize too small: continuation value for the same-type semifinal "
-            f"is {value:.6g}")
+def _same_type_match(csf, cost, match_type: str,
+                     values: ContinuationValues) -> MatchSolution:
+    hawks = match_type == HAWK
+    value = values.hawk_value if hawks else values.dove_value
+    s = stage2_sabotage(cost) if hawks else 0.0
     b = base_effort(csf, value)
-    payoff = 0.5 * value - cost.cost(s) - (b + s)
-    eff = Effort(x=b + s, s=s)
-    return MatchSolution(
-        types=(match_type, match_type),
-        efforts=(eff, eff),
-        effective=(b, b),
-        win_probs=(0.5, 0.5),
-        values=(value, value),
-        payoffs=(payoff, payoff),
-        hawk_advance_prob=1.0 if match_type == HAWK else 0.0,
-    )
+    slot = (match_type, Effort(x=b + s, s=s), b, 0.5, value,
+            0.5 * value - cost.cost(s) - (b + s))
+    return MatchSolution(*zip(slot, slot), hawk_advance_prob=float(hawks))
 
 
 def solve_tournament(spec: TournamentSpec) -> SpeSolution:
@@ -534,8 +386,8 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
 
     Raises InteriorityError when the prize cannot support positive
     continuation values on the reachable part of the bracket, SolverError
-    when an iteration fails to certify.  Global optimality of the returned
-    candidate is checked separately by the verification module.
+    when a semifinal root fails to certify.  Global optimality of the
+    returned candidate is checked separately by the verification module.
     """
     stage2 = solve_stage2(spec.csf, spec.cost, spec.prize)
     menu = stage2.menu
@@ -543,60 +395,25 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
 
     pools = spec.bracket
     mixed = [set(pool) == {HAWK, DOVE} for pool in pools]
-
     if all(mixed):
         # identical mixed semifinals: symmetry ties the parallel hawk
         # probability to the own win probability, one scalar fixed point
-        def hawk_value_of_p(p):
-            return continuation_values(menu, p, (HAWK, DOVE)).hawk_value
-
-        def dove_value_of_p(p):
-            return continuation_values(menu, p, (HAWK, DOVE)).dove_value
-
-        b_hawk, b_dove, p_hawk, s1 = _solve_hd_match(
-            spec.csf, spec.cost, hawk_value_of_p, dove_value_of_p, spec.solver)
-        values = continuation_values(menu, p_hawk, (HAWK, DOVE))
-        _require_positive_values(values, "the mixed semifinals")
-        matches = tuple(
-            _match_solution_hd(spec.csf, spec.cost, values, b_hawk, b_dove,
-                               p_hawk, s1, hawk_first=pool[0] == HAWK)
-            for pool in pools)
+        matches = _mixed_matches(
+            spec, lambda p: continuation_values(menu, p, (HAWK, DOVE)), pools)
     else:
-        # per-match sweeps: each match's values hinge only on the parallel
-        # match's hawk-advance probability, constant unless that match is mixed
-        advance = [1.0 if set(pool) == {HAWK} else 0.0 if set(pool) == {DOVE} else 0.5
-                   for pool in pools]
-        solved: list[MatchSolution | None] = [None, None]
-        for _ in range(1000):
-            moved = 0.0
-            for i, pool in enumerate(pools):
-                q_other = advance[1 - i]
-                values = continuation_values(menu, q_other, pools[1 - i])
-                if mixed[i]:
-                    _require_positive_values(values, f"semifinal {i}")
-                    b_hawk, b_dove, p_hawk, s1 = _solve_hd_match(
-                        spec.csf, spec.cost,
-                        lambda _p, a=values.hawk_value: a,
-                        lambda _p, b=values.dove_value: b,
-                        spec.solver)
-                    solved[i] = _match_solution_hd(
-                        spec.csf, spec.cost, values, b_hawk, b_dove, p_hawk,
-                        s1, hawk_first=pool[0] == HAWK)
-                else:
-                    solved[i] = _match_solution_same_type(
-                        spec.csf, spec.cost, pool[0], values)
-                moved = max(moved, abs(solved[i].hawk_advance_prob - advance[i]))
-                advance[i] = solved[i].hawk_advance_prob
-            if moved <= 1e-12:
-                break
-        else:
-            raise SolverError("semifinal sweep failed to settle in 1000 rounds")
+        # at most one mixed match; the other one sends up a hawk with
+        # probability 1 or 0, so the mixed match is solved first against it
+        first = mixed.index(True) if any(mixed) else 0
+        solved = {}
+        advance = 0.0
+        for i in (first, 1 - first):
+            values = continuation_values(menu, advance, pools[1 - i])
+            solved[i] = (_mixed_matches(spec, lambda _p: values, pools[i:i + 1])[0]
+                         if mixed[i] else
+                         _same_type_match(spec.csf, spec.cost, pools[i][0], values))
+            advance = solved[i].hawk_advance_prob
         matches = (solved[0], solved[1])
 
     semifinal = matches[0].win_probs + matches[1].win_probs
-    return SpeSolution(
-        spec=spec,
-        stage2=stage2,
-        matches=matches,
-        win_probs=bracket_win_probs(semifinal, spec.bracket),
-    )
+    return SpeSolution(spec=spec, stage2=stage2, matches=matches,
+                       win_probs=bracket_win_probs(semifinal, spec.bracket))

@@ -146,7 +146,6 @@ class TestScenarioParsing:
         assert config.trials == 1_000_000
         assert config.seed == 42
         assert config.mode == "direct"
-        assert spec.seed == config.seed
 
     def test_solver_overrides(self, tmp_path):
         path = tmp_path / "s.json"
@@ -158,18 +157,14 @@ class TestScenarioParsing:
         assert spec.solver.oracle_grid == 100
 
     def test_unknown_solver_key(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(dict(RATIO_SCENARIO,
-                                        solver={"newton": True})))
-        with pytest.raises(ParameterError, match="newton"):
-            parse_scenario(path)
-
-    def test_seed_mirrored_into_spec(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(dict(RATIO_SCENARIO,
-                                        sim={"seed": 7})))
-        spec, config = parse_scenario(path)
-        assert spec.seed == 7 == config.seed
+        # damping and max_iterations are retired keys, unknown like any typo
+        for key, value in (("newton", True), ("damping", 0.5),
+                           ("max_iterations", 100)):
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(dict(RATIO_SCENARIO,
+                                            solver={key: value})))
+            with pytest.raises(ParameterError, match=key):
+                parse_scenario(path)
 
     def test_rejects_boolean_prize(self, tmp_path):
         path = tmp_path / "s.json"

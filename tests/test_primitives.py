@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourney import (InteriorityError, ParameterError, PowerCost,
-                     ProbitUniformCsf, TullockCsf, cost_eval,
-                     cost_marginal_inverse, effective_effort, win_prob,
+                     ProbitUniformCsf, TullockCsf, effective_effort, win_prob,
                      win_prob_partials)
 
 tullock_csfs = st.floats(0.05, 1.0).map(TullockCsf)
@@ -149,9 +148,6 @@ def test_free_function_wrappers():
     d_own, d_rival = win_prob_partials(csf, 1.0, 1.0)
     assert d_own == pytest.approx(0.25)
     assert d_rival == pytest.approx(-0.25)
-    cost = PowerCost(3.0, 27.0)
-    assert cost_eval(cost, 3.0) == pytest.approx(1.0)
-    assert cost_marginal_inverse(cost, 1.0) == pytest.approx(3.0)
 
 
 def test_scalar_in_scalar_out_array_in_array_out():

@@ -1,13 +1,17 @@
 """Semifinal solvers and full tournament backward induction."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourney import (ContinuationValues, InteriorityError, ParameterError,
                      PowerCost, ProbitUniformCsf, SolverSettings,
                      TournamentSpec, TullockCsf, bracket_win_probs,
                      continuation_values, solve_stage1_hd_tullock,
                      solve_tournament, stage2_payoff_menu, stage2_sabotage)
-from tourney.stage1 import _nested_scalar_probit
+from tourney.stage1 import _brent
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -130,37 +134,64 @@ class TestMixedSemifinalSolvers:
             assert bh / bd == pytest.approx(a0 / b0, rel=1e-10)
             assert p == pytest.approx(a0 ** r / (a0 ** r + b0 ** r), abs=1e-10)
 
-    def test_bisection_fallback_agrees_with_damped_iteration(self):
-        starved = SolverSettings(max_iterations=1)
-        menu = stage2_payoff_menu(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
+    def test_brent_converges_to_known_roots(self):
+        def f(x):
+            return x ** 3 - 2.0
 
-        def hawk_value(p):
-            return continuation_values(menu, p, ("H", "D")).hawk_value
+        root = _brent(f, 0.0, 2.0, f(0.0), f(2.0))
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
+        # a steep root near zero is found to relative, not absolute, precision
+        root = _brent(lambda x: 1e-9 - x, 0.0, 1.0, 1e-9, 1e-9 - 1.0)
+        assert root == pytest.approx(1e-9, rel=4e-16)
+        # either endpoint may be the root itself
+        assert _brent(lambda x: x, 0.0, 1.0, 0.0, 1.0) == 0.0
+        assert _brent(lambda x: x - 1.0, 0.0, 1.0, -1.0, 0.0) == 1.0
+        assert _brent(math.cos, 0.0, 3.0, 1.0, math.cos(3.0)) == pytest.approx(
+            math.pi / 2.0, rel=4e-16)
 
-        def dove_value(p):
-            return continuation_values(menu, p, ("H", "D")).dove_value
+    def test_unit_kappa_noise_spec_solves(self):
+        # A/B rounds so that kappa^beta == 1: the dove's root sits on the
+        # zero-gap end of its bracket and the match is an even contest
+        spec = TournamentSpec(prize=428.07,
+                              csf=ProbitUniformCsf(half_width=4.5509,
+                                                   f_exponent=0.2076),
+                              cost=PowerCost(1.1169, 0.016197),
+                              bracket=(("D", "H"), ("H", "H")))
+        match = solve_tournament(spec).matches[0]
+        assert match.hawk_advance_prob == pytest.approx(0.5, abs=1e-12)
+        assert match.effective[0] == pytest.approx(match.effective[1], rel=1e-12)
+        assert match.effective[0] == pytest.approx(6.6309318278, rel=1e-9)
 
-        cost = PowerCost(3.0, 12.0)
-        _, _, p_fast, _ = solve_stage1_hd_tullock(hawk_value, dove_value, cost, 1.0)
-        _, _, p_slow, _ = solve_stage1_hd_tullock(hawk_value, dove_value, cost,
-                                                  1.0, starved)
-        assert p_slow == pytest.approx(p_fast, abs=1e-10)
+    def test_huge_prize_does_not_overflow(self):
+        spec = TournamentSpec(prize=1e300, csf=TullockCsf(r=1.0),
+                              cost=PowerCost(3.0, 12.0))
+        match = solve_tournament(spec).matches[0]
+        assert match.hawk_advance_prob == 0.5
+        assert match.effective[0] == pytest.approx(6.25e298, rel=1e-12)
+        assert match.effective[1] == pytest.approx(6.25e298, rel=1e-12)
 
-    def test_probit_nested_scalar_fallback_agrees_with_newton(self):
-        sol = solve_tournament(NOISE_SPEC)
-        menu = sol.stage2.menu
-
-        def hawk_value(p):
-            return continuation_values(menu, p, ("H", "D")).hawk_value
-
-        def dove_value(p):
-            return continuation_values(menu, p, ("H", "D")).dove_value
-
-        pair = _nested_scalar_probit(NOISE_SPEC.csf, NOISE_SPEC.cost, hawk_value,
-                                     dove_value, SolverSettings())
-        assert pair is not None
-        assert pair[0] == pytest.approx(sol.matches[0].effective[0], rel=1e-6)
-        assert pair[1] == pytest.approx(sol.matches[0].effective[1], rel=1e-6)
+    @settings(deadline=None, max_examples=150)
+    @given(prize=st.floats(0.05, 1e5), exponent=st.floats(1.05, 6.0),
+           divisor=st.floats(0.005, 200.0), noise=st.booleans(),
+           r=st.floats(0.02, 1.0), half_width=st.floats(0.3, 30.0),
+           beta=st.floats(0.05, 0.95))
+    def test_mixed_semifinals_certify_or_refuse(self, prize, exponent, divisor,
+                                                noise, r, half_width, beta):
+        csf = ProbitUniformCsf(half_width, beta) if noise else TullockCsf(r)
+        spec = TournamentSpec(prize=prize, csf=csf,
+                              cost=PowerCost(exponent, divisor))
+        try:
+            match = solve_tournament(spec).matches[0]
+        except InteriorityError:
+            return
+        p = match.hawk_advance_prob
+        assert 0.0 <= p <= 1.0
+        assert match.win_probs[0] == pytest.approx(csf.win_prob(*match.effective),
+                                                   abs=1e-12)
+        (d_hawk, _), (d_dove, _) = (csf.win_prob_partials(*match.effective),
+                                    csf.win_prob_partials(*match.effective[::-1]))
+        assert abs(d_hawk * match.values[0] - 1.0) <= spec.solver.tolerance
+        assert abs(d_dove * match.values[1] - 1.0) <= spec.solver.tolerance
 
     def test_hawk_win_probability_declines_with_parallel_hawks(self):
         menu = stage2_payoff_menu(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
@@ -239,8 +270,9 @@ class TestBracketArithmetic:
 
 class TestSpecValidation:
     def test_rejects_nonpositive_prize(self):
-        with pytest.raises(ParameterError):
-            TournamentSpec(prize=0.0, csf=TullockCsf(), cost=PowerCost(3.0, 12.0))
+        for prize in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                TournamentSpec(prize=prize, csf=TullockCsf(), cost=PowerCost(3.0, 12.0))
 
     def test_rejects_malformed_brackets(self):
         with pytest.raises(ParameterError):
@@ -256,18 +288,17 @@ class TestSpecValidation:
         assert spec.bracket == (("H", "D"), ("D", "D"))
         assert spec.types == ("H", "D", "D", "D")
 
-    def test_rejects_bad_seed(self):
-        with pytest.raises(ParameterError):
-            TournamentSpec(prize=1.0, csf=TullockCsf(), cost=PowerCost(3.0, 12.0),
-                           seed=-1)
-
     def test_solver_settings_validation(self):
         with pytest.raises(ParameterError):
             SolverSettings(tolerance=0.0)
         with pytest.raises(ParameterError):
-            SolverSettings(damping=0.0)
-        with pytest.raises(ParameterError):
             SolverSettings(oracle_grid=10)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                SolverSettings(tolerance=bad)
+        for bad in (math.nan, 400.0, True):
+            with pytest.raises(ParameterError, match="integer"):
+                SolverSettings(oracle_grid=bad)
 
 
 def test_small_prize_fails_the_existence_gate():
