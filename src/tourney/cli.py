@@ -123,11 +123,16 @@ def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
 def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
     """Read a scenario JSON file into a spec and a simulation config.
 
-    Unknown keys are rejected rather than ignored, so typos fail loudly.
+    Unknown keys are rejected rather than ignored, so typos fail loudly, and
+    so are the non-standard literals NaN, Infinity and -Infinity.
     """
+
+    def non_finite(literal: str):
+        raise ParameterError(f"{path}: non-finite number {literal} is not allowed")
+
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
     return _scenario_from_dict(data, str(path))

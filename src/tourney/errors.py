@@ -14,4 +14,5 @@ class InteriorityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """An iterative solver exhausted its budget without converging."""
+    """A solution could not be computed to certification: a root failed to
+    certify, or a closed form left the float range."""

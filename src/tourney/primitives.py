@@ -9,10 +9,16 @@ difference evaluated at the performance gap.
 All functions accept scalars or numpy arrays and broadcast elementwise.
 Derivative conventions: win_prob_partials returns signed partials of the
 OWN win probability, so the rival component is negative.
+
+Each validated public method checks its inputs and then calls an unchecked
+kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
+`_cost`, `_marginal`), where the formula lives.  The audit calls the kernels
+directly on arrays it has validated once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +36,18 @@ def _match_input(value, *inputs):
     return float(value)
 
 
+def _checked(what: str, *values, strict: bool = False) -> list[np.ndarray]:
+    """values as float arrays, each entry checked nonnegative (or positive)."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    for a in arrays:
+        if (a <= 0 if strict else a < 0).any():
+            raise ParameterError(what)
+    return arrays
+
+
 def effective_effort(x, rival_sabotage):
     """Productive effort that survives the rival's sabotage, floored at zero."""
-    xa = np.asarray(x, dtype=float)
-    sa = np.asarray(rival_sabotage, dtype=float)
-    if np.any(xa < 0) or np.any(sa < 0):
-        raise ParameterError("efforts and sabotage must be nonnegative")
+    xa, sa = _checked("efforts and sabotage must be nonnegative", x, rival_sabotage)
     return _match_input(np.maximum(0.0, xa - sa), x, rival_sabotage)
 
 
@@ -55,28 +67,31 @@ class TullockCsf:
             raise ParameterError(f"decisiveness exponent must be in (0, 1], got {self.r}")
 
     def win_prob(self, b_own, b_rival):
-        bo = np.asarray(b_own, dtype=float)
-        br = np.asarray(b_rival, dtype=float)
-        if np.any(bo < 0) or np.any(br < 0):
-            raise ParameterError("effective efforts must be nonnegative")
+        bo, br = _checked("effective efforts must be nonnegative", b_own, b_rival)
+        return _match_input(self._win_prob(bo, br), b_own, b_rival)
+
+    def win_prob_partials(self, b_own, b_rival):
+        bo, br = _checked("partials need strictly positive efforts", b_own, b_rival,
+                          strict=True)
+        d_own, d_rival = self._partials(bo, br)
+        return (_match_input(d_own, b_own, b_rival),
+                _match_input(d_rival, b_own, b_rival))
+
+    def _win_prob(self, bo, br):
+        """Unchecked kernel of win_prob: nonnegative float arrays in."""
         po = bo ** self.r
         pr = br ** self.r
         tot = po + pr
         safe = np.where(tot > 0.0, tot, 1.0)
-        p = np.where(tot > 0.0, po / safe, 0.5)
-        return _match_input(p, b_own, b_rival)
+        return np.where(tot > 0.0, po / safe, 0.5)
 
-    def win_prob_partials(self, b_own, b_rival):
-        bo = np.asarray(b_own, dtype=float)
-        br = np.asarray(b_rival, dtype=float)
-        if np.any(bo <= 0) or np.any(br <= 0):
-            raise ParameterError("partials need strictly positive efforts")
+    def _partials(self, bo, br):
+        """Unchecked kernel of win_prob_partials: positive float arrays in."""
         r = self.r
         tot2 = (bo ** r + br ** r) ** 2
         d_own = r * bo ** (r - 1.0) * br ** r / tot2
         d_rival = -r * br ** (r - 1.0) * bo ** r / tot2
-        return (_match_input(d_own, b_own, b_rival),
-                _match_input(d_rival, b_own, b_rival))
+        return d_own, d_rival
 
 
 @dataclass(frozen=True)
@@ -93,57 +108,65 @@ class ProbitUniformCsf:
     f_exponent: float
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ParameterError(f"noise half width must be positive, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ParameterError(
+                f"noise half width must be positive and finite, got {self.half_width}")
         if not 0.0 < self.f_exponent < 1.0:
             raise ParameterError(
                 f"performance exponent must be in (0, 1), got {self.f_exponent}")
 
     def performance(self, b):
-        ba = np.asarray(b, dtype=float)
-        if np.any(ba < 0):
-            raise ParameterError("effective efforts must be nonnegative")
-        return _match_input(ba ** self.f_exponent, b)
+        (ba,) = _checked("effective efforts must be nonnegative", b)
+        return _match_input(self._performance(ba), b)
 
     def noise_diff_cdf(self, t):
         """CDF of the difference of two independent uniform noise draws."""
-        a = self.half_width
-        ta = np.asarray(t, dtype=float)
-        tc = np.clip(ta, -2.0 * a, 2.0 * a)
-        low = (2.0 * a + tc) ** 2 / (8.0 * a * a)
-        high = 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
-        return _match_input(np.where(tc <= 0.0, low, high), t)
+        return _match_input(self._cdf(np.asarray(t, dtype=float)), t)
 
     def noise_diff_density(self, t):
-        a = self.half_width
-        ta = np.asarray(t, dtype=float)
-        dens = np.maximum(0.0, 2.0 * a - np.abs(ta)) / (4.0 * a * a)
-        return _match_input(dens, t)
+        return _match_input(self._density(np.asarray(t, dtype=float)), t)
 
     def win_prob(self, b_own, b_rival):
-        bo = np.asarray(b_own, dtype=float)
-        br = np.asarray(b_rival, dtype=float)
-        if np.any(bo < 0) or np.any(br < 0):
-            raise ParameterError("effective efforts must be nonnegative")
-        gap = bo ** self.f_exponent - br ** self.f_exponent
-        return _match_input(np.asarray(self.noise_diff_cdf(gap)), b_own, b_rival)
+        bo, br = _checked("effective efforts must be nonnegative", b_own, b_rival)
+        return _match_input(self._win_prob(bo, br), b_own, b_rival)
 
     def win_prob_partials(self, b_own, b_rival):
-        bo = np.asarray(b_own, dtype=float)
-        br = np.asarray(b_rival, dtype=float)
-        if np.any(bo <= 0) or np.any(br <= 0):
-            raise ParameterError("partials need strictly positive efforts")
-        gap = bo ** self.f_exponent - br ** self.f_exponent
-        if np.any(np.abs(gap) >= 2.0 * self.half_width):
+        bo, br = _checked("partials need strictly positive efforts", b_own, b_rival,
+                          strict=True)
+        if np.any(np.abs(self._gap(bo, br)) >= 2.0 * self.half_width):
             raise InteriorityError(
                 "noise contest saturated: performance gap at or beyond the noise "
                 "support, marginal incentives vanish")
-        dens = np.asarray(self.noise_diff_density(gap))
-        beta = self.f_exponent
-        d_own = dens * beta * bo ** (beta - 1.0)
-        d_rival = -dens * beta * br ** (beta - 1.0)
+        d_own, d_rival = self._partials(bo, br)
         return (_match_input(d_own, b_own, b_rival),
                 _match_input(d_rival, b_own, b_rival))
+
+    def _performance(self, b):
+        return b ** self.f_exponent
+
+    def _gap(self, bo, br):
+        return self._performance(bo) - self._performance(br)
+
+    def _cdf(self, t):
+        a = self.half_width
+        tc = np.clip(t, -2.0 * a, 2.0 * a)
+        low = (2.0 * a + tc) ** 2 / (8.0 * a * a)
+        high = 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
+        return np.where(tc <= 0.0, low, high)
+
+    def _density(self, t):
+        a = self.half_width
+        return np.maximum(0.0, 2.0 * a - np.abs(t)) / (4.0 * a * a)
+
+    def _win_prob(self, bo, br):
+        """Unchecked kernel of win_prob: nonnegative float arrays in."""
+        return self._cdf(self._gap(bo, br))
+
+    def _partials(self, bo, br):
+        """Unchecked kernel of win_prob_partials: positive float arrays in."""
+        dens = self._density(self._gap(bo, br))
+        beta = self.f_exponent
+        return dens * beta * bo ** (beta - 1.0), -dens * beta * br ** (beta - 1.0)
 
 
 Csf = TullockCsf | ProbitUniformCsf
@@ -161,28 +184,23 @@ class PowerCost:
     divisor: float
 
     def __post_init__(self):
-        if self.exponent <= 1.0:
-            raise ParameterError(f"cost exponent must exceed 1, got {self.exponent}")
-        if self.divisor <= 0.0:
-            raise ParameterError(f"cost divisor must be positive, got {self.divisor}")
+        if not (math.isfinite(self.exponent) and self.exponent > 1.0):
+            raise ParameterError(
+                f"cost exponent must be finite and exceed 1, got {self.exponent}")
+        if not (math.isfinite(self.divisor) and self.divisor > 0.0):
+            raise ParameterError(
+                f"cost divisor must be positive and finite, got {self.divisor}")
 
     def cost(self, s):
-        sa = np.asarray(s, dtype=float)
-        if np.any(sa < 0):
-            raise ParameterError("sabotage must be nonnegative")
-        return _match_input(sa ** self.exponent / self.divisor, s)
+        (sa,) = _checked("sabotage must be nonnegative", s)
+        return _match_input(self._cost(sa), s)
 
     def marginal(self, s):
-        sa = np.asarray(s, dtype=float)
-        if np.any(sa < 0):
-            raise ParameterError("sabotage must be nonnegative")
-        return _match_input(
-            self.exponent * sa ** (self.exponent - 1.0) / self.divisor, s)
+        (sa,) = _checked("sabotage must be nonnegative", s)
+        return _match_input(self._marginal(sa), s)
 
     def marginal_inverse(self, y):
-        ya = np.asarray(y, dtype=float)
-        if np.any(ya < 0):
-            raise ParameterError("marginal cost level must be nonnegative")
+        (ya,) = _checked("marginal cost level must be nonnegative", y)
         return _match_input(
             (self.divisor * ya / self.exponent) ** (1.0 / (self.exponent - 1.0)), y)
 
@@ -191,6 +209,14 @@ class PowerCost:
         sa = np.asarray(s, dtype=float)
         a = self.exponent
         return _match_input(a * (a - 1.0) * sa ** (a - 2.0) / self.divisor, s)
+
+    def _cost(self, s):
+        """Unchecked kernel of cost: nonnegative floats or arrays in."""
+        return s ** self.exponent / self.divisor
+
+    def _marginal(self, s):
+        """Unchecked kernel of marginal: nonnegative floats or arrays in."""
+        return self.exponent * s ** (self.exponent - 1.0) / self.divisor
 
 
 def win_prob(csf: Csf, b_own, b_rival):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, SolverError
 from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
 
 PAIRINGS = ("DD", "HD", "HH")
@@ -32,7 +32,12 @@ def base_effort(csf: Csf, v: float) -> float:
         return csf.r * v / 4.0
     if isinstance(csf, ProbitUniformCsf):
         beta = csf.f_exponent
-        return (beta * v / (2.0 * csf.half_width)) ** (1.0 / (1.0 - beta))
+        try:
+            return (beta * v / (2.0 * csf.half_width)) ** (1.0 / (1.0 - beta))
+        except OverflowError:
+            raise SolverError(
+                f"final-stage base effort (beta v / 2a)^(1/(1-beta)) exceeds the "
+                f"float range at beta={beta:g}, a={csf.half_width:g}, v={v:g}") from None
     raise ParameterError(f"unknown success function {csf!r}")
 
 

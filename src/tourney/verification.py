@@ -31,42 +31,51 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InteriorityError, ParameterError, SolverError
-from .primitives import (DOVE, HAWK, TullockCsf, effective_effort, win_prob,
-                         win_prob_partials)
+from .primitives import HAWK, TullockCsf, effective_effort, win_prob_partials
 from .stage1 import (SpeSolution, TournamentSpec, _reachable_pairings,
                      solve_tournament)
 
 FOC_TOLERANCE = 1e-8
 GAIN_TOLERANCE = 1e-6
+_SOC_STEP = 1e-5
+_HAWK_REFINE = 21
+_DOVE_REFINE = 201
 
 
 @dataclass(frozen=True)
-class _Problem:
-    """One player's unilateral choice problem at the candidate."""
+class _Table:
+    """Every player's unilateral choice problem at the candidate, one row
+    each: pick an outlay x and (hawks only) a sabotage level s against the
+    frozen rival outlay (x_rival, s_rival) and collect p * value - c(s) - x."""
 
-    key: str
-    kind: str
-    value: float
-    x: float
-    s: float
-    x_rival: float
-    s_rival: float
+    keys: tuple[str, ...]
+    hawk: np.ndarray
+    value: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
+    x_rival: np.ndarray
+    s_rival: np.ndarray
+
+    def take(self, rows) -> _Table:
+        return _Table(tuple(self.keys[i] for i in rows), self.hawk[rows],
+                      self.value[rows], self.x[rows], self.s[rows],
+                      self.x_rival[rows], self.s_rival[rows])
+
+    def frozen(self, rows, dims: int) -> tuple[np.ndarray, ...]:
+        """(value, x_rival, s_rival) of the rows, shaped to broadcast over
+        grids with `dims` trailing axes."""
+        shape = (-1,) + (1,) * dims
+        return tuple(col[rows].reshape(shape)
+                     for col in (self.value, self.x_rival, self.s_rival))
 
 
-def _problems(solution: SpeSolution) -> tuple[_Problem, ...]:
-    out = []
+def _table(solution: SpeSolution) -> _Table:
+    rows = []
     for mi, match in enumerate(solution.matches):
         for slot in (0, 1):
-            other = 1 - slot
-            out.append(_Problem(
-                key=f"semifinal{mi}_player{slot}",
-                kind=match.types[slot],
-                value=match.values[slot],
-                x=match.efforts[slot].x,
-                s=match.efforts[slot].s,
-                x_rival=match.efforts[other].x,
-                s_rival=match.efforts[other].s,
-            ))
+            own, rival = match.efforts[slot], match.efforts[1 - slot]
+            rows.append((f"semifinal{mi}_player{slot}", match.types[slot],
+                         match.values[slot], own.x, own.s, rival.x, rival.s))
     profiles = solution.stage2.profiles
     for pairing in sorted(_reachable_pairings(solution.spec.bracket)):
         efforts = profiles[pairing]
@@ -76,32 +85,45 @@ def _problems(solution: SpeSolution) -> tuple[_Problem, ...]:
             # symmetric pairing, one role stands for both
             roles = ((0, f"final_{pairing}"),)
         for role, key in roles:
-            other = 1 - role
-            out.append(_Problem(
-                key=key,
-                kind=pairing[role],
-                value=solution.spec.prize,
-                x=efforts[role].x,
-                s=efforts[role].s,
-                x_rival=efforts[other].x,
-                s_rival=efforts[other].s,
-            ))
-    return tuple(out)
+            own, rival = efforts[role], efforts[1 - role]
+            rows.append((key, pairing[role], solution.spec.prize,
+                         own.x, own.s, rival.x, rival.s))
+    cols = np.array([row[2:] for row in rows], dtype=float).T
+    bad = ~(np.isfinite(cols).all(axis=0) & (cols[1:] >= 0).all(axis=0))
+    if bad.any():
+        row = rows[int(np.argmax(bad))]
+        raise ParameterError(
+            f"choice problem {row[0]} needs a finite value and finite, "
+            f"nonnegative efforts, got {row[2:]}")
+    return _Table(tuple(row[0] for row in rows),
+                  np.array([row[1] == HAWK for row in rows]), *cols)
 
 
-def _payoff(csf, cost, prob: _Problem, x, s):
-    """Deviation payoff against the frozen opponent; broadcasts over grids."""
-    b_own = np.maximum(0.0, np.asarray(x, dtype=float) - prob.s_rival)
-    b_rival = np.maximum(0.0, prob.x_rival - np.asarray(s, dtype=float))
-    p = win_prob(csf, b_own, b_rival)
-    return p * prob.value - cost.cost(s) - np.asarray(x, dtype=float)
+def _payoff(csf, cost, frozen, x, s):
+    """Deviation payoff p * value - c(s) - x against the frozen rival, for
+    nonnegative x and s; unchecked, broadcasts over grids."""
+    value, x_rival, s_rival = frozen
+    p = csf._win_prob(np.maximum(0.0, x - s_rival), np.maximum(0.0, x_rival - s))
+    return p * value - cost._cost(s) - x
 
 
-def _baseline(csf, cost, prob: _Problem) -> float:
-    return float(_payoff(csf, cost, prob, prob.x, prob.s))
+def _baseline(csf, cost, t: _Table) -> np.ndarray:
+    return _payoff(csf, cost, t.frozen(slice(None), 0), t.x, t.s)
 
 
-def _find_problem(solution, spec, player, stage, pairing):
+def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict[str, float]:
+    """Entries keyed in report order: each problem's effort, then its
+    sabotage when it is a hawk (`sabotage` holds the hawk rows only)."""
+    out = {}
+    hawk_values = iter(sabotage.tolist())
+    for key, hawk, value in zip(t.keys, t.hawk.tolist(), effort.tolist()):
+        out[key + "_effort"] = value
+        if hawk:
+            out[key + "_sabotage"] = next(hawk_values)
+    return out
+
+
+def _find_problem(t: _Table, player, stage, pairing) -> int:
     if stage == 1:
         if player not in (0, 1, 2, 3):
             raise ParameterError(f"player must be a bracket slot 0..3, got {player!r}")
@@ -115,15 +137,23 @@ def _find_problem(solution, spec, player, stage, pairing):
             key = f"final_{pairing}"
     else:
         raise ParameterError(f"stage must be 1 or 2, got {stage!r}")
-    for prob in _problems(solution):
-        if prob.key == key:
-            return prob
-    raise ParameterError(f"no such choice problem in this solution: {key}")
+    if key not in t.keys:
+        raise ParameterError(f"no such choice problem in this solution: {key}")
+    return t.keys.index(key)
 
 
 # ----------------------------------------------------------------------
 # First and second order conditions.
 # ----------------------------------------------------------------------
+
+def _foc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
+    b_own = effective_effort(t.x, t.s_rival)
+    b_rival = effective_effort(t.x_rival, t.s)
+    d_own, d_rival = win_prob_partials(spec.csf, b_own, b_rival)
+    h = t.hawk
+    return _per_coordinate(t, d_own * t.value - 1.0,
+                           -d_rival[h] * t.value[h] - spec.cost.marginal(t.s[h]))
+
 
 def foc_residuals(solution: SpeSolution, spec: TournamentSpec | None = None,
                   ) -> dict[str, float]:
@@ -135,23 +165,27 @@ def foc_residuals(solution: SpeSolution, spec: TournamentSpec | None = None,
     candidate.
     """
     spec = solution.spec if spec is None else spec
-    out = {}
-    for prob in _problems(solution):
-        b_own = effective_effort(prob.x, prob.s_rival)
-        b_rival = effective_effort(prob.x_rival, prob.s)
-        d_own, d_rival = win_prob_partials(spec.csf, b_own, b_rival)
-        out[prob.key + "_effort"] = d_own * prob.value - 1.0
-        if prob.kind == HAWK:
-            out[prob.key + "_sabotage"] = (
-                -d_rival * prob.value - spec.cost.marginal(prob.s))
-    return out
+    return _foc(spec, _table(solution))
 
 
-def _second_difference(f, z: float, h: float) -> float:
-    if z - h < 0.0:
-        # one-sided variant for coordinates too close to the boundary
-        return (f(z + 2.0 * h) - 2.0 * f(z + h) + f(z)) / (h * h)
-    return (f(z + h) - 2.0 * f(z) + f(z - h)) / (h * h)
+def _soc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
+    # one three-point stencil per coordinate: productive effort for every
+    # row, then sabotage for the hawk rows, all evaluated in one call
+    hawks = np.flatnonzero(t.hawk)
+    rows = np.concatenate([np.arange(len(t.keys)), hawks])
+    on_x = np.arange(len(rows)) < len(t.keys)
+    z = np.where(on_x, t.x[rows], t.s[rows])
+    h = np.maximum(_SOC_STEP * np.abs(z), _SOC_STEP)
+    # one-sided stencil for coordinates too close to the boundary
+    one_sided = z - h < 0.0
+    stencil = np.stack([np.where(one_sided, z, z - h),
+                        np.where(one_sided, z + h, z),
+                        np.where(one_sided, z + 2.0 * h, z + h)])
+    pay = _payoff(spec.csf, spec.cost, t.frozen(rows, 0),
+                  np.where(on_x, stencil, t.x[rows]),
+                  np.where(on_x, t.s[rows], stencil))
+    curvature = (pay[2] - 2.0 * pay[1] + pay[0]) / (h * h)
+    return _per_coordinate(t, curvature[on_x], curvature[~on_x])
 
 
 def soc_check(solution: SpeSolution, spec: TournamentSpec | None = None,
@@ -163,32 +197,21 @@ def soc_check(solution: SpeSolution, spec: TournamentSpec | None = None,
     at a scale deviations actually live on, not lost to round-off.
     """
     spec = solution.spec if spec is None else spec
-    out = {}
-    for prob in _problems(solution):
-        def pay_x(x, prob=prob):
-            return float(_payoff(spec.csf, spec.cost, prob, x, prob.s))
-
-        h = max(1e-5 * abs(prob.x), 1e-5)
-        out[prob.key + "_effort"] = _second_difference(pay_x, prob.x, h)
-        if prob.kind == HAWK:
-            def pay_s(s, prob=prob):
-                return float(_payoff(spec.csf, spec.cost, prob, prob.x, s))
-
-            h = max(1e-5 * abs(prob.s), 1e-5)
-            out[prob.key + "_sabotage"] = _second_difference(pay_s, prob.s, h)
-    return out
+    return _soc(spec, _table(solution))
 
 
 # ----------------------------------------------------------------------
 # Corner bound and grid oracle.
 # ----------------------------------------------------------------------
 
-def _corner_gain(csf, cost, prob: _Problem) -> float:
+def _corner(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     # wiping out the rival's entire outlay and entering with token effort
     # wins outright under the ratio CSF and a coin flip under bounded noise
-    p_corner = 1.0 if isinstance(csf, TullockCsf) else 0.5
-    bound = p_corner * prob.value - cost.cost(prob.x_rival)
-    return bound - _baseline(csf, cost, prob)
+    hawks = t.take(np.flatnonzero(t.hawk))
+    p_corner = 1.0 if isinstance(spec.csf, TullockCsf) else 0.5
+    bound = p_corner * hawks.value - spec.cost._cost(hawks.x_rival)
+    gain = bound - _baseline(spec.csf, spec.cost, hawks)
+    return dict(zip(hawks.keys, gain.tolist()))
 
 
 def corner_deviation_gain(player, solution: SpeSolution,
@@ -202,10 +225,12 @@ def corner_deviation_gain(player, solution: SpeSolution,
     hawk role of `pairing`).
     """
     spec = solution.spec if spec is None else spec
-    prob = _find_problem(solution, spec, player, stage, pairing)
-    if prob.kind != HAWK:
-        raise ParameterError(f"{prob.key} is a dove; corner deviations need sabotage")
-    return _corner_gain(spec.csf, spec.cost, prob)
+    t = _table(solution)
+    key = t.keys[_find_problem(t, player, stage, pairing)]
+    corner = _corner(spec, t)
+    if key not in corner:
+        raise ParameterError(f"{key} is a dove; corner deviations need sabotage")
+    return corner[key]
 
 
 @dataclass(frozen=True)
@@ -219,53 +244,112 @@ class OracleResult:
     baseline: float
 
 
-def _refine_axis(center: float, cell: float, hi: float, points: int) -> np.ndarray:
-    lo = max(0.0, center - cell)
-    top = min(hi, center + cell)
-    return np.linspace(lo, top, points)
+def _linspace_rows(lo: np.ndarray, hi, points: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], points) for every row i, rounded as
+    np.linspace rounds a single row."""
+    grid = np.arange(points) * ((hi - lo) / (points - 1))[:, None] + lo[:, None]
+    grid[:, -1] = hi
+    return grid
 
 
-def _oracle_2d(csf, cost, prob: _Problem, x_hi: float, n: int) -> OracleResult:
-    xs = np.linspace(0.0, x_hi, n)
-    ss = np.linspace(0.0, prob.x_rival, n)
-    best_pay = -np.inf
-    best_x = best_s = 0.0
-    for _ in range(3):
-        pay = _payoff(csf, cost, prob, xs[:, None], ss[None, :])
-        flat = int(np.argmax(pay))
-        i, j = divmod(flat, pay.shape[1])
-        if pay[i, j] > best_pay:
-            best_pay = float(pay[i, j])
-            best_x = float(xs[i])
-            best_s = float(ss[j])
-        cell_x = xs[1] - xs[0] if len(xs) > 1 else 0.0
-        cell_s = ss[1] - ss[0] if len(ss) > 1 else 0.0
-        xs = _refine_axis(float(xs[i]), cell_x, x_hi, 21)
-        ss = _refine_axis(float(ss[j]), cell_s, prob.x_rival, 21)
-    base = _baseline(csf, cost, prob)
-    return OracleResult(best_pay - base, best_x, best_s, best_pay, base)
+def _around(center: np.ndarray, cell: np.ndarray, hi, points: int) -> np.ndarray:
+    """Refinement grids spanning one coarse cell either side of each center,
+    clipped to [0, hi]."""
+    return _linspace_rows(np.maximum(0.0, center - cell),
+                          np.minimum(hi, center + cell), points)
 
 
-def _oracle_1d(csf, cost, prob: _Problem, x_hi: float, n: int) -> OracleResult:
-    xs = np.linspace(0.0, x_hi, 40 * n + 1)
-    best_pay = -np.inf
-    best_x = 0.0
-    for _ in range(3):
-        pay = _payoff(csf, cost, prob, xs, 0.0)
-        i = int(np.argmax(pay))
-        if pay[i] > best_pay:
-            best_pay = float(pay[i])
-            best_x = float(xs[i])
-        cell = xs[1] - xs[0] if len(xs) > 1 else 0.0
-        xs = _refine_axis(float(xs[i]), cell, x_hi, 201)
-    base = _baseline(csf, cost, prob)
-    return OracleResult(best_pay - base, best_x, 0.0, best_pay, base)
+def _argmax_rows(pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row flat argmax of a stack of grids (first maximum wins) and the
+    payoff there."""
+    flat = pay.reshape(len(pay), -1)
+    idx = flat.argmax(axis=1)
+    return idx, flat[np.arange(len(flat)), idx]
 
 
-def _oracle(csf, cost, prob: _Problem, prize: float, n: int) -> OracleResult:
-    if prob.kind == HAWK and prob.x_rival > 0.0:
-        return _oracle_2d(csf, cost, prob, prize, n)
-    return _oracle_1d(csf, cost, prob, prize, n)
+def _search_2d(csf, cost, t: _Table, prize: float, n: int):
+    """Hawks against a positive rival outlay: an n x n grid of productive
+    effort on [0, prize] crossed with sabotage on [0, x_rival], then two
+    21 x 21 refinements around the incumbent best cell."""
+    k = len(t.keys)
+    at = np.arange(k)
+    xs = np.broadcast_to(np.linspace(0.0, prize, n), (k, n))
+    ss = np.array([np.linspace(0.0, top, n) for top in t.x_rival])
+    best = np.full(k, -np.inf)
+    best_x = np.zeros(k)
+    best_s = np.zeros(k)
+    for step in range(3):
+        if step == 0:
+            # coarse grids one problem at a time, so that memory holds one
+            # n x n grid and not k of them
+            cells = [_argmax_rows(_payoff(csf, cost, t.frozen([r], 2),
+                                          xs[r, None, :, None], ss[r, None, None, :]))
+                     for r in range(k)]
+            flat, top = (np.concatenate(c) for c in zip(*cells))
+        else:
+            xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _HAWK_REFINE)
+            ss = _around(s_at, ss[:, 1] - ss[:, 0], t.x_rival, _HAWK_REFINE)
+            flat, top = _argmax_rows(_payoff(csf, cost, t.frozen(at, 2),
+                                             xs[:, :, None], ss[:, None, :]))
+        i, j = np.divmod(flat, ss.shape[1])
+        x_at, s_at = xs[at, i], ss[at, j]
+        better = top > best
+        best = np.where(better, top, best)
+        best_x = np.where(better, x_at, best_x)
+        best_s = np.where(better, s_at, best_s)
+    return best, best_x, best_s
+
+
+def _search_1d(csf, cost, t: _Table, prize: float, n: int):
+    """Doves, and hawks whose rival spends nothing: productive effort alone
+    on 40 n + 1 points over [0, prize], then two 201-point refinements."""
+    k = len(t.keys)
+    at = np.arange(k)
+    frozen = t.frozen(at, 1)
+    xs = np.broadcast_to(np.linspace(0.0, prize, 40 * n + 1), (k, 40 * n + 1))
+    best = np.full(k, -np.inf)
+    best_x = np.zeros(k)
+    for step in range(3):
+        if step:
+            xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _DOVE_REFINE)
+        i, top = _argmax_rows(_payoff(csf, cost, frozen, xs, 0.0))
+        x_at = xs[at, i]
+        better = top > best
+        best = np.where(better, top, best)
+        best_x = np.where(better, x_at, best_x)
+    return best, best_x, np.zeros(k)
+
+
+def _oracle(spec: TournamentSpec, t: _Table, n: int) -> list[OracleResult]:
+    """Grid-search every row's deviation space; one result per row."""
+    best = np.empty(len(t.keys))
+    best_x = np.empty(len(t.keys))
+    best_s = np.empty(len(t.keys))
+    two_d = t.hawk & (t.x_rival > 0.0)
+    for rows, search in ((np.flatnonzero(two_d), _search_2d),
+                         (np.flatnonzero(~two_d), _search_1d)):
+        if rows.size:
+            best[rows], best_x[rows], best_s[rows] = search(
+                spec.csf, spec.cost, t.take(rows), spec.prize, n)
+    base = _baseline(spec.csf, spec.cost, t)
+    return [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
+        best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
+
+
+def _oracle_report(spec: TournamentSpec, t: _Table, n: int,
+                   ) -> tuple[dict[str, float], dict[str, tuple[float, float]]]:
+    # problems with identical data share one search
+    first: dict[tuple, int] = {}
+    signature = [(bool(h), v, x, s, xr, sr) for h, v, x, s, xr, sr in zip(
+        t.hawk.tolist(), t.value.tolist(), t.x.tolist(), t.s.tolist(),
+        t.x_rival.tolist(), t.s_rival.tolist())]
+    for row, sig in enumerate(signature):
+        first.setdefault(sig, row)
+    unique = list(first.values())
+    found = dict(zip(unique, _oracle(spec, t.take(unique), n)))
+    results = [found[first[sig]] for sig in signature]
+    return ({key: r.gain for key, r in zip(t.keys, results)},
+            {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)})
 
 
 def best_response_oracle(player, solution: SpeSolution,
@@ -284,8 +368,8 @@ def best_response_oracle(player, solution: SpeSolution,
     n = spec.solver.oracle_grid if grid is None else int(grid)
     if n < 50:
         raise ParameterError("oracle grid must have at least 50 points per axis")
-    prob = _find_problem(solution, spec, player, stage, pairing)
-    return _oracle(spec.csf, spec.cost, prob, spec.prize, n)
+    t = _table(solution)
+    return _oracle(spec, t.take([_find_problem(t, player, stage, pairing)]), n)[0]
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +389,34 @@ class VerificationReport:
     notes: tuple[str, ...]
 
 
+# Each failure test is written so that a NaN fails it.
+
+def _local_notes(foc, soc, corner) -> list[str]:
+    notes = [f"first-order residual {key} is {value:.3e}"
+             for key, value in foc.items() if not abs(value) <= FOC_TOLERANCE]
+    notes += [f"second-order curvature {key} is {value:.6g}, not negative"
+              for key, value in soc.items() if not value < 0.0]
+    notes += [f"corner deviation {key} gains {value:.6g}"
+              for key, value in corner.items() if not value <= GAIN_TOLERANCE]
+    return notes
+
+
+def _oracle_notes(gains, argmax) -> list[str]:
+    return [f"oracle deviation {key} gains {value:.6g} at "
+            f"x={argmax[key][0]:.6g}, s={argmax[key][1]:.6g}"
+            for key, value in gains.items() if not value <= GAIN_TOLERANCE]
+
+
+def _stage_notes(solution: SpeSolution) -> list[str]:
+    notes = [f"semifinal{mi}_player{slot} expects negative payoff "
+             f"{match.payoffs[slot]:.6g}"
+             for mi, match in enumerate(solution.matches) for slot in (0, 1)
+             if not match.payoffs[slot] >= 0.0]
+    if not solution.stage2.menu.ordered:
+        notes.append("final-stage payoff menu is not strictly ordered")
+    return notes
+
+
 def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
                     grid: int | None = None) -> VerificationReport:
     """Run every acceptance layer against a candidate and report honestly.
@@ -317,59 +429,22 @@ def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
     """
     spec = solution.spec if spec is None else spec
     n = spec.solver.oracle_grid if grid is None else int(grid)
-    probs = _problems(solution)
-
     foc = foc_residuals(solution, spec)
     soc = soc_check(solution, spec)
-
-    corner = {}
-    for prob in probs:
-        if prob.kind == HAWK:
-            corner[prob.key] = _corner_gain(spec.csf, spec.cost, prob)
-
-    oracle_gains = {}
-    oracle_argmax = {}
-    cache: dict[tuple, OracleResult] = {}
-    for prob in probs:
-        sig = (prob.kind, prob.value, prob.x, prob.s, prob.x_rival, prob.s_rival)
-        if sig not in cache:
-            cache[sig] = _oracle(spec.csf, spec.cost, prob, spec.prize, n)
-        result = cache[sig]
-        oracle_gains[prob.key] = result.gain
-        oracle_argmax[prob.key] = (result.best_x, result.best_s)
-
-    failures = []
-    for key, value in foc.items():
-        if abs(value) > FOC_TOLERANCE:
-            failures.append(f"first-order residual {key} is {value:.3e}")
-    for key, value in soc.items():
-        if not value < 0.0:
-            failures.append(f"second-order curvature {key} is {value:.6g}, not negative")
-    for key, value in corner.items():
-        if value > GAIN_TOLERANCE:
-            failures.append(f"corner deviation {key} gains {value:.6g}")
-    for key, value in oracle_gains.items():
-        if value > GAIN_TOLERANCE:
-            bx, bs = oracle_argmax[key]
-            failures.append(
-                f"oracle deviation {key} gains {value:.6g} at x={bx:.6g}, s={bs:.6g}")
-    for mi, match in enumerate(solution.matches):
-        for slot in (0, 1):
-            if match.payoffs[slot] < 0.0:
-                failures.append(
-                    f"semifinal{mi}_player{slot} expects negative payoff "
-                    f"{match.payoffs[slot]:.6g}")
-    if not solution.stage2.menu.ordered:
-        failures.append("final-stage payoff menu is not strictly ordered")
-
+    t = _table(solution)
+    corner = _corner(spec, t)
+    oracle_gains, oracle_argmax = _oracle_report(spec, t, n)
+    notes = (_local_notes(foc, soc, corner)
+             + _oracle_notes(oracle_gains, oracle_argmax)
+             + _stage_notes(solution))
     return VerificationReport(
         foc_residuals=foc,
         soc_values=soc,
         corner_gains=corner,
         oracle_gains=oracle_gains,
         oracle_argmax=oracle_argmax,
-        interior_ok=not failures,
-        notes=tuple(failures),
+        interior_ok=not notes,
+        notes=tuple(notes),
     )
 
 
@@ -387,11 +462,20 @@ class GateResult:
 
 
 def _candidate_ok(spec: TournamentSpec, prize: float, grid: int | None) -> bool:
+    """verify_solution(...).interior_ok at this prize, without the report:
+    the oracle runs only when every cheap layer has passed, since any
+    failing layer rejects the candidate."""
     try:
         solution = solve_tournament(replace(spec, prize=prize))
     except (InteriorityError, SolverError):
         return False
-    return verify_solution(solution, grid=grid).interior_ok
+    spec = solution.spec
+    t = _table(solution)
+    if (_local_notes(_foc(spec, t), _soc(spec, t), _corner(spec, t))
+            or _stage_notes(solution)):
+        return False
+    n = spec.solver.oracle_grid if grid is None else int(grid)
+    return not _oracle_notes(*_oracle_report(spec, t, n))
 
 
 def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
@@ -405,6 +489,8 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     final bracket.  Under bounded noise admissibility need not be monotone
     in the prize, so the estimate maps the edge of the window that was
     found, and the notes say when the requested prize itself was rejected.
+    A probe gives the same verdict as verify_solution, but skips the
+    oracle once a cheaper layer has rejected.
     """
     notes = []
     ok_here = _candidate_ok(spec, spec.prize, grid)

@@ -76,6 +76,33 @@ class TestSolve:
         proc = run_cli("solve", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"prize": 20.0, "csf": {"type": "probit_uniform", "half_width": NaN, '
+        '"f_exponent": 0.5}, "cost": {"exponent": 3.0, "divisor": 27.0}}',
+        '{"prize": 80.0, "csf": {"type": "tullock"}, '
+        '"cost": {"exponent": 3.0, "divisor": Infinity}}',
+    ], ids=["nan-half-width", "infinite-divisor"])
+    def test_non_finite_literal_exits_two(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_float_range_overflow_exits_three(self, tmp_path):
+        bad = {"prize": 1.13e4,
+               "csf": {"type": "probit_uniform", "half_width": 0.025,
+                       "f_exponent": 0.986},
+               "cost": {"exponent": 3.0, "divisor": 27.0}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_csf_type_exits_two(self, tmp_path):
         bad = dict(RATIO_SCENARIO, csf={"type": "logit"})
         path = tmp_path / "bad.json"

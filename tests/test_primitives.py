@@ -166,8 +166,9 @@ def test_tullock_rejects_bad_decisiveness(bad):
 
 
 def test_probit_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        ProbitUniformCsf(half_width=0.0, f_exponent=0.5)
+    for width in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            ProbitUniformCsf(half_width=width, f_exponent=0.5)
     with pytest.raises(ParameterError):
         ProbitUniformCsf(half_width=1.0, f_exponent=1.0)
     with pytest.raises(ParameterError):
@@ -175,9 +176,10 @@ def test_probit_rejects_bad_parameters():
 
 
 def test_power_cost_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        PowerCost(1.0, 12.0)
-    with pytest.raises(ParameterError):
-        PowerCost(3.0, 0.0)
+    for exponent, divisor in ((1.0, 12.0), (3.0, 0.0), (np.nan, 12.0),
+                              (np.inf, 12.0), (3.0, np.nan), (3.0, np.inf),
+                              (3.0, -np.inf)):
+        with pytest.raises(ParameterError):
+            PowerCost(exponent, divisor)
     with pytest.raises(ParameterError):
         PowerCost(3.0, 12.0).cost(-1.0)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from tourney import (ParameterError, PowerCost, ProbitUniformCsf, TullockCsf,
-                     base_effort, solve_stage2, stage2_payoff_menu,
+from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SolverError,
+                     TournamentSpec, TullockCsf, base_effort, existence_gate,
+                     solve_stage2, solve_tournament, stage2_payoff_menu,
                      stage2_profile, stage2_sabotage)
 
 RATIO_CSF = TullockCsf(r=1.0)
@@ -83,6 +84,21 @@ def test_base_effort_rejects_nonpositive_prize():
         base_effort(RATIO_CSF, 0.0)
     with pytest.raises(ParameterError):
         base_effort(NOISE_CSF, -1.0)
+
+
+def test_base_effort_overflow_is_a_solver_error():
+    # (beta v / 2a)^(1/(1-beta)) leaves the float range as beta nears 1
+    spec = TournamentSpec(prize=1.13e4,
+                          csf=ProbitUniformCsf(half_width=0.025, f_exponent=0.986),
+                          cost=NOISE_COST)
+    with pytest.raises(SolverError, match="float range"):
+        base_effort(spec.csf, spec.prize)
+    with pytest.raises(SolverError, match="float range"):
+        solve_tournament(spec)
+    # every gate probe there fails cleanly instead of crashing the gate
+    gate = existence_gate(spec, grid=50)
+    assert not gate.interior_ok
+    assert gate.minimal_v_estimate is None
 
 
 def _gaps_resolvable(cost, v):

@@ -1,14 +1,16 @@
 """Global equilibrium audit: residuals, curvature, corners, grid oracle."""
 
 import dataclasses
+import math
 
 import pytest
 
-from tourney import (ParameterError, PowerCost, ProbitUniformCsf,
+from tourney import (Effort, ParameterError, PowerCost, ProbitUniformCsf,
                      SolverSettings, TournamentSpec, TullockCsf,
                      best_response_oracle, continuation_values,
-                     corner_deviation_gain, existence_gate, solve_tournament,
-                     verify_solution)
+                     corner_deviation_gain, existence_gate, foc_residuals,
+                     soc_check, solve_tournament, verify_solution)
+from tourney.verification import _candidate_ok, _local_notes, _oracle_notes
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -162,3 +164,81 @@ def test_alternative_seedings_pass_the_audit():
                               solver=SolverSettings(oracle_grid=128))
         report = verify_solution(solve_tournament(spec))
         assert report.interior_ok, report.notes
+
+
+def _player_args(key):
+    """(player, stage, pairing) addressing one report key's choice problem."""
+    if key.startswith("semifinal"):
+        return 2 * int(key[9]) + int(key[-1]), 1, None
+    pairing = key.split("_")[1]
+    return (1 if key.endswith("dove") else 0), 2, pairing
+
+
+@pytest.mark.parametrize("spec", [
+    RATIO_SPEC,
+    NOISE_SPEC,
+    dataclasses.replace(RATIO_SPEC, bracket=(("H", "D"), ("H", "H"))),
+], ids=["ratio", "noise", "ratio-HD-HH"])
+def test_per_player_functions_match_the_report_exactly(spec):
+    sol = solve_tournament(spec)
+    report = verify_solution(sol, grid=128)
+    assert foc_residuals(sol) == report.foc_residuals
+    assert soc_check(sol) == report.soc_values
+    corners = {}
+    for key, gain in report.oracle_gains.items():
+        player, stage, pairing = _player_args(key)
+        result = best_response_oracle(player, sol, grid=128, stage=stage,
+                                      pairing=pairing)
+        assert result.gain == gain
+        assert (result.best_x, result.best_s) == report.oracle_argmax[key]
+        assert result.best_payoff - result.baseline == result.gain
+        if key in report.corner_gains:
+            corners[key] = corner_deviation_gain(player, sol, stage=stage,
+                                                 pairing=pairing)
+    assert corners == report.corner_gains
+
+
+@pytest.mark.parametrize("spec, prizes, oracle_only", [
+    (RATIO_SPEC, (20.0, 40.0, 47.6, 80.0, 160.0), ()),
+    (dataclasses.replace(RATIO_SPEC, csf=TullockCsf(r=0.5)), (30.0, 95.0, 120.0), ()),
+    # prize 20 fails on sabotage curvature; 80 and 120 only on the oracle
+    (NOISE_SPEC, (20.0, 40.0, 80.0, 120.0), (80.0, 120.0)),
+    (NOISE_SPEC_LARGE, (20.0, 50.0, 100.0), (20.0,)),
+], ids=["ratio", "ratio-r0.5", "noise", "noise-large"])
+def test_gate_verdict_equals_the_full_audit(spec, prizes, oracle_only):
+    for prize in prizes:
+        report = verify_solution(solve_tournament(dataclasses.replace(spec, prize=prize)),
+                                 grid=128)
+        assert _candidate_ok(spec, prize, 128) == report.interior_ok, prize
+        only_oracle = bool(report.notes) and all(
+            note.startswith("oracle") for note in report.notes)
+        assert only_oracle == (prize in oracle_only), prize
+
+
+@pytest.mark.parametrize("where", ["semifinal_x", "semifinal_s", "final_x"])
+def test_nan_effort_is_never_accepted(where):
+    sol = solve_tournament(RATIO_SPEC)
+    if where == "final_x":
+        hawk, dove = sol.stage2.profiles["HD"]
+        profiles = dict(sol.stage2.profiles, HD=(hawk, Effort(x=math.nan, s=0.0)))
+        sol = dataclasses.replace(
+            sol, stage2=dataclasses.replace(sol.stage2, profiles=profiles))
+    else:
+        match = sol.matches[0]
+        hawk = match.efforts[0]
+        bad = (Effort(x=math.nan, s=hawk.s) if where == "semifinal_x"
+               else Effort(x=hawk.x, s=math.nan))
+        sol = dataclasses.replace(sol, matches=(
+            dataclasses.replace(match, efforts=(bad, match.efforts[1])),
+            sol.matches[1]))
+    try:
+        report = verify_solution(sol, grid=64)
+    except ParameterError:
+        return
+    assert not report.interior_ok
+
+
+def test_nan_values_fail_every_layer():
+    nan = math.nan
+    assert len(_local_notes({"a_effort": nan}, {"a_effort": nan}, {"a": nan})) == 3
+    assert len(_oracle_notes({"a": nan}, {"a": (0.0, 0.0)})) == 1
