@@ -258,7 +258,9 @@ def _cmd_verify(args) -> int:
     print(f"first-order residual (max abs): "
           f"{max(abs(v) for v in report.foc_residuals.values()):.3e}")
     print(f"second-order curvature (max): {max(report.soc_values.values()):.6g}")
-    print(f"corner deviation gain (max): {max(report.corner_gains.values()):.6g}")
+    corner = report.corner_gains.values()
+    print("corner deviation gain (max): "
+          + (f"{max(corner):.6g}" if corner else "n/a (no hawk)"))
     print(f"oracle deviation gain (max): {max(report.oracle_gains.values()):.6g}")
     for note in report.notes:
         print(f"  - {note}")

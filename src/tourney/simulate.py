@@ -17,6 +17,12 @@ Runs are deterministic and chunked.  Chunk k of a run re-seeds its own
 counter-based generator from (seed, spawn_key k) with a fixed draw layout,
 so results are reproducible bit for bit regardless of how many chunks
 execute, and a longer run extends a shorter one instead of reshuffling it.
+Direct mode draws an (n, 3) block per chunk.  Structural mode draws an
+(n, 6) noise block and, after it, an (n, 3) block of tie-break coins.  The
+coins are read only on exact score ties, which positive efforts all but
+never produce, so a chunk draws its coin block only if one of its matches
+tied; because each chunk has its own generator, the coins it does draw are
+the ones the full layout would give.  One draw buffer serves every chunk.
 """
 
 from __future__ import annotations
@@ -120,57 +126,63 @@ def simulate_match(csf: Csf, b_i: float, b_j: float, mode: str = "direct",
     return int(y_i > y_j)
 
 
-def _winners_direct(solution: SpeSolution, u: np.ndarray) -> np.ndarray:
-    p0 = solution.matches[0].win_probs[0]
-    p1 = solution.matches[1].win_probs[0]
-    w0 = np.where(u[:, 0] < p0, 0, 1)
-    w1 = np.where(u[:, 1] < p1, 2, 3)
-    # both finalists arrive at the common base effort, a coin flip
-    return np.where(u[:, 2] < 0.5, w0, w1)
+def _tally(first: np.ndarray, second: np.ndarray,
+           final_first: np.ndarray) -> np.ndarray:
+    """Wins per slot from one chunk's match outcomes.
+
+    ``first`` is slot 0 beating slot 1, ``second`` slot 2 beating slot 3 and
+    ``final_first`` the first semifinal's winner taking the final.
+    """
+    n = final_first.size
+    finals = np.count_nonzero(final_first)
+    w0 = np.count_nonzero(first & final_first)
+    w2 = np.count_nonzero(second) - np.count_nonzero(second & final_first)
+    return np.array([w0, finals - w0, w2, n - finals - w2], dtype=np.int64)
 
 
-def _winners_structural(solution: SpeSolution, noise: np.ndarray,
-                        coins: np.ndarray) -> np.ndarray:
+def _structural_outcomes(solution: SpeSolution, noise: np.ndarray,
+                         rng: np.random.Generator) -> list[np.ndarray]:
     csf = solution.spec.csf
     b_final = solution.stage2.base_effort
-
-    def contest(b_a, b_b, col_a, col_b, coin_col):
-        y_a = _structural_scores(csf, b_a, noise[:, col_a])
-        y_b = _structural_scores(csf, b_b, noise[:, col_b])
-        first = y_a > y_b
-        tie = y_a == y_b
-        return first | (tie & (coins[:, coin_col] < 0.5))
-
-    eff0 = solution.matches[0].effective
-    eff1 = solution.matches[1].effective
-    m0 = contest(eff0[0], eff0[1], 0, 1, 0)
-    m1 = contest(eff1[0], eff1[1], 2, 3, 1)
-    final_first = contest(b_final, b_final, 4, 5, 2)
-    w0 = np.where(m0, 0, 1)
-    w1 = np.where(m1, 2, 3)
-    return np.where(final_first, w0, w1)
+    pairs = (solution.matches[0].effective, solution.matches[1].effective,
+             (b_final, b_final))
+    outcomes, ties = [], []
+    for k, (b_a, b_b) in enumerate(pairs):
+        y_a = _structural_scores(csf, b_a, noise[:, 2 * k])
+        y_b = _structural_scores(csf, b_b, noise[:, 2 * k + 1])
+        outcomes.append(y_a > y_b)
+        ties.append(y_a == y_b)
+    if any(tie.any() for tie in ties):
+        # the coin block follows the noise block in the chunk's stream
+        coins = rng.random((len(noise), 3))
+        for first, tie, coin in zip(outcomes, ties, coins.T):
+            first |= tie & (coin < 0.5)
+    return outcomes
 
 
 def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
                         ) -> SimResult:
     """Run the whole tournament config.trials times and tally the winners."""
-    if config.mode == "structural":
+    direct = config.mode == "direct"
+    if not direct:
         _check_structural(solution.spec.csf)
+    p0 = solution.matches[0].win_probs[0]
+    p1 = solution.matches[1].win_probs[0]
 
+    buf = np.empty((min(CHUNK, config.trials), 3 if direct else 6))
     wins = np.zeros(4, dtype=np.int64)
     done = 0
     chunk_index = 0
     while done < config.trials:
         n = min(CHUNK, config.trials - done)
         rng = _chunk_rng(config.seed, chunk_index)
-        if config.mode == "direct":
-            u = rng.random((n, 3))
-            winners = _winners_direct(solution, u)
+        draws = buf[:n]
+        rng.random(out=draws)
+        if direct:
+            # both finalists arrive at the common base effort, a coin flip
+            wins += _tally(draws[:, 0] < p0, draws[:, 1] < p1, draws[:, 2] < 0.5)
         else:
-            noise = rng.random((n, 6))
-            coins = rng.random((n, 3))
-            winners = _winners_structural(solution, noise, coins)
-        wins += np.bincount(winners, minlength=4)
+            wins += _tally(*_structural_outcomes(solution, draws, rng))
         done += n
         chunk_index += 1
 

@@ -131,6 +131,20 @@ class TestVerify:
         assert proc.returncode == 1
         assert "REJECTED" in proc.stdout
 
+    def test_all_dove_bracket_has_no_corner_to_report(self, tmp_path):
+        doves = dict(RATIO_SCENARIO, bracket=[["D", "D"], ["D", "D"]])
+        path = tmp_path / "doves.json"
+        path.write_text(json.dumps(doves))
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", str(path), "--json", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "corner deviation gain (max): n/a (no hawk)" in proc.stdout
+        assert "accepted" in proc.stdout
+        payload = json.loads(out.read_text())
+        assert payload["interior_ok"] is True
+        assert payload["corner_gains"] == {}
+
 
 class TestSimulate:
     def test_runs_with_overrides(self, tmp_path, scenario_path):

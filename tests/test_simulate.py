@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, golden counts, analytic agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,30 @@ class TestDeterminism:
                                      SimConfig(trials=100_000, seed=7,
                                                mode="structural"))
         assert result.wins == (24540, 25417, 24441, 25602)
+
+    # three chunks, the last one partial
+    @pytest.mark.parametrize("name, mode, wins", [
+        ("ratio", "direct", (128542, 133952, 129223, 133571)),
+        ("ratio", "structural", (128973, 133990, 128433, 133892)),
+        ("noise", "direct", (129648, 132846, 130250, 132544)),
+        ("noise", "structural", (129992, 132971, 129538, 132787)),
+    ])
+    def test_golden_counts_across_chunks(self, request, name, mode, wins):
+        solution = request.getfixturevalue(f"{name}_solution")
+        result = simulate_tournament(solution,
+                                     SimConfig(trials=2 * CHUNK + 1000, seed=7,
+                                               mode=mode))
+        assert result.wins == wins
+
+    def test_golden_counts_with_tied_scores(self, ratio_solution):
+        # zero semifinal efforts tie every race, so every chunk draws its coins
+        tied = dataclasses.replace(ratio_solution, matches=tuple(
+            dataclasses.replace(m, effective=(0.0, 0.0))
+            for m in ratio_solution.matches))
+        result = simulate_tournament(tied,
+                                     SimConfig(trials=2 * CHUNK + 1000, seed=7,
+                                               mode="structural"))
+        assert result.wins == (131737, 131226, 131001, 131324)
 
 
 class TestAnalyticAgreement:
