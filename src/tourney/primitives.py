@@ -13,7 +13,8 @@ OWN win probability, so the rival component is negative.
 Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`), where the formula lives.  The audit calls the kernels
-directly on arrays it has validated once.
+directly on arrays it has validated once.  The noise CSF's `_cdf_float` is
+`_cdf` on one Python float, for the semifinal root's inner loop.
 """
 
 from __future__ import annotations
@@ -111,6 +112,10 @@ class ProbitUniformCsf:
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ParameterError(
                 f"noise half width must be positive and finite, got {self.half_width}")
+        if not math.isfinite(8.0 * self.half_width * self.half_width):
+            raise ParameterError(
+                f"noise half width must keep 8 * half_width**2 finite, "
+                f"got {self.half_width}")
         if not 0.0 < self.f_exponent < 1.0:
             raise ParameterError(
                 f"performance exponent must be in (0, 1), got {self.f_exponent}")
@@ -153,6 +158,15 @@ class ProbitUniformCsf:
         low = (2.0 * a + tc) ** 2 / (8.0 * a * a)
         high = 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
         return np.where(tc <= 0.0, low, high)
+
+    def _cdf_float(self, t: float) -> float:
+        """_cdf on one Python float, with the same operations and bits.  The
+        squares stay below 8a^2, which construction keeps finite."""
+        a = self.half_width
+        tc = min(max(t, -2.0 * a), 2.0 * a)
+        if tc <= 0.0:
+            return (2.0 * a + tc) ** 2 / (8.0 * a * a)
+        return 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
 
     def _density(self, t):
         a = self.half_width

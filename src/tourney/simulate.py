@@ -84,10 +84,12 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _race_scores(b: float, uniforms: np.ndarray) -> np.ndarray:
-    # b / Exp(1) race representation of the unit-decisiveness ratio contest
+    # b / Exp(1) race representation of the unit-decisiveness ratio contest;
+    # a zero effort never scores
+    if not b > 0.0:
+        return np.zeros(uniforms.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = b * (-1.0 / np.log(uniforms))
-    return np.where(b > 0.0, scores, 0.0)
+        return b * (-1.0 / np.log(uniforms))
 
 
 def _structural_scores(csf: Csf, b: float, uniforms: np.ndarray) -> np.ndarray:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 
 from .errors import InteriorityError, ParameterError, SolverError
 from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
-from .stage2 import (Effort, PayoffMenu, Stage2Solution, base_effort,
-                     solve_stage2, stage2_sabotage)
+from .stage2 import Effort, PayoffMenu, Stage2Solution, base_effort, solve_stage2
 
 Bracket = tuple[tuple[str, str], tuple[str, str]]
 DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
@@ -167,8 +166,8 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return b
 
 
-def _positive_values(hawk_value_of_p, dove_value_of_p, p: float) -> tuple[float, float]:
-    a_val, b_val = hawk_value_of_p(p), dove_value_of_p(p)
+def _positive_values(values, p: float) -> tuple[float, float]:
+    a_val, b_val = values(p)
     if not (a_val > 0 and b_val > 0):
         raise InteriorityError(
             f"prize too small: continuation values not positive at "
@@ -183,38 +182,29 @@ def _certify(residual: float, settings: SolverSettings) -> None:
             f"exceeds {settings.tolerance:.3g}")
 
 
-def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
-                            r: float, settings: SolverSettings = SolverSettings(),
-                            ) -> tuple[float, float, float, float]:
-    """Solve the mixed semifinal under the ratio CSF.
-
-    hawk_value_of_p / dove_value_of_p map the hawk's own win probability to
-    the continuation values (constant closures for asymmetric seedings).
-    Returns (hawk effective effort, dove effective effort, hawk win prob,
-    sabotage).  At p = A^r / (A^r + B^r) the asymmetric-prize ratio contest
-    has efforts r*A*p*(1-p) and r*B*p*(1-p), so only p needs a root.
-    """
+def _ratio_root(values, cost: PowerCost, r: float, settings: SolverSettings,
+                ) -> tuple[float, float, float, float]:
+    """Mixed semifinal under the ratio CSF; values(p) -> (hawk value, dove
+    value).  At p = A^r / (A^r + B^r) the asymmetric-prize ratio contest
+    has efforts r*A*p*(1-p) and r*B*p*(1-p), so only p needs a root."""
 
     def phi(p: float) -> float:
-        a_val, b_val = _positive_values(hawk_value_of_p, dove_value_of_p, p)
+        a_val, b_val = _positive_values(values, p)
         return 1.0 / (1.0 + (b_val / a_val) ** r)
 
     p = _brent(lambda p: phi(p) - p, 0.0, 1.0, phi(0.0), phi(1.0) - 1.0)
     _certify(abs(phi(p) - p), settings)
-    a_val, b_val = hawk_value_of_p(p), dove_value_of_p(p)
+    a_val, b_val = values(p)
     spread = r * p * (1.0 - p)
     return spread * a_val, spread * b_val, p, cost.marginal_inverse(a_val / b_val)
 
 
-def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
-                           csf: ProbitUniformCsf,
-                           settings: SolverSettings = SolverSettings(),
-                           ) -> tuple[float, float, float, float]:
-    """Solve the mixed semifinal under the noise CSF.
-
-    Same contract as the ratio solver.  At fixed p the FOC ratio pins the
-    hawk's effort at kappa = (A/B)^(1/(1-beta)) times the dove's, so both
-    FOCs reduce to one decreasing equation h(u) = 0 in u = b_dove^beta:
+def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
+                settings: SolverSettings) -> tuple[float, float, float, float]:
+    """Mixed semifinal under the noise CSF; values(p) -> (hawk value, dove
+    value).  At fixed p the FOC ratio pins the hawk's effort at
+    kappa = (A/B)^(1/(1-beta)) times the dove's, so both FOCs reduce to one
+    decreasing equation h(u) = 0 in u = b_dove^beta:
     h(u) = (2a - |1 - kappa^beta| u) beta B - 4a^2 u^((1-beta)/beta).
     h(0) > 0, and h <= 0 at the dove's zero-gap effort, which brackets it.
     The outer root then matches p to the noise CDF at the resulting gap.
@@ -222,7 +212,7 @@ def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
     a, beta = csf.half_width, csf.f_exponent
 
     def efforts(p: float) -> tuple[float, float]:
-        a_val, b_val = _positive_values(hawk_value_of_p, dove_value_of_p, p)
+        a_val, b_val = _positive_values(values, p)
         kappa = (a_val / b_val) ** (1.0 / (1.0 - beta))
         slope = abs(1.0 - kappa ** beta)
 
@@ -236,16 +226,43 @@ def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
 
     def phi(p: float) -> float:
         bh, bd = efforts(p)
-        return csf.noise_diff_cdf(bh ** beta - bd ** beta)
+        return csf._cdf_float(bh ** beta - bd ** beta)
 
     bh, bd = efforts(_brent(lambda p: phi(p) - p, 0.0, 1.0, phi(0.0), phi(1.0) - 1.0))
     gap = bh ** beta - bd ** beta
-    p = csf.noise_diff_cdf(gap)
-    a_val, b_val = _positive_values(hawk_value_of_p, dove_value_of_p, p)
+    p = csf._cdf_float(gap)
+    a_val, b_val = _positive_values(values, p)
+    if not (bh > 0.0 and bd > 0.0):
+        raise SolverError(
+            f"semifinal effort left the float range: hawk {bh:.3g}, dove {bd:.3g}")
     dens = csf.noise_diff_density(gap)
     _certify(max(abs(dens * beta * bh ** (beta - 1.0) * a_val - 1.0),
                  abs(dens * beta * bd ** (beta - 1.0) * b_val - 1.0)), settings)
     return bh, bd, p, cost.marginal_inverse(a_val / b_val)
+
+
+def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
+                            r: float, settings: SolverSettings = SolverSettings(),
+                            ) -> tuple[float, float, float, float]:
+    """Solve the mixed semifinal under the ratio CSF.
+
+    hawk_value_of_p / dove_value_of_p map the hawk's own win probability to
+    the continuation values (constant closures for asymmetric seedings).
+    Returns (hawk effective effort, dove effective effort, hawk win prob,
+    sabotage).
+    """
+    return _ratio_root(lambda p: (hawk_value_of_p(p), dove_value_of_p(p)),
+                       cost, r, settings)
+
+
+def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
+                           csf: ProbitUniformCsf,
+                           settings: SolverSettings = SolverSettings(),
+                           ) -> tuple[float, float, float, float]:
+    """Solve the mixed semifinal under the noise CSF; same contract as the
+    ratio solver.  Raises SolverError when an effort underflows to zero."""
+    return _noise_root(lambda p: (hawk_value_of_p(p), dove_value_of_p(p)),
+                       cost, csf, settings)
 
 
 def stage1_payoffs(p_hawk: float, values: ContinuationValues, b_hawk: float,
@@ -318,6 +335,10 @@ def bracket_win_probs(semifinal_win_probs, bracket) -> tuple[float, float, float
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(
                 f"semifinal win probabilities of players {pair} sum to {total}, not 1")
+    return _title_probs(w)
+
+
+def _title_probs(w) -> tuple[float, float, float, float]:
     probs = [0.0, 0.0, 0.0, 0.0]
     for i in (0, 1):
         for j in (2, 3):
@@ -349,36 +370,31 @@ def _check_reachable_menu(menu: PayoffMenu, bracket: Bracket) -> None:
                     f"{value:.6g}, so finalists would rather drop out")
 
 
-def _mixed_matches(spec: TournamentSpec, values_of_p, pools) -> tuple[MatchSolution, ...]:
-    """Solve the mixed semifinal whose continuation values are values_of_p(p)
-    at hawk win probability p, once per pool in that pool's slot order."""
-    value_fns = (lambda p: values_of_p(p).hawk_value,
-                 lambda p: values_of_p(p).dove_value, spec.cost)
+def _mixed_matches(spec: TournamentSpec, values, pools) -> tuple[MatchSolution, ...]:
+    """Solve the mixed semifinal whose (hawk, dove) continuation values are
+    values(p) at hawk win probability p, once per pool in that pool's slot
+    order."""
     if isinstance(spec.csf, TullockCsf):
-        b_hawk, b_dove, p_hawk, s1 = solve_stage1_hd_tullock(
-            *value_fns, spec.csf.r, spec.solver)
+        b_hawk, b_dove, p_hawk, s1 = _ratio_root(values, spec.cost, spec.csf.r, spec.solver)
     else:
-        b_hawk, b_dove, p_hawk, s1 = solve_stage1_hd_probit(
-            *value_fns, spec.csf, spec.solver)
-    values = values_of_p(p_hawk)
-    pay_hawk, pay_dove = stage1_payoffs(p_hawk, values, b_hawk, b_dove, s1, spec.cost)
-    hawk = (HAWK, Effort(x=b_hawk, s=s1), b_hawk, p_hawk, values.hawk_value, pay_hawk)
-    dove = (DOVE, Effort(x=b_dove + s1, s=0.0), b_dove, 1.0 - p_hawk,
-            values.dove_value, pay_dove)
+        b_hawk, b_dove, p_hawk, s1 = _noise_root(values, spec.cost, spec.csf, spec.solver)
+    a_val, b_val = values(p_hawk)
+    pay_hawk, pay_dove = stage1_payoffs(p_hawk, ContinuationValues(a_val, b_val),
+                                        b_hawk, b_dove, s1, spec.cost)
+    hawk = (HAWK, Effort(x=b_hawk, s=s1), b_hawk, p_hawk, a_val, pay_hawk)
+    dove = (DOVE, Effort(x=b_dove + s1, s=0.0), b_dove, 1.0 - p_hawk, b_val, pay_dove)
     return tuple(MatchSolution(*zip(*((hawk, dove) if pool[0] == HAWK else (dove, hawk))),
                                hawk_advance_prob=p_hawk)
                  for pool in pools)
 
 
-def _same_type_match(csf, cost, match_type: str,
-                     values: ContinuationValues) -> MatchSolution:
-    hawks = match_type == HAWK
-    value = values.hawk_value if hawks else values.dove_value
-    s = stage2_sabotage(cost) if hawks else 0.0
+def _same_type_match(csf, match_type: str, value: float, s: float,
+                     c: float) -> MatchSolution:
+    """Two players of one type: a 50/50 contest at the base effort for the
+    prize value, each hawk paying sabotage s at cost c on top."""
     b = base_effort(csf, value)
-    slot = (match_type, Effort(x=b + s, s=s), b, 0.5, value,
-            0.5 * value - cost.cost(s) - (b + s))
-    return MatchSolution(*zip(slot, slot), hawk_advance_prob=float(hawks))
+    slot = (match_type, Effort(x=b + s, s=s), b, 0.5, value, 0.5 * value - c - (b + s))
+    return MatchSolution(*zip(slot, slot), hawk_advance_prob=float(match_type == HAWK))
 
 
 def solve_tournament(spec: TournamentSpec) -> SpeSolution:
@@ -397,9 +413,12 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
     mixed = [set(pool) == {HAWK, DOVE} for pool in pools]
     if all(mixed):
         # identical mixed semifinals: symmetry ties the parallel hawk
-        # probability to the own win probability, one scalar fixed point
+        # probability to the own win probability, one scalar fixed point;
+        # the values are continuation_values' arithmetic at q = p
+        hh, hd = menu.hawk_vs_hawk, menu.hawk_vs_dove
+        dh, dd = menu.dove_vs_hawk, menu.dove_vs_dove
         matches = _mixed_matches(
-            spec, lambda p: continuation_values(menu, p, (HAWK, DOVE)), pools)
+            spec, lambda p: (p * hh + (1.0 - p) * hd, p * dh + (1.0 - p) * dd), pools)
     else:
         # at most one mixed match; the other one sends up a hawk with
         # probability 1 or 0, so the mixed match is solved first against it
@@ -407,13 +426,21 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
         solved = {}
         advance = 0.0
         for i in (first, 1 - first):
-            values = continuation_values(menu, advance, pools[1 - i])
-            solved[i] = (_mixed_matches(spec, lambda _p: values, pools[i:i + 1])[0]
-                         if mixed[i] else
-                         _same_type_match(spec.csf, spec.cost, pools[i][0], values))
+            cv = continuation_values(menu, advance, pools[1 - i])
+            if mixed[i]:
+                ab = (cv.hawk_value, cv.dove_value)
+                solved[i] = _mixed_matches(spec, lambda _p: ab, pools[i:i + 1])[0]
+            elif pools[i][0] == HAWK:
+                s = stage2.sabotage
+                solved[i] = _same_type_match(spec.csf, HAWK, cv.hawk_value, s,
+                                             spec.cost.cost(s))
+            else:
+                solved[i] = _same_type_match(spec.csf, DOVE, cv.dove_value, 0.0, 0.0)
             advance = solved[i].hawk_advance_prob
         matches = (solved[0], solved[1])
 
-    semifinal = matches[0].win_probs + matches[1].win_probs
+    # bracket_win_probs' arithmetic; the spec's bracket is already
+    # normalized and each match's win probabilities sum to one
     return SpeSolution(spec=spec, stage2=stage2, matches=matches,
-                       win_probs=bracket_win_probs(semifinal, spec.bracket))
+                       win_probs=_title_probs(matches[0].win_probs
+                                              + matches[1].win_probs))

@@ -88,17 +88,29 @@ class PayoffMenu:
                 > self.dove_vs_hawk > self.hawk_vs_hawk)
 
 
+def _menu(v: float, b: float, s: float, c: float) -> PayoffMenu:
+    half = v / 2.0
+    return PayoffMenu(
+        dove_vs_dove=half - b,
+        hawk_vs_dove=half - b - c,
+        dove_vs_hawk=half - b - s,
+        hawk_vs_hawk=half - b - s - c,
+    )
+
+
+def _profile(pairing: str, b: float, s: float) -> tuple[Effort, Effort]:
+    if pairing == "DD":
+        return Effort(x=b, s=0.0), Effort(x=b, s=0.0)
+    if pairing == "HD":
+        return Effort(x=b, s=s), Effort(x=b + s, s=0.0)
+    return Effort(x=b + s, s=s), Effort(x=b + s, s=s)
+
+
 def stage2_payoff_menu(csf: Csf, cost: PowerCost, v: float) -> PayoffMenu:
     """Expected final-stage payoffs for each own-type / rival-type pairing."""
     b = base_effort(csf, v)
     s = stage2_sabotage(cost)
-    half = v / 2.0
-    return PayoffMenu(
-        dove_vs_dove=half - b,
-        hawk_vs_dove=half - b - cost.cost(s),
-        dove_vs_hawk=half - b - s,
-        hawk_vs_hawk=half - b - s - cost.cost(s),
-    )
+    return _menu(v, b, s, cost.cost(s))
 
 
 def stage2_profile(pairing: str, csf: Csf, cost: PowerCost, v: float) -> tuple[Effort, Effort]:
@@ -110,13 +122,7 @@ def stage2_profile(pairing: str, csf: Csf, cost: PowerCost, v: float) -> tuple[E
     """
     if pairing not in PAIRINGS:
         raise ParameterError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    b = base_effort(csf, v)
-    s = stage2_sabotage(cost)
-    if pairing == "DD":
-        return Effort(x=b, s=0.0), Effort(x=b, s=0.0)
-    if pairing == "HD":
-        return Effort(x=b, s=s), Effort(x=b + s, s=0.0)
-    return Effort(x=b + s, s=s), Effort(x=b + s, s=s)
+    return _profile(pairing, base_effort(csf, v), stage2_sabotage(cost))
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,13 @@ class Stage2Solution:
 def solve_stage2(csf: Csf, cost: PowerCost, v: float) -> Stage2Solution:
     """Assemble the closed-form final stage.  Pure arithmetic, never raises
     on economic grounds; whether the reachable pairings net a nonnegative
-    payoff is checked by the tournament solver, which knows the bracket."""
-    menu = stage2_payoff_menu(csf, cost, v)
+    payoff is checked by the tournament solver, which knows the bracket.
+    Base effort, sabotage and its cost are each computed once."""
+    b = base_effort(csf, v)
+    s = stage2_sabotage(cost)
     return Stage2Solution(
-        base_effort=base_effort(csf, v),
-        sabotage=stage2_sabotage(cost),
-        menu=menu,
-        profiles={p: stage2_profile(p, csf, cost, v) for p in PAIRINGS},
+        base_effort=b,
+        sabotage=s,
+        menu=_menu(v, b, s, cost.cost(s)),
+        profiles={p: _profile(p, b, s) for p in PAIRINGS},
     )

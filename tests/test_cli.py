@@ -103,6 +103,20 @@ class TestSolve:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+    def test_underflowing_efforts_exit_three(self, tmp_path, command):
+        bad = {"prize": 1e-06,
+               "csf": {"type": "probit_uniform", "half_width": 1e+150,
+                       "f_exponent": 0.9},
+               "cost": {"exponent": 1.5, "divisor": 1e-12}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "float range" in proc.stderr
+
     def test_unknown_csf_type_exits_two(self, tmp_path):
         bad = dict(RATIO_SCENARIO, csf={"type": "logit"})
         path = tmp_path / "bad.json"

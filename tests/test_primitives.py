@@ -175,6 +175,34 @@ def test_probit_rejects_bad_parameters():
         ProbitUniformCsf(half_width=1.0, f_exponent=0.0)
 
 
+def test_probit_rejects_a_half_width_whose_cdf_scale_overflows():
+    # 8 a^2 is the CDF's denominator; past ~4.7e153 it is not a float
+    ProbitUniformCsf(half_width=4e153, f_exponent=0.5)
+    for width in (5e153, 1e200, 1.7e308):
+        with pytest.raises(ParameterError, match="8 \\* half_width"):
+            ProbitUniformCsf(half_width=width, f_exponent=0.5)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.3, 1.0, 5.0, 30.0, 1e150, 4e153])
+def test_float_cdf_is_bit_identical_to_the_array_cdf(a):
+    csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
+    edges = [0.0, -0.0, 2.0 * a, -2.0 * a, 3.0 * a, -3.0 * a, np.inf, -np.inf,
+             np.nextafter(2.0 * a, 0.0), np.nextafter(-2.0 * a, 0.0),
+             np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0)]
+    rng = np.random.default_rng(6)
+    grid = np.concatenate([edges, np.linspace(-2.5 * a, 2.5 * a, 4001),
+                           rng.uniform(-2.2 * a, 2.2 * a, 4000)])
+    for t in grid.tolist():
+        # the array CDF squares both branches; near the width bound the
+        # unused one overflows and warns, the chosen one stays finite
+        with np.errstate(over="ignore"):
+            want = csf.noise_diff_cdf(t)
+        got = csf._cdf_float(t)
+        assert type(got) is float
+        assert (got, np.signbit(got)) == (want, np.signbit(want)), t
+    assert np.isnan(csf._cdf_float(np.nan)) and np.isnan(csf.noise_diff_cdf(np.nan))
+
+
 def test_power_cost_rejects_bad_parameters():
     for exponent, divisor in ((1.0, 12.0), (3.0, 0.0), (np.nan, 12.0),
                               (np.inf, 12.0), (3.0, np.nan), (3.0, np.inf),

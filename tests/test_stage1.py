@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourney import (ContinuationValues, InteriorityError, ParameterError,
-                     PowerCost, ProbitUniformCsf, SolverSettings,
+                     PowerCost, ProbitUniformCsf, SolverError, SolverSettings,
                      TournamentSpec, TullockCsf, bracket_win_probs,
-                     continuation_values, solve_stage1_hd_tullock,
+                     continuation_values, existence_gate,
+                     solve_stage1_hd_probit, solve_stage1_hd_tullock,
                      solve_tournament, stage2_payoff_menu, stage2_sabotage)
 from tourney.stage1 import _brent
 
@@ -320,3 +321,65 @@ def test_symmetric_seedings_share_one_solution():
         sol.matches[0].win_probs[0], abs=1e-12)
     assert sol2.type_win_probs["D"] == pytest.approx(sol.type_win_probs["D"],
                                                      abs=1e-12)
+
+
+# Full-precision figures of the scalar solve, pinned with == so that a
+# change in any float operation of stage 1 or stage 2 shows up:
+# (hawk_advance_prob, effective, efforts[0].s, win_probs[0]).
+PINNED_SOLUTIONS = [
+    (100.0, ProbitUniformCsf(5.0, 0.5), PowerCost(3.0, 0.27), (("H", "D"), ("H", "D")),
+     (0.49950037475015613, (1.5298945216482869, 1.542282205810991),
+      0.2993957734275387, 0.2497501873750781)),
+    (100.0, ProbitUniformCsf(5.0, 0.5), PowerCost(3.0, 0.27), (("H", "D"), ("D", "D")),
+     (0.49950037475015613, (1.5484761367442215, 1.560938671094238),
+      0.29939939879699157, 0.24975018737507806)),
+    (80.0, TullockCsf(0.5), PowerCost(3.0, 12.0), (("H", "D"), ("H", "H")),
+     (0.49698784249285727, (3.416542667731079, 3.49987297670013),
+      1.9760470401187074, 0.24849392124642863)),
+    (30.0, ProbitUniformCsf(4.0, 0.3), PowerCost(2.5, 1.0), (("H", "D"), ("H", "D")),
+     (0.49935498674360157, (0.37096436086555623, 0.3796285545347564),
+      0.5370658549731447, 0.24967749337180078)),
+]
+
+
+@pytest.mark.parametrize("prize, csf, cost, bracket, pinned", PINNED_SOLUTIONS)
+def test_solutions_are_bit_identical_to_pinned_values(prize, csf, cost, bracket, pinned):
+    sol = solve_tournament(TournamentSpec(prize=prize, csf=csf, cost=cost,
+                                          bracket=bracket))
+    match = sol.matches[0]
+    assert (match.hawk_advance_prob, match.effective, match.efforts[0].s,
+            sol.win_probs[0]) == pinned
+    assert sol.win_probs == bracket_win_probs(sol.semifinal_win_probs, bracket)
+
+
+def test_two_callback_solvers_match_the_tournament_exactly():
+    for spec in (RATIO_SPEC, NOISE_SPEC_LARGE):
+        sol = solve_tournament(spec)
+        menu = sol.stage2.menu
+
+        def hawk(p):
+            return continuation_values(menu, p, ("H", "D")).hawk_value
+
+        def dove(p):
+            return continuation_values(menu, p, ("H", "D")).dove_value
+
+        if isinstance(spec.csf, TullockCsf):
+            got = solve_stage1_hd_tullock(hawk, dove, spec.cost, spec.csf.r)
+        else:
+            got = solve_stage1_hd_probit(hawk, dove, spec.cost, spec.csf)
+        match = sol.matches[0]
+        assert got == (*match.effective, match.hawk_advance_prob, match.efforts[0].s)
+
+
+def test_underflowing_noise_efforts_are_a_solver_error():
+    # base effort (beta v / 2a)^(1/(1-beta)) underflows to 0.0 at a huge
+    # noise width; certification's 0.0 ** (beta - 1) must not be reached
+    for prize in (1e-6, 1e-3, 1.0, 1e3):
+        spec = TournamentSpec(prize=prize,
+                              csf=ProbitUniformCsf(half_width=1e150, f_exponent=0.9),
+                              cost=PowerCost(1.5, 1e-12))
+        with pytest.raises(SolverError, match="effort left the float range"):
+            solve_tournament(spec)
+    # every gate probe there fails cleanly instead of crashing the gate
+    gate = existence_gate(spec, grid=64)
+    assert gate.minimal_v_estimate is None

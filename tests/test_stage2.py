@@ -101,6 +101,19 @@ def test_base_effort_overflow_is_a_solver_error():
     assert gate.minimal_v_estimate is None
 
 
+@pytest.mark.parametrize("csf, cost, v", [
+    (RATIO_CSF, RATIO_COST, 80.0), (NOISE_CSF, NOISE_COST, 20.0),
+    (TullockCsf(r=0.37), PowerCost(2.3, 0.7), 913.25),
+    (ProbitUniformCsf(half_width=0.8, f_exponent=0.3), PowerCost(1.7, 4.1), 3.3)])
+def test_solve_stage2_equals_the_public_builders_exactly(csf, cost, v):
+    sol = solve_stage2(csf, cost, v)
+    assert sol.menu == stage2_payoff_menu(csf, cost, v)
+    assert sol.profiles == {p: stage2_profile(p, csf, cost, v)
+                            for p in ("DD", "HD", "HH")}
+    assert sol.base_effort == base_effort(csf, v)
+    assert sol.sabotage == stage2_sabotage(cost)
+
+
 def _gaps_resolvable(cost, v):
     # menu entries are O(v + s); differences below float resolution at that
     # scale cannot be asserted, only the representable regime is a theorem
