@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -190,9 +191,23 @@ def solution_to_dict(solution: SpeSolution):
     }
 
 
+def _finite(value):
+    """value with every non-finite float replaced by None: a rejected
+    report can hold an inf or NaN residual, and strict JSON has no literal
+    for either, so it is written as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(_finite(payload), handle, indent=2, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
 
 

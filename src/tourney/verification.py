@@ -16,6 +16,12 @@ sit four layers:
 * a closed-form bound for the full-sabotage corner,
 * a brute-force grid oracle with local refinement.
 
+The oracle's coarse grids are its bulk.  Each is computed in two buffers
+that every problem of a search reuses, by an in-place kernel that gives the
+primitive's payoff bit for bit.  Outlays whose payoff bound max(value, 0) - x
+is below a payoff the grid attains are skipped, since they cannot hold the
+argmax; every reported number is the one the full grid gives.
+
 A candidate is accepted only when every layer comes back clean.  The
 existence gate then maps out the smallest prize for which that happens,
 which is genuinely useful under the noise CSF: bounded noise lets weak
@@ -25,13 +31,16 @@ interior formulas still produce numbers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InteriorityError, ParameterError, SolverError
-from .primitives import HAWK, TullockCsf, effective_effort, win_prob_partials
+# effective_effort is unused here, but perfbench's tracer patches it by
+# this module's name
+from .primitives import HAWK, TullockCsf, effective_effort  # noqa: F401
 from .stage1 import (SpeSolution, TournamentSpec, _reachable_pairings,
                      solve_tournament)
 
@@ -123,6 +132,15 @@ def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict
     return out
 
 
+def _grid_size(spec: TournamentSpec, grid) -> int:
+    """The oracle grid: the spec's setting, or an override held to the rule
+    SolverSettings.oracle_grid applies (an int, not a bool, at least 50)."""
+    n = spec.solver.oracle_grid if grid is None else grid
+    if type(n) is not int or n < 50:
+        raise ParameterError(f"oracle grid must be an integer of at least 50, got {n!r}")
+    return n
+
+
 def _find_problem(t: _Table, player, stage, pairing) -> int:
     if stage == 1:
         if player not in (0, 1, 2, 3):
@@ -147,12 +165,15 @@ def _find_problem(t: _Table, player, stage, pairing) -> int:
 # ----------------------------------------------------------------------
 
 def _foc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
-    b_own = effective_effort(t.x, t.s_rival)
-    b_rival = effective_effort(t.x_rival, t.s)
-    d_own, d_rival = win_prob_partials(spec.csf, b_own, b_rival)
     h = t.hawk
-    return _per_coordinate(t, d_own * t.value - 1.0,
-                           -d_rival[h] * t.value[h] - spec.cost.marginal(t.s[h]))
+    # a zero effective effort has no finite partial: its residual comes out
+    # inf or NaN, which the first-order test rejects
+    with np.errstate(all="ignore"):
+        d_own, d_rival = spec.csf._partials(np.maximum(0.0, t.x - t.s_rival),
+                                            np.maximum(0.0, t.x_rival - t.s))
+        effort = d_own * t.value - 1.0
+        sabotage = -d_rival[h] * t.value[h] - spec.cost.marginal(t.s[h])
+    return _per_coordinate(t, effort, sabotage)
 
 
 def foc_residuals(solution: SpeSolution, spec: TournamentSpec | None = None,
@@ -267,6 +288,83 @@ def _argmax_rows(pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, flat[np.arange(len(flat)), idx]
 
 
+def _noise_cdf(csf, t: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Overwrite t with csf._cdf(t), bit for bit, using tmp (t's shape) as
+    scratch.  One branch: q = (2a - min(|t|, 2a))^2 / (8a^2), then
+    |[t > 0] - q|, which is 1 - q where t > 0 and q elsewhere."""
+    a = csf.half_width
+    np.absolute(t, out=tmp)
+    np.minimum(tmp, 2.0 * a, out=tmp)
+    np.subtract(2.0 * a, tmp, out=tmp)
+    np.square(tmp, out=tmp)
+    np.divide(tmp, 8.0 * a * a, out=tmp)
+    np.greater(t, 0.0, out=t)
+    np.subtract(t, tmp, out=t)
+    return np.absolute(t, out=t)
+
+
+def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
+    """_payoff(csf, cost, frozen, x, s) for an outlay column x (K x 1) and a
+    sabotage row s, written into out (K x len(s)) with tmp as scratch, with
+    no temporary of the grid's size.  The ratio CSF runs _win_prob's ufuncs
+    on the same operands in the same order and the noise CSF takes
+    _noise_cdf, so every cell is bit-identical to _payoff's."""
+    value, x_rival, s_rival = frozen
+    bo = np.maximum(0.0, x - s_rival)
+    br = np.maximum(0.0, x_rival - s)
+    if isinstance(csf, TullockCsf):
+        po = bo ** csf.r
+        pr = br ** csf.r
+        np.add(po, pr, out=out)
+        with np.errstate(invalid="ignore"):
+            np.divide(po, out, out=out)
+        # 0/0 only where both efforts are zero, a tie at one half
+        out[np.ix_(po[:, 0] == 0.0, pr == 0.0)] = 0.5
+    else:
+        np.subtract(csf._performance(bo), csf._performance(br), out=out)
+        _noise_cdf(csf, out, tmp)
+    np.multiply(out, value, out=out)
+    np.subtract(out, cost._cost(s), out=out)
+    return np.subtract(out, x, out=out)
+
+
+def _kept_rows(top: float, xs: np.ndarray, floor: float) -> int:
+    """How many leading outlays of the ascending xs have a payoff bound
+    fl(top - x) that is not below floor (all of them for a NaN floor)."""
+    return bisect.bisect_left(xs, True, key=lambda x: top - x < floor)
+
+
+def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray):
+    """Each row's first flat argmax over the grid xs x ss[row] and the
+    payoff there, computed in two buffers that every row reuses.
+
+    Only outlays that can hold the argmax are evaluated.  The grid row
+    nearest each candidate's own outlay goes first, through _payoff: its
+    maximum is a floor the grid attains.  Every payoff has p <= 1 and c(s) >= 0, and rounding
+    is monotone, so a payoff at outlay x is at most fl(max(value, 0) - x).
+    A row whose bound is below the floor lies strictly below the grid
+    maximum and can neither be nor tie the first argmax.  The bound falls
+    as x grows, so those rows are a suffix of the grid, and they are
+    skipped.
+    """
+    nearest = np.minimum(np.searchsorted(xs, t.x), xs.size - 1)
+    floor = _payoff(csf, cost, t.frozen(slice(None), 1), xs[nearest, None],
+                    ss).max(axis=1).tolist()
+    out = np.empty((xs.size, ss.shape[1]))
+    tmp = np.empty_like(out)
+    col = xs[:, None]
+    flat, top = [], []
+    for frozen, s, low in zip(
+            zip(t.value.tolist(), t.x_rival.tolist(), t.s_rival.tolist()),
+            ss, floor):
+        kept = _kept_rows(max(frozen[0], 0.0), xs, low)
+        pay = _grid_payoff(csf, cost, frozen, col[:kept], s,
+                           out[:kept], tmp[:kept]).reshape(-1)
+        flat.append(int(pay.argmax()))
+        top.append(pay[flat[-1]])
+    return np.array(flat), np.array(top)
+
+
 def _search_2d(csf, cost, t: _Table, prize: float, n: int):
     """Hawks against a positive rival outlay: an n x n grid of productive
     effort on [0, prize] crossed with sabotage on [0, x_rival], then two
@@ -280,12 +378,9 @@ def _search_2d(csf, cost, t: _Table, prize: float, n: int):
     best_s = np.zeros(k)
     for step in range(3):
         if step == 0:
-            # coarse grids one problem at a time, so that memory holds one
-            # n x n grid and not k of them
-            cells = [_argmax_rows(_payoff(csf, cost, t.frozen([r], 2),
-                                          xs[r, None, :, None], ss[r, None, None, :]))
-                     for r in range(k)]
-            flat, top = (np.concatenate(c) for c in zip(*cells))
+            # one problem at a time, so that memory holds one n x n grid
+            # (and its scratch) and not k of them
+            flat, top = _coarse(csf, cost, t, xs[0], ss)
         else:
             xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _HAWK_REFINE)
             ss = _around(s_at, ss[:, 1] - ss[:, 0], t.x_rival, _HAWK_REFINE)
@@ -305,14 +400,15 @@ def _search_1d(csf, cost, t: _Table, prize: float, n: int):
     on 40 n + 1 points over [0, prize], then two 201-point refinements."""
     k = len(t.keys)
     at = np.arange(k)
-    frozen = t.frozen(at, 1)
     xs = np.broadcast_to(np.linspace(0.0, prize, 40 * n + 1), (k, 40 * n + 1))
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
     for step in range(3):
-        if step:
+        if step == 0:
+            i, top = _coarse(csf, cost, t, xs[0], np.zeros((k, 1)))
+        else:
             xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _DOVE_REFINE)
-        i, top = _argmax_rows(_payoff(csf, cost, frozen, xs, 0.0))
+            i, top = _argmax_rows(_payoff(csf, cost, t.frozen(at, 1), xs, 0.0))
         x_at = xs[at, i]
         better = top > best
         best = np.where(better, top, best)
@@ -365,9 +461,7 @@ def best_response_oracle(player, solution: SpeSolution,
     meaningfully above zero disqualifies the candidate.
     """
     spec = solution.spec if spec is None else spec
-    n = spec.solver.oracle_grid if grid is None else int(grid)
-    if n < 50:
-        raise ParameterError("oracle grid must have at least 50 points per axis")
+    n = _grid_size(spec, grid)
     t = _table(solution)
     return _oracle(spec, t.take([_find_problem(t, player, stage, pairing)]), n)[0]
 
@@ -428,7 +522,7 @@ def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
     strictly ordered.  Notes name each failure, first failure first.
     """
     spec = solution.spec if spec is None else spec
-    n = spec.solver.oracle_grid if grid is None else int(grid)
+    n = _grid_size(spec, grid)
     foc = foc_residuals(solution, spec)
     soc = soc_check(solution, spec)
     t = _table(solution)
@@ -461,7 +555,7 @@ class GateResult:
     notes: tuple[str, ...]
 
 
-def _candidate_ok(spec: TournamentSpec, prize: float, grid: int | None) -> bool:
+def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
     """verify_solution(...).interior_ok at this prize, without the report:
     the oracle runs only when every cheap layer has passed, since any
     failing layer rejects the candidate."""
@@ -474,7 +568,6 @@ def _candidate_ok(spec: TournamentSpec, prize: float, grid: int | None) -> bool:
     if (_local_notes(_foc(spec, t), _soc(spec, t), _corner(spec, t))
             or _stage_notes(solution)):
         return False
-    n = spec.solver.oracle_grid if grid is None else int(grid)
     return not _oracle_notes(*_oracle_report(spec, t, n))
 
 
@@ -492,14 +585,15 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     A probe gives the same verdict as verify_solution, but skips the
     oracle once a cheaper layer has rejected.
     """
+    n = _grid_size(spec, grid)
     notes = []
-    ok_here = _candidate_ok(spec, spec.prize, grid)
+    ok_here = _candidate_ok(spec, spec.prize, n)
     passing = spec.prize if ok_here else None
     if passing is None:
         for k in range(1, 21):
             for factor in (2.0 ** k, 2.0 ** -k):
                 probe = spec.prize * factor
-                if _candidate_ok(spec, probe, grid):
+                if _candidate_ok(spec, probe, n):
                     passing = probe
                     break
             if passing is not None:
@@ -516,7 +610,7 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     probe = passing
     for _ in range(60):
         probe *= 0.5
-        if _candidate_ok(spec, probe, grid):
+        if _candidate_ok(spec, probe, n):
             hi = probe
         else:
             lo = probe
@@ -527,7 +621,7 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
         return GateResult(ok_here, hi, tuple(notes))
     while hi / lo > 1.01:
         mid = math.sqrt(lo * hi)
-        if _candidate_ok(spec, mid, grid):
+        if _candidate_ok(spec, mid, n):
             hi = mid
         else:
             lo = mid

@@ -145,6 +145,30 @@ class TestVerify:
         assert proc.returncode == 1
         assert "REJECTED" in proc.stdout
 
+    def test_effort_below_an_ulp_of_sabotage_is_rejected(self, tmp_path):
+        # the dove's effort is far below one ulp of its padded outlay, so the
+        # audit's effective effort is 0.0 and its partial is not finite
+        tiny = {"prize": 1e150,
+                "csf": {"type": "probit_uniform", "half_width": 4e153,
+                        "f_exponent": 0.9},
+                "cost": {"exponent": 1.5, "divisor": 1e-12}}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(tiny))
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", str(path), "--json", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "REJECTED" in proc.stdout
+
+        def refuse(literal):
+            raise ValueError(f"non-finite literal {literal}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["interior_ok"] is False
+        assert None in payload["foc_residuals"].values()
+        assert any(note.startswith("first-order residual")
+                   for note in payload["notes"])
+
     def test_all_dove_bracket_has_no_corner_to_report(self, tmp_path):
         doves = dict(RATIO_SCENARIO, bracket=[["D", "D"], ["D", "D"]])
         path = tmp_path / "doves.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tourney import (InteriorityError, ParameterError, PowerCost,
                      ProbitUniformCsf, TullockCsf, effective_effort, win_prob,
                      win_prob_partials)
+from tourney.verification import _noise_cdf
 
 tullock_csfs = st.floats(0.05, 1.0).map(TullockCsf)
 probit_csfs = st.builds(ProbitUniformCsf,
@@ -201,6 +202,16 @@ def test_float_cdf_is_bit_identical_to_the_array_cdf(a):
         assert type(got) is float
         assert (got, np.signbit(got)) == (want, np.signbit(want)), t
     assert np.isnan(csf._cdf_float(np.nan)) and np.isnan(csf.noise_diff_cdf(np.nan))
+    # the oracle's in-place one-branch kernel against the CDF of the whole
+    # grid as one array, which is how the oracle evaluates it (a 0-d input
+    # squares through libm pow, an array through np.square: they can differ
+    # in the last bit)
+    with np.errstate(over="ignore"):
+        want = csf.noise_diff_cdf(grid)
+    got = _noise_cdf(csf, grid.copy(), np.empty_like(grid))
+    assert (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
+    assert np.isnan(_noise_cdf(csf, np.array([np.nan]), np.empty(1))).all()
 
 
 def test_power_cost_rejects_bad_parameters():

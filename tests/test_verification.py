@@ -117,6 +117,23 @@ class TestOracle:
         with pytest.raises(ParameterError):
             best_response_oracle(0, sol, grid=10)
 
+    @pytest.mark.parametrize("grid", [1, True, 10, 49, 128.9, 128.0, "128"])
+    @pytest.mark.parametrize("entry", ["verify_solution", "existence_gate",
+                                       "best_response_oracle"])
+    def test_grid_override_follows_the_settings_rule(self, entry, grid):
+        # the rule SolverSettings.oracle_grid applies: an int, not a bool,
+        # of at least 50
+        sol = solve_tournament(RATIO_SPEC)
+        calls = {
+            "verify_solution": lambda g: verify_solution(sol, grid=g),
+            "existence_gate": lambda g: existence_gate(RATIO_SPEC, grid=g),
+            "best_response_oracle": lambda g: best_response_oracle(0, sol, grid=g),
+        }
+        with pytest.raises(ParameterError, match="oracle grid"):
+            calls[entry](grid)
+        with pytest.raises(ParameterError):
+            SolverSettings(oracle_grid=grid)
+
     def test_dove_search_is_one_dimensional(self):
         sol = solve_tournament(RATIO_SPEC)
         result = best_response_oracle(1, sol, grid=100)
