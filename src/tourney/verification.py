@@ -26,7 +26,10 @@ A candidate is accepted only when every layer comes back clean.  The
 existence gate then maps out the smallest prize for which that happens,
 which is genuinely useful under the noise CSF: bounded noise lets weak
 players free-ride on luck, so admissibility can vanish even where the
-interior formulas still produce numbers.
+interior formulas still produce numbers.  The gate needs only the verdict,
+so each of its probes stops at the first failing layer, cheapest first,
+and its oracle stops at the first problem whose running best already gains
+more than the tolerance; the finished search would report that gain too.
 """
 
 from __future__ import annotations
@@ -202,10 +205,13 @@ def _soc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     stencil = np.stack([np.where(one_sided, z, z - h),
                         np.where(one_sided, z + h, z),
                         np.where(one_sided, z + 2.0 * h, z + h)])
-    pay = _payoff(spec.csf, spec.cost, t.frozen(rows, 0),
-                  np.where(on_x, stencil, t.x[rows]),
-                  np.where(on_x, t.s[rows], stencil))
-    curvature = (pay[2] - 2.0 * pay[1] + pay[0]) / (h * h)
+    # at huge outlays the cost and h * h overflow to inf, which the
+    # curvature test reads as it reads any other number
+    with np.errstate(over="ignore"):
+        pay = _payoff(spec.csf, spec.cost, t.frozen(rows, 0),
+                      np.where(on_x, stencil, t.x[rows]),
+                      np.where(on_x, t.s[rows], stencil))
+        curvature = (pay[2] - 2.0 * pay[1] + pay[0]) / (h * h)
     return _per_coordinate(t, curvature[on_x], curvature[~on_x])
 
 
@@ -230,8 +236,9 @@ def _corner(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     # wins outright under the ratio CSF and a coin flip under bounded noise
     hawks = t.take(np.flatnonzero(t.hawk))
     p_corner = 1.0 if isinstance(spec.csf, TullockCsf) else 0.5
-    bound = p_corner * hawks.value - spec.cost._cost(hawks.x_rival)
-    gain = bound - _baseline(spec.csf, spec.cost, hawks)
+    with np.errstate(over="ignore"):
+        bound = p_corner * hawks.value - spec.cost._cost(hawks.x_rival)
+        gain = bound - _baseline(spec.csf, spec.cost, hawks)
     return dict(zip(hawks.keys, gain.tolist()))
 
 
@@ -267,7 +274,7 @@ class OracleResult:
 
 def _linspace_rows(lo: np.ndarray, hi, points: int) -> np.ndarray:
     """np.linspace(lo[i], hi[i], points) for every row i, rounded as
-    np.linspace rounds a single row."""
+    np.linspace rounds a single row whose step does not underflow to 0."""
     grid = np.arange(points) * ((hi - lo) / (points - 1))[:, None] + lo[:, None]
     grid[:, -1] = hi
     return grid
@@ -334,9 +341,18 @@ def _kept_rows(top: float, xs: np.ndarray, floor: float) -> int:
     return bisect.bisect_left(xs, True, key=lambda x: top - x < floor)
 
 
-def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray):
+def _gains(best: float, base: float) -> bool:
+    """Whether a row's running best gains more than GAIN_TOLERANCE over its
+    baseline (a NaN gain does, as in _oracle_notes).  A running best never
+    falls and fl(best - base) is monotone in best, so a row that gains here
+    gains in the finished search as well."""
+    return not best - base <= GAIN_TOLERANCE
+
+
+def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
     """Each row's first flat argmax over the grid xs x ss[row] and the
-    payoff there, computed in two buffers that every row reuses.
+    payoff there, computed in two buffers that every row reuses.  With need
+    (the rows' baselines), it returns None as soon as a row _gains.
 
     Only outlays that can hold the argmax are evaluated.  The grid row
     nearest each candidate's own outlay goes first, through _payoff: its
@@ -354,25 +370,32 @@ def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray):
     tmp = np.empty_like(out)
     col = xs[:, None]
     flat, top = [], []
-    for frozen, s, low in zip(
+    for row, (frozen, s, low) in enumerate(zip(
             zip(t.value.tolist(), t.x_rival.tolist(), t.s_rival.tolist()),
-            ss, floor):
+            ss, floor)):
         kept = _kept_rows(max(frozen[0], 0.0), xs, low)
         pay = _grid_payoff(csf, cost, frozen, col[:kept], s,
                            out[:kept], tmp[:kept]).reshape(-1)
         flat.append(int(pay.argmax()))
-        top.append(pay[flat[-1]])
+        top.append(float(pay[flat[-1]]))
+        if need is not None:
+            # the running best the search makes of the top: a NaN never
+            # replaces the initial -inf
+            running = top[-1] if top[-1] > -math.inf else -math.inf
+            if _gains(running, need[row]):
+                return None
     return np.array(flat), np.array(top)
 
 
-def _search_2d(csf, cost, t: _Table, prize: float, n: int):
+def _search_2d(csf, cost, t: _Table, prize: float, n: int, need=None):
     """Hawks against a positive rival outlay: an n x n grid of productive
     effort on [0, prize] crossed with sabotage on [0, x_rival], then two
-    21 x 21 refinements around the incumbent best cell."""
+    21 x 21 refinements around the incumbent best cell.  With need (the rows'
+    baselines), it returns None as soon as a row's running best _gains."""
     k = len(t.keys)
     at = np.arange(k)
     xs = np.broadcast_to(np.linspace(0.0, prize, n), (k, n))
-    ss = np.array([np.linspace(0.0, top, n) for top in t.x_rival])
+    ss = _linspace_rows(np.zeros(k), t.x_rival, n)
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
     best_s = np.zeros(k)
@@ -380,7 +403,10 @@ def _search_2d(csf, cost, t: _Table, prize: float, n: int):
         if step == 0:
             # one problem at a time, so that memory holds one n x n grid
             # (and its scratch) and not k of them
-            flat, top = _coarse(csf, cost, t, xs[0], ss)
+            coarse = _coarse(csf, cost, t, xs[0], ss, need)
+            if coarse is None:
+                return None
+            flat, top = coarse
         else:
             xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _HAWK_REFINE)
             ss = _around(s_at, ss[:, 1] - ss[:, 0], t.x_rival, _HAWK_REFINE)
@@ -392,12 +418,16 @@ def _search_2d(csf, cost, t: _Table, prize: float, n: int):
         best = np.where(better, top, best)
         best_x = np.where(better, x_at, best_x)
         best_s = np.where(better, s_at, best_s)
+        if need is not None and any(map(_gains, best.tolist(), need)):
+            return None
     return best, best_x, best_s
 
 
-def _search_1d(csf, cost, t: _Table, prize: float, n: int):
+def _search_1d(csf, cost, t: _Table, prize: float, n: int, need=None):
     """Doves, and hawks whose rival spends nothing: productive effort alone
-    on 40 n + 1 points over [0, prize], then two 201-point refinements."""
+    on 40 n + 1 points over [0, prize], then two 201-point refinements.
+    With need (the rows' baselines), it returns None as soon as a row's
+    running best _gains."""
     k = len(t.keys)
     at = np.arange(k)
     xs = np.broadcast_to(np.linspace(0.0, prize, 40 * n + 1), (k, 40 * n + 1))
@@ -405,7 +435,10 @@ def _search_1d(csf, cost, t: _Table, prize: float, n: int):
     best_x = np.zeros(k)
     for step in range(3):
         if step == 0:
-            i, top = _coarse(csf, cost, t, xs[0], np.zeros((k, 1)))
+            coarse = _coarse(csf, cost, t, xs[0], np.zeros((k, 1)), need)
+            if coarse is None:
+                return None
+            i, top = coarse
         else:
             xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _DOVE_REFINE)
             i, top = _argmax_rows(_payoff(csf, cost, t.frozen(at, 1), xs, 0.0))
@@ -413,37 +446,60 @@ def _search_1d(csf, cost, t: _Table, prize: float, n: int):
         better = top > best
         best = np.where(better, top, best)
         best_x = np.where(better, x_at, best_x)
+        if need is not None and any(map(_gains, best.tolist(), need)):
+            return None
     return best, best_x, np.zeros(k)
 
 
-def _oracle(spec: TournamentSpec, t: _Table, n: int) -> list[OracleResult]:
-    """Grid-search every row's deviation space; one result per row."""
+def _oracle(spec: TournamentSpec, t: _Table, n: int, *,
+            reject_early: bool = False) -> list[OracleResult] | None:
+    """Grid-search every row's deviation space; one result per row.
+
+    With reject_early, the searches are handed the rows' baselines and the
+    call returns None as soon as one row's running best gains more than
+    GAIN_TOLERANCE, which the finished search would report too.  The dove's
+    line, the cheapest search and the likeliest to find a gain, runs first.
+    """
     best = np.empty(len(t.keys))
     best_x = np.empty(len(t.keys))
     best_s = np.empty(len(t.keys))
     two_d = t.hawk & (t.x_rival > 0.0)
-    for rows, search in ((np.flatnonzero(two_d), _search_2d),
-                         (np.flatnonzero(~two_d), _search_1d)):
-        if rows.size:
-            best[rows], best_x[rows], best_s[rows] = search(
-                spec.csf, spec.cost, t.take(rows), spec.prize, n)
-    base = _baseline(spec.csf, spec.cost, t)
+    # a huge outlay's cost overflows to inf, a payoff the gain tests read
+    with np.errstate(over="ignore"):
+        base = _baseline(spec.csf, spec.cost, t)
+        for rows, search in ((np.flatnonzero(~two_d), _search_1d),
+                             (np.flatnonzero(two_d), _search_2d)):
+            if rows.size:
+                found = search(spec.csf, spec.cost, t.take(rows), spec.prize, n,
+                               base[rows].tolist() if reject_early else None)
+                if found is None:
+                    return None
+                best[rows], best_x[rows], best_s[rows] = found
     return [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
         best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
 
 
+def _distinct(t: _Table) -> tuple[_Table, list[int]]:
+    """The table's distinct problems, first occurrence first, and for every
+    row the index of its problem among them: problems with identical data
+    share one search."""
+    index: dict[tuple, int] = {}
+    unique, of = [], []
+    for row, sig in enumerate(zip(t.hawk.tolist(), t.value.tolist(), t.x.tolist(),
+                                  t.s.tolist(), t.x_rival.tolist(),
+                                  t.s_rival.tolist())):
+        if sig not in index:
+            index[sig] = len(unique)
+            unique.append(row)
+        of.append(index[sig])
+    return t.take(unique), of
+
+
 def _oracle_report(spec: TournamentSpec, t: _Table, n: int,
                    ) -> tuple[dict[str, float], dict[str, tuple[float, float]]]:
-    # problems with identical data share one search
-    first: dict[tuple, int] = {}
-    signature = [(bool(h), v, x, s, xr, sr) for h, v, x, s, xr, sr in zip(
-        t.hawk.tolist(), t.value.tolist(), t.x.tolist(), t.s.tolist(),
-        t.x_rival.tolist(), t.s_rival.tolist())]
-    for row, sig in enumerate(signature):
-        first.setdefault(sig, row)
-    unique = list(first.values())
-    found = dict(zip(unique, _oracle(spec, t.take(unique), n)))
-    results = [found[first[sig]] for sig in signature]
+    unique, of = _distinct(t)
+    found = _oracle(spec, unique, n)
+    results = [found[i] for i in of]
     return ({key: r.gain for key, r in zip(t.keys, results)},
             {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)})
 
@@ -485,14 +541,23 @@ class VerificationReport:
 
 # Each failure test is written so that a NaN fails it.
 
+def _foc_notes(foc) -> list[str]:
+    return [f"first-order residual {key} is {value:.3e}"
+            for key, value in foc.items() if not abs(value) <= FOC_TOLERANCE]
+
+
+def _soc_notes(soc) -> list[str]:
+    return [f"second-order curvature {key} is {value:.6g}, not negative"
+            for key, value in soc.items() if not value < 0.0]
+
+
+def _corner_notes(corner) -> list[str]:
+    return [f"corner deviation {key} gains {value:.6g}"
+            for key, value in corner.items() if not value <= GAIN_TOLERANCE]
+
+
 def _local_notes(foc, soc, corner) -> list[str]:
-    notes = [f"first-order residual {key} is {value:.3e}"
-             for key, value in foc.items() if not abs(value) <= FOC_TOLERANCE]
-    notes += [f"second-order curvature {key} is {value:.6g}, not negative"
-              for key, value in soc.items() if not value < 0.0]
-    notes += [f"corner deviation {key} gains {value:.6g}"
-              for key, value in corner.items() if not value <= GAIN_TOLERANCE]
-    return notes
+    return _foc_notes(foc) + _soc_notes(soc) + _corner_notes(corner)
 
 
 def _oracle_notes(gains, argmax) -> list[str]:
@@ -556,19 +621,20 @@ class GateResult:
 
 
 def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
-    """verify_solution(...).interior_ok at this prize, without the report:
-    the oracle runs only when every cheap layer has passed, since any
-    failing layer rejects the candidate."""
+    """verify_solution(...).interior_ok at this prize, without the report.
+    Any failing layer rejects the candidate, so the probe runs the layers
+    cheapest and likeliest to fail first (stage notes, corner bound, FOC,
+    SOC, then the oracle) and stops at its first failing layer."""
     try:
         solution = solve_tournament(replace(spec, prize=prize))
     except (InteriorityError, SolverError):
         return False
     spec = solution.spec
     t = _table(solution)
-    if (_local_notes(_foc(spec, t), _soc(spec, t), _corner(spec, t))
-            or _stage_notes(solution)):
+    if (_stage_notes(solution) or _corner_notes(_corner(spec, t))
+            or _foc_notes(_foc(spec, t)) or _soc_notes(_soc(spec, t))):
         return False
-    return not _oracle_notes(*_oracle_report(spec, t, n))
+    return _oracle(spec, _distinct(t)[0], n, reject_early=True) is not None
 
 
 def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
@@ -582,18 +648,27 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     final bracket.  Under bounded noise admissibility need not be monotone
     in the prize, so the estimate maps the edge of the window that was
     found, and the notes say when the requested prize itself was rejected.
-    A probe gives the same verdict as verify_solution, but skips the
-    oracle once a cheaper layer has rejected.
+    A probe gives the same verdict as verify_solution, but stops at its
+    first failing layer, and no prize is probed twice.  A probe prize the
+    float range cannot hold (a product overflowing to inf or underflowing
+    to 0) fails without being solved.
     """
     n = _grid_size(spec, grid)
+    verdicts: dict[float, bool] = {}
+
+    def ok(prize: float) -> bool:
+        if prize not in verdicts:
+            verdicts[prize] = 0.0 < prize < math.inf and _candidate_ok(spec, prize, n)
+        return verdicts[prize]
+
     notes = []
-    ok_here = _candidate_ok(spec, spec.prize, n)
+    ok_here = ok(spec.prize)
     passing = spec.prize if ok_here else None
     if passing is None:
         for k in range(1, 21):
             for factor in (2.0 ** k, 2.0 ** -k):
                 probe = spec.prize * factor
-                if _candidate_ok(spec, probe, n):
+                if ok(probe):
                     passing = probe
                     break
             if passing is not None:
@@ -610,7 +685,7 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     probe = passing
     for _ in range(60):
         probe *= 0.5
-        if _candidate_ok(spec, probe, n):
+        if ok(probe):
             hi = probe
         else:
             lo = probe
@@ -621,7 +696,7 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
         return GateResult(ok_here, hi, tuple(notes))
     while hi / lo > 1.01:
         mid = math.sqrt(lo * hi)
-        if _candidate_ok(spec, mid, n):
+        if ok(mid):
             hi = mid
         else:
             lo = mid

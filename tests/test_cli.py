@@ -169,6 +169,22 @@ class TestVerify:
         assert any(note.startswith("first-order residual")
                    for note in payload["notes"])
 
+    def test_huge_prize_is_rejected_without_warnings(self, tmp_path):
+        # the curvature stencil and the sabotage costs overflow to inf
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(RATIO_SCENARIO, prize=1e300)))
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", str(path), "--json", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "REJECTED" in proc.stdout
+
+        def refuse(literal):
+            raise ValueError(f"non-finite literal {literal}")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["interior_ok"] is False
+
     def test_all_dove_bracket_has_no_corner_to_report(self, tmp_path):
         doves = dict(RATIO_SCENARIO, bracket=[["D", "D"], ["D", "D"]])
         path = tmp_path / "doves.json"

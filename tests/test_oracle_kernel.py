@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourney import PowerCost, ProbitUniformCsf, TournamentSpec, TullockCsf
-from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, OracleResult,
-                                  _argmax_rows, _around, _baseline,
-                                  _grid_payoff, _kept_rows, _oracle, _payoff,
-                                  _Table)
+from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, GAIN_TOLERANCE,
+                                  OracleResult, _argmax_rows, _around,
+                                  _baseline, _grid_payoff, _kept_rows,
+                                  _linspace_rows, _oracle, _payoff, _Table)
 
 
 def _reference_2d(csf, cost, t, prize, n):
@@ -158,6 +158,41 @@ def _problems(draw):
                   (False, 24.85, 1.84, 0.0, 1.53, 2.0)]), 400))
 def test_pruned_oracle_equals_the_full_grid_search(problem):
     _assert_matches_reference(*problem)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_problems())
+# an infinite value makes the grid cells with p = 0 NaN: the first row's
+# argmax is NaN, its running best stays -inf and it passes; the second
+# row's gain is -inf - (-inf), a NaN, and it fails
+@example((TournamentSpec(prize=80.0, csf=RATIO, cost=COST),
+          _table([(True, math.inf, 5.0, 1.0, 6.7, 1.9)]), 50))
+@example((TournamentSpec(prize=80.0, csf=RATIO, cost=COST),
+          _table([(True, math.inf, 5.0, 1.0, 6.7, 1.9),
+                  (True, -math.inf, 5.0, 1.0, 6.7, 1.9)]), 50))
+def test_early_rejection_agrees_with_the_finished_search(problem):
+    # the gate's oracle stops at the first row whose running best gains;
+    # it must reject exactly the tables the finished search rejects, and
+    # report the same results when it does not
+    spec, t, n = problem
+    with np.errstate(invalid="ignore"):
+        full = _oracle(spec, t, n)
+    gains = any(not r.gain <= GAIN_TOLERANCE for r in full)
+    with np.errstate(invalid="ignore"):
+        early = _oracle(spec, t, n, reject_early=True)
+    assert (early is None) == gains
+    if early is not None:
+        assert early == full
+
+
+@pytest.mark.parametrize("points", [50, 128, 400, 5121])
+def test_linspace_rows_equal_np_linspace(points):
+    # the hawks' sabotage grids start at 0, the refinement grids anywhere
+    rng = np.random.default_rng(points)
+    lo = np.concatenate([np.zeros(1000), 10.0 ** rng.uniform(-300, 300, 1000)])
+    hi = lo + 10.0 ** rng.uniform(-300, 300, 2000)
+    want = np.array([np.linspace(a, b, points) for a, b in zip(lo, hi)])
+    np.testing.assert_array_equal(_linspace_rows(lo, hi, points), want)
 
 
 def test_kept_rows_never_cut_at_or_above_the_floor():

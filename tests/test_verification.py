@@ -1,16 +1,22 @@
 """Global equilibrium audit: residuals, curvature, corners, grid oracle."""
 
+import collections
 import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tourney import (Effort, ParameterError, PowerCost, ProbitUniformCsf,
-                     SolverSettings, TournamentSpec, TullockCsf,
-                     best_response_oracle, continuation_values,
-                     corner_deviation_gain, existence_gate, foc_residuals,
-                     soc_check, solve_tournament, verify_solution)
-from tourney.verification import _candidate_ok, _local_notes, _oracle_notes
+from tourney import (Effort, InteriorityError, ParameterError, PowerCost,
+                     ProbitUniformCsf, SolverError, SolverSettings,
+                     TournamentSpec, TullockCsf, best_response_oracle,
+                     continuation_values, corner_deviation_gain,
+                     existence_gate, foc_residuals, soc_check,
+                     solve_tournament, stage2_sabotage, verify_solution)
+from tourney import verification
+from tourney.verification import (_candidate_ok, _corner_notes, _foc_notes,
+                                  _local_notes, _oracle_notes, _soc_notes)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -230,6 +236,144 @@ def test_gate_verdict_equals_the_full_audit(spec, prizes, oracle_only):
         only_oracle = bool(report.notes) and all(
             note.startswith("oracle") for note in report.notes)
         assert only_oracle == (prize in oracle_only), prize
+
+
+def _audit_ok(spec, prize):
+    try:
+        sol = solve_tournament(dataclasses.replace(spec, prize=prize))
+    except (InteriorityError, SolverError):
+        return False
+    return verify_solution(sol, grid=128).interior_ok
+
+
+@st.composite
+def _acceptance_draws(draw):
+    """A spec drawn as the acceptance grid draws them and a prize within a
+    decade either side of the grid's reference prize."""
+    exponent = draw(st.floats(1.5, 4.0))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+        cost = PowerCost(exponent, draw(st.floats(0.5, 30.0)))
+        s2 = stage2_sabotage(cost)
+        spec = TournamentSpec(prize=1.0, csf=TullockCsf(r=r), cost=cost)
+        reference = 40.0 * (s2 + cost.cost(s2)) / (2.0 - r)
+    else:
+        beta = draw(st.sampled_from([0.3, 0.5, 0.7]))
+        width = draw(st.floats(2.0, 8.0))
+        reference = (((1.0 - beta) / 2.0) ** ((1.0 - beta) / beta)
+                     * (2.0 * width / beta) ** (1.0 / beta))
+        b_star = (beta * reference / (2.0 * width)) ** (1.0 / (1.0 - beta))
+        b_ref = (beta * (reference / 2.0 - b_star) / (2.0 * width)) ** (
+            1.0 / (1.0 - beta))
+        s_target = draw(st.floats(0.25, 0.55)) * b_ref * (1.0 - beta) / beta
+        spec = TournamentSpec(
+            prize=1.0, csf=ProbitUniformCsf(half_width=width, f_exponent=beta),
+            cost=PowerCost(exponent, exponent * s_target ** (exponent - 1.0)))
+    return spec, reference * 10.0 ** draw(st.floats(-1.0, 1.0))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_acceptance_draws())
+def test_gate_verdict_equals_the_full_audit_on_drawn_specs(draw):
+    spec, prize = draw
+    assert _candidate_ok(spec, prize, 128) == _audit_ok(spec, prize)
+
+
+# Probes that fail from one point of the gate's probe on and at no earlier
+# point: (csf, cost, prize, the layers the full audit flags, the steps the
+# probe runs).  The oracle searches the doves' 1-D lines, then the hawks'
+# 2-D grids; a refinement step shows as a search that stops with no coarse
+# grid failing.
+_CHEAP = ["corner", "foc", "soc"]
+_FIRST_FAILURES = {
+    "corner": (TullockCsf(r=1.0),
+               PowerCost(2.5655850431357674, 26.15807766971548),
+               139.48713838548846, {"corner"}, ["corner"]),
+    "soc": (ProbitUniformCsf(half_width=2.3563247235469946, f_exponent=0.3),
+            PowerCost(3.1647937634526313, 1442.2606838204467),
+            1676.235506917709, {"second-order", "oracle"}, _CHEAP),
+    "coarse-1d": (ProbitUniformCsf(half_width=5.2355482776477285, f_exponent=0.7),
+                  PowerCost(2.8623781256598075, 0.0010877118539106615),
+                  10.575147554030194, {"oracle"},
+                  _CHEAP + ["coarse-1d", "oracle"]),
+    "coarse-2d": (ProbitUniformCsf(half_width=2.3563247235469946, f_exponent=0.3),
+                  PowerCost(3.1647937634526313, 1442.2606838204467),
+                  838.1177534588545, {"oracle"},
+                  _CHEAP + ["coarse-1d", "coarse-2d", "oracle"]),
+    # the semifinal hawks' coarse grids pass, their refinements gain
+    "oracle": (ProbitUniformCsf(half_width=6.2213488869224784, f_exponent=0.5),
+               PowerCost(2.268346625621469, 3.094183601246863),
+               93.56469338730298, {"oracle"},
+               _CHEAP + ["coarse-1d", "coarse-2d", "oracle"]),
+}
+
+
+@pytest.mark.parametrize("where", list(_FIRST_FAILURES))
+def test_probe_stops_at_its_first_failing_layer(where, monkeypatch):
+    csf, cost, prize, flagged, run = _FIRST_FAILURES[where]
+    spec = TournamentSpec(prize=prize, csf=csf, cost=cost)
+    steps = []
+
+    def spy(fn, name_of, failed):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            steps.append((name_of(args), failed(result)))
+            return result
+        return wrapped
+
+    for name, notes in zip(_CHEAP, (_corner_notes, _foc_notes, _soc_notes)):
+        monkeypatch.setattr(verification, "_" + name, spy(
+            getattr(verification, "_" + name), lambda args, name=name: name,
+            lambda result, notes=notes: bool(notes(result))))
+    monkeypatch.setattr(verification, "_coarse", spy(
+        verification._coarse,
+        lambda args: "coarse-1d" if args[4].shape[1] == 1 else "coarse-2d",
+        lambda result: result is None))
+    monkeypatch.setattr(verification, "_oracle", spy(
+        verification._oracle, lambda args: "oracle", lambda result: result is None))
+
+    assert not _candidate_ok(spec, prize, 128)
+    assert [name for name, _ in steps] == run
+    assert [name for name, failed in steps if failed][0] == where
+
+    report = verify_solution(solve_tournament(spec), grid=128)
+    assert not report.interior_ok
+    assert {note.split()[0] for note in report.notes} == flagged
+
+
+def test_gate_probes_each_prize_once(monkeypatch):
+    probed = collections.Counter()
+    candidate_ok = verification._candidate_ok
+
+    def counted(spec, prize, n):
+        probed[prize] += 1
+        return candidate_ok(spec, prize, n)
+
+    monkeypatch.setattr(verification, "_candidate_ok", counted)
+    # 1 fails, 64 is the first passing prize of the outward scan, and the
+    # halving run from it comes back to 32, which the scan has rejected
+    result = existence_gate(dataclasses.replace(RATIO_SPEC, prize=1.0), grid=128)
+    assert result.minimal_v_estimate == pytest.approx(47.515188237374343, rel=0.011)
+    assert probed[64.0] == 1 and probed[32.0] == 1
+    assert max(probed.values()) == 1
+
+
+@pytest.mark.parametrize("prize", [1e305, 5e-324])
+@pytest.mark.parametrize("spec", [RATIO_SPEC, NOISE_SPEC], ids=["ratio", "noise"])
+def test_gate_probes_beyond_the_float_range_fail(spec, prize):
+    # the outward scan's 2**20 overflows to inf and its 0.5 underflows to 0
+    result = existence_gate(dataclasses.replace(spec, prize=prize), grid=128)
+    assert (result.interior_ok, result.minimal_v_estimate) == (False, None)
+    assert any(note.startswith("no admissible prize") for note in result.notes)
+
+
+def test_audit_of_a_huge_prize_leaks_no_warning():
+    # pytest turns a RuntimeWarning into an error, so an overflow in the
+    # curvature stencil, the corner bound or the oracle would fail here
+    spec = dataclasses.replace(RATIO_SPEC, prize=1e300)
+    report = verify_solution(solve_tournament(spec), grid=128)
+    assert not report.interior_ok
+    assert not _candidate_ok(spec, spec.prize, 128)
 
 
 @pytest.mark.parametrize("where", ["semifinal_x", "semifinal_s", "final_x"])
