@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -419,7 +420,9 @@ def _cmd_replicate(args) -> int:
     return 0 if all_ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="tourney",
         description="Equilibria of four-player elimination tournaments "
@@ -460,8 +463,7 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except InteriorityError as exc:

@@ -22,7 +22,14 @@ Direct mode draws an (n, 3) block per chunk.  Structural mode draws an
 coins are read only on exact score ties, which positive efforts all but
 never produce, so a chunk draws its coin block only if one of its matches
 tied; because each chunk has its own generator, the coins it does draw are
-the ones the full layout would give.  One draw buffer serves every chunk.
+the ones the full layout would give.
+
+A chunk is consumed in slices of BLOCK rows through one reused draw buffer
+small enough to stay in a core's L2 cache.  Successive fills of the buffer
+continue the chunk's stream, so the slices hold exactly the draws of the
+layout above.  Scores are computed in place into reused rows, and each
+slice's outcomes and ties land in chunk-length boolean rows, which the
+coin fix-up and the tally read once the chunk's noise is spent.
 """
 
 from __future__ import annotations
@@ -33,10 +40,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .primitives import DOVE, HAWK, Csf, ProbitUniformCsf, TullockCsf, win_prob
+from .primitives import DOVE, HAWK, Csf, TullockCsf, win_prob
 from .stage1 import SpeSolution
 
 CHUNK = 1 << 18
+# rows per slice of a chunk: a structural slice of (BLOCK, 6) draws takes
+# 768 KiB, which stays in a core's L2 cache
+BLOCK = 1 << 14
 MODES = ("direct", "structural")
 
 # two-sided 99% normal quantile for the reported confidence bands
@@ -83,19 +93,27 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _race_scores(b: float, uniforms: np.ndarray) -> np.ndarray:
-    # b / Exp(1) race representation of the unit-decisiveness ratio contest;
-    # a zero effort never scores
-    if not b > 0.0:
-        return np.zeros(uniforms.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return b * (-1.0 / np.log(uniforms))
+def _scores_into(csf: Csf, b: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Structural scores of effective effort b on uniforms u, written to out.
 
-
-def _structural_scores(csf: Csf, b: float, uniforms: np.ndarray) -> np.ndarray:
+    Under the ratio CSF the score is the race b / Exp(1) with Exp(1) drawn as
+    -log u, and a zero effort never scores.  Under the noise CSF it is the
+    performance b**f plus uniform noise on [-a, a].  The operations are those
+    of ``b * (-1.0 / np.log(u))`` and ``b ** f + (2.0 * u - 1.0) * a``, in
+    that order, so the scores carry the same bits as those expressions.
+    """
     if isinstance(csf, TullockCsf):
-        return _race_scores(b, uniforms)
-    return b ** csf.f_exponent + (2.0 * uniforms - 1.0) * csf.half_width
+        if not b > 0.0:
+            out.fill(0.0)
+            return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(u, out=out)
+            np.divide(-1.0, out, out=out)
+            return np.multiply(b, out, out=out)
+    np.multiply(2.0, u, out=out)
+    np.subtract(out, 1.0, out=out)
+    np.multiply(out, csf.half_width, out=out)
+    return np.add(b ** csf.f_exponent, out, out=out)
 
 
 def _check_structural(csf: Csf) -> None:
@@ -121,11 +139,12 @@ def simulate_match(csf: Csf, b_i: float, b_j: float, mode: str = "direct",
         return int(rng.random() < win_prob(csf, b_i, b_j))
     _check_structural(csf)
     u = rng.random(2)
-    y_i = float(_structural_scores(csf, b_i, u[0:1])[0])
-    y_j = float(_structural_scores(csf, b_j, u[1:2])[0])
-    if y_i == y_j:
+    y = np.empty(2)
+    _scores_into(csf, b_i, u[:1], y[:1])
+    _scores_into(csf, b_j, u[1:], y[1:])
+    if y[0] == y[1]:
         return int(rng.random() < 0.5)
-    return int(y_i > y_j)
+    return int(y[0] > y[1])
 
 
 def _tally(first: np.ndarray, second: np.ndarray,
@@ -142,24 +161,48 @@ def _tally(first: np.ndarray, second: np.ndarray,
     return np.array([w0, finals - w0, w2, n - finals - w2], dtype=np.int64)
 
 
-def _structural_outcomes(solution: SpeSolution, noise: np.ndarray,
-                         rng: np.random.Generator) -> list[np.ndarray]:
+def _slices(n: int, rows: int):
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
+
+
+def _direct_outcomes(thresholds, rng: np.random.Generator, buf: np.ndarray,
+                     outcomes: np.ndarray) -> None:
+    """Fill outcomes[k] with draw k of each trial falling below thresholds[k]."""
+    for start, stop in _slices(outcomes.shape[1], len(buf)):
+        draws = buf[:stop - start]
+        rng.random(out=draws)
+        for k, p in enumerate(thresholds):
+            np.less(draws[:, k], p, out=outcomes[k, start:stop])
+
+
+def _structural_outcomes(solution: SpeSolution, rng: np.random.Generator,
+                         buf: np.ndarray, scores: np.ndarray,
+                         outcomes: np.ndarray, ties: np.ndarray) -> None:
+    """Fill outcomes[k] with the first contestant of match k winning, the
+    semifinals first and the final last, replaying each match's scores."""
     csf = solution.spec.csf
     b_final = solution.stage2.base_effort
     pairs = (solution.matches[0].effective, solution.matches[1].effective,
              (b_final, b_final))
-    outcomes, ties = [], []
-    for k, (b_a, b_b) in enumerate(pairs):
-        y_a = _structural_scores(csf, b_a, noise[:, 2 * k])
-        y_b = _structural_scores(csf, b_b, noise[:, 2 * k + 1])
-        outcomes.append(y_a > y_b)
-        ties.append(y_a == y_b)
-    if any(tie.any() for tie in ties):
-        # the coin block follows the noise block in the chunk's stream
-        coins = rng.random((len(noise), 3))
-        for first, tie, coin in zip(outcomes, ties, coins.T):
-            first |= tie & (coin < 0.5)
-    return outcomes
+    n = outcomes.shape[1]
+    for start, stop in _slices(n, len(buf)):
+        noise = buf[:stop - start]
+        rng.random(out=noise)
+        y_a, y_b = scores[:, :stop - start]
+        for k, (b_a, b_b) in enumerate(pairs):
+            _scores_into(csf, b_a, noise[:, 2 * k], y_a)
+            _scores_into(csf, b_b, noise[:, 2 * k + 1], y_b)
+            np.greater(y_a, y_b, out=outcomes[k, start:stop])
+            np.equal(y_a, y_b, out=ties[k, start:stop])
+    if ties.any():
+        # the coin block follows the whole noise block in the chunk's stream
+        coin_buf = buf.reshape(-1, 3)
+        for start, stop in _slices(n, len(coin_buf)):
+            coins = coin_buf[:stop - start]
+            rng.random(out=coins)
+            for k in range(3):
+                outcomes[k, start:stop] |= ties[k, start:stop] & (coins[:, k] < 0.5)
 
 
 def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
@@ -168,25 +211,28 @@ def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
     direct = config.mode == "direct"
     if not direct:
         _check_structural(solution.spec.csf)
-    p0 = solution.matches[0].win_probs[0]
-    p1 = solution.matches[1].win_probs[0]
+    # both finalists arrive at the common base effort, so in direct mode the
+    # final is a coin flip
+    thresholds = (solution.matches[0].win_probs[0],
+                  solution.matches[1].win_probs[0], 0.5)
 
-    buf = np.empty((min(CHUNK, config.trials), 3 if direct else 6))
+    rows = min(CHUNK, config.trials)
+    block = min(BLOCK, rows)
+    buf = np.empty((block, 3 if direct else 6))
+    outcomes = np.empty((3, rows), dtype=bool)
+    if not direct:
+        scores = np.empty((2, block))
+        ties = np.empty((3, rows), dtype=bool)
     wins = np.zeros(4, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < config.trials:
-        n = min(CHUNK, config.trials - done)
+    for chunk_index, (start, stop) in enumerate(_slices(config.trials, CHUNK)):
         rng = _chunk_rng(config.seed, chunk_index)
-        draws = buf[:n]
-        rng.random(out=draws)
+        chunk = outcomes[:, :stop - start]
         if direct:
-            # both finalists arrive at the common base effort, a coin flip
-            wins += _tally(draws[:, 0] < p0, draws[:, 1] < p1, draws[:, 2] < 0.5)
+            _direct_outcomes(thresholds, rng, buf, chunk)
         else:
-            wins += _tally(*_structural_outcomes(solution, draws, rng))
-        done += n
-        chunk_index += 1
+            _structural_outcomes(solution, rng, buf, scores, chunk,
+                                 ties[:, :stop - start])
+        wins += _tally(*chunk)
 
     freq = wins / config.trials
     ci99 = _Z99 * np.sqrt(freq * (1.0 - freq) / config.trials)

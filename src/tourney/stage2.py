@@ -16,7 +16,10 @@ the success function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError, SolverError
 from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
@@ -43,7 +46,26 @@ def base_effort(csf: Csf, v: float) -> float:
 
 def stage2_sabotage(cost: PowerCost) -> float:
     """Final-stage sabotage: marginal cost equals one, prize-independent."""
-    return cost.marginal_inverse(1.0)
+    with np.errstate(over="ignore"):
+        s = cost.marginal_inverse(1.0)
+    if not math.isfinite(s):
+        raise SolverError(
+            f"final-stage sabotage (divisor/exponent)^(1/(exponent-1)) exceeds "
+            f"the float range at exponent={cost.exponent:g}, "
+            f"divisor={cost.divisor:g}")
+    return s
+
+
+def _sabotage_cost(cost: PowerCost, s: float) -> float:
+    """c(s) of the final-stage sabotage, which must stay in the float range."""
+    with np.errstate(over="ignore"):
+        c = cost.cost(s)
+    if not math.isfinite(c):
+        raise SolverError(
+            f"final-stage sabotage cost s**exponent/divisor overflows the float "
+            f"range at s={s:g}, exponent={cost.exponent:g}, "
+            f"divisor={cost.divisor:g}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -110,7 +132,7 @@ def stage2_payoff_menu(csf: Csf, cost: PowerCost, v: float) -> PayoffMenu:
     """Expected final-stage payoffs for each own-type / rival-type pairing."""
     b = base_effort(csf, v)
     s = stage2_sabotage(cost)
-    return _menu(v, b, s, cost.cost(s))
+    return _menu(v, b, s, _sabotage_cost(cost, s))
 
 
 def stage2_profile(pairing: str, csf: Csf, cost: PowerCost, v: float) -> tuple[Effort, Effort]:
@@ -145,6 +167,6 @@ def solve_stage2(csf: Csf, cost: PowerCost, v: float) -> Stage2Solution:
     return Stage2Solution(
         base_effort=b,
         sabotage=s,
-        menu=_menu(v, b, s, cost.cost(s)),
+        menu=_menu(v, b, s, _sabotage_cost(cost, s)),
         profiles={p: _profile(p, b, s) for p in PAIRINGS},
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tourney import ParameterError, parse_scenario
+from tourney import ParameterError, cli, parse_scenario
 
 RATIO_SCENARIO = {
     "prize": 80.0,
@@ -102,6 +102,18 @@ class TestSolve:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_sabotage_cost_overflow_exits_three_without_warnings(self, tmp_path):
+        bad = dict(RATIO_SCENARIO, prize=8e201,
+                   cost={"exponent": 2, "divisor": 1.2e201})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "sabotage cost" in proc.stderr
+        assert "float range" in proc.stderr
 
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
     def test_underflowing_efforts_exit_three(self, tmp_path, command):
@@ -212,6 +224,19 @@ class TestSimulate:
         assert payload["seed"] == 9
         assert payload["mode"] == "structural"
         assert sum(payload["wins"]) == 50000
+
+    def test_repeated_in_process_runs_keep_no_options(self, tmp_path,
+                                                      scenario_path, capsys):
+        # one parser serves every run; options of an earlier run must not leak
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert cli.run(["simulate", str(scenario_path), "--trials", "3000",
+                        "--mode", "structural", "--json", str(first)]) == 0
+        assert cli.run(["simulate", str(scenario_path), "--seed", "5",
+                        "--json", str(second)]) == 0
+        capsys.readouterr()
+        payload = json.loads(second.read_text())
+        assert (payload["trials"], payload["seed"], payload["mode"]) == (
+            RATIO_SCENARIO["sim"]["trials"], 5, RATIO_SCENARIO["sim"]["mode"])
 
     def test_rejects_bad_mode_choice(self, scenario_path):
         proc = run_cli("simulate", str(scenario_path), "--mode", "exact")

@@ -1,0 +1,164 @@
+"""The blocked Monte Carlo engine against the whole-chunk engine it
+replaces, which is kept here as the reference."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tourney import (PowerCost, ProbitUniformCsf, SimConfig, TournamentSpec,
+                     TullockCsf, simulate_match, simulate_tournament,
+                     solve_tournament)
+from tourney.simulate import BLOCK, CHUNK, _chunk_rng, _scores_into
+
+SPECS = {
+    "ratio": TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
+                            cost=PowerCost(3.0, 12.0)),
+    "noise": TournamentSpec(prize=20.0,
+                            csf=ProbitUniformCsf(half_width=5.0, f_exponent=0.5),
+                            cost=PowerCost(3.0, 27.0)),
+}
+SOLUTIONS = {name: solve_tournament(spec) for name, spec in SPECS.items()}
+
+EDGE_TRIALS = (1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK + 1,
+               2 * CHUNK + 1000)
+
+
+def _with_efforts(solution, first, second=None):
+    matches = (dataclasses.replace(solution.matches[0], effective=first),
+               solution.matches[1] if second is None else
+               dataclasses.replace(solution.matches[1], effective=second))
+    return dataclasses.replace(solution, matches=matches)
+
+
+def _variant(name, variant):
+    solution = SOLUTIONS[name]
+    b = solution.matches[0].effective[1]
+    if variant == "solved":
+        return solution
+    if variant == "one tied semifinal":
+        # under the ratio CSF zero efforts tie every race of the first
+        # semifinal, so the coin fix-up runs on one row of three
+        return _with_efforts(solution, (0.0, 0.0))
+    if variant == "all semifinals tied":
+        return _with_efforts(solution, (0.0, 0.0), (0.0, 0.0))
+    assert variant == "zero against positive"
+    return _with_efforts(solution, (0.0, b), (b, 0.0))
+
+
+VARIANTS = ("solved", "one tied semifinal", "all semifinals tied",
+            "zero against positive")
+
+
+# ----------------------------------------------------------------------
+# Reference: every chunk drawn whole, scores built by fresh expressions.
+# ----------------------------------------------------------------------
+
+def _reference_scores(csf, b, uniforms):
+    if isinstance(csf, TullockCsf):
+        if not b > 0.0:
+            return np.zeros(uniforms.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return b * (-1.0 / np.log(uniforms))
+    return b ** csf.f_exponent + (2.0 * uniforms - 1.0) * csf.half_width
+
+
+def _reference_outcomes(solution, noise, rng):
+    csf = solution.spec.csf
+    b_final = solution.stage2.base_effort
+    pairs = (solution.matches[0].effective, solution.matches[1].effective,
+             (b_final, b_final))
+    outcomes, ties = [], []
+    for k, (b_a, b_b) in enumerate(pairs):
+        y_a = _reference_scores(csf, b_a, noise[:, 2 * k])
+        y_b = _reference_scores(csf, b_b, noise[:, 2 * k + 1])
+        outcomes.append(y_a > y_b)
+        ties.append(y_a == y_b)
+    if any(tie.any() for tie in ties):
+        coins = rng.random((len(noise), 3))
+        for first, tie, coin in zip(outcomes, ties, coins.T):
+            first |= tie & (coin < 0.5)
+    return outcomes
+
+
+def _reference_wins(solution, config):
+    p0 = solution.matches[0].win_probs[0]
+    p1 = solution.matches[1].win_probs[0]
+    wins = np.zeros(4, dtype=np.int64)
+    done = chunk_index = 0
+    while done < config.trials:
+        n = min(CHUNK, config.trials - done)
+        rng = _chunk_rng(config.seed, chunk_index)
+        if config.mode == "direct":
+            draws = rng.random((n, 3))
+            first, second, final_first = (draws[:, 0] < p0, draws[:, 1] < p1,
+                                          draws[:, 2] < 0.5)
+        else:
+            first, second, final_first = _reference_outcomes(
+                solution, rng.random((n, 6)), rng)
+        finals = np.count_nonzero(final_first)
+        w0 = np.count_nonzero(first & final_first)
+        w2 = np.count_nonzero(second & ~final_first)
+        wins += (w0, finals - w0, w2, n - finals - w2)
+        done += n
+        chunk_index += 1
+    return tuple(int(w) for w in wins)
+
+
+# ----------------------------------------------------------------------
+# Blocked engine == reference.
+# ----------------------------------------------------------------------
+
+def _edge_examples(test):
+    # every edge trial count with both CSFs and both modes, on tie variants
+    # where a chunk holds more than one block
+    for i, trials in enumerate(EDGE_TRIALS):
+        for name in SOLUTIONS:
+            for mode in ("direct", "structural"):
+                variant = VARIANTS[i % len(VARIANTS)] if trials > BLOCK else "solved"
+                test = example(name=name, mode=mode, variant=variant,
+                               trials=trials, seed=7)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@_edge_examples
+@given(name=st.sampled_from(sorted(SOLUTIONS)),
+       mode=st.sampled_from(["direct", "structural"]),
+       variant=st.sampled_from(VARIANTS),
+       trials=st.sampled_from(EDGE_TRIALS) | st.integers(1, 3 * BLOCK),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_engine_matches_whole_chunk_reference(name, mode, variant,
+                                                      trials, seed):
+    solution = _variant(name, variant)
+    config = SimConfig(trials=trials, seed=seed, mode=mode)
+    assert simulate_tournament(solution, config).wins == _reference_wins(
+        solution, config)
+
+
+@pytest.mark.parametrize("name", sorted(SOLUTIONS))
+@pytest.mark.parametrize("b", [0.0, 1e-300, 0.37, 4.13, 2.5e8])
+def test_scores_into_equals_the_expressions(name, b):
+    csf = SPECS[name].csf
+    u = np.random.default_rng(11).random((4096, 2))
+    u[:3, 0] = (0.0, 5e-324, 1.0 - 2.0**-53)
+    out = np.full(4096, np.nan)
+    _scores_into(csf, b, u[:, 0], out)
+    expected = _reference_scores(csf, b, u[:, 0])
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SOLUTIONS))
+@pytest.mark.parametrize("b_i, b_j", [(4.13, 4.73), (0.0, 1.0), (0.0, 0.0)])
+def test_simulate_match_uses_the_same_scores(name, b_i, b_j):
+    csf = SPECS[name].csf
+    rng = np.random.default_rng(5)
+    ref = np.random.default_rng(5)
+    for _ in range(300):
+        u = ref.random(2)
+        y_i = float(_reference_scores(csf, b_i, u[0:1])[0])
+        y_j = float(_reference_scores(csf, b_j, u[1:2])[0])
+        want = int(ref.random() < 0.5) if y_i == y_j else int(y_i > y_j)
+        assert simulate_match(csf, b_i, b_j, mode="structural", rng=rng) == want

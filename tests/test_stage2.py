@@ -101,6 +101,27 @@ def test_base_effort_overflow_is_a_solver_error():
     assert gate.minimal_v_estimate is None
 
 
+@pytest.mark.parametrize("csf, v", [(RATIO_CSF, 8e201), (NOISE_CSF, 20.0)])
+def test_sabotage_cost_overflow_is_a_solver_error(csf, v):
+    # s = 6e200 is finite, but s**2 leaves the float range before the division
+    cost = PowerCost(2.0, 1.2e201)
+    with pytest.raises(SolverError, match="sabotage cost .* float range"):
+        solve_stage2(csf, cost, v)
+    with pytest.raises(SolverError, match="sabotage cost .* float range"):
+        stage2_payoff_menu(csf, cost, v)
+    with pytest.raises(SolverError, match="sabotage cost .* float range"):
+        solve_tournament(TournamentSpec(prize=v, csf=csf, cost=cost))
+
+
+def test_sabotage_overflow_is_a_solver_error():
+    # (divisor/exponent)^(1/(exponent-1)) = (1e300/1.001)^1000
+    cost = PowerCost(1.001, 1e300)
+    with pytest.raises(SolverError, match="sabotage .* float range"):
+        stage2_sabotage(cost)
+    with pytest.raises(SolverError, match="sabotage .* float range"):
+        solve_stage2(RATIO_CSF, cost, 80.0)
+
+
 @pytest.mark.parametrize("csf, cost, v", [
     (RATIO_CSF, RATIO_COST, 80.0), (NOISE_CSF, NOISE_COST, 20.0),
     (TullockCsf(r=0.37), PowerCost(2.3, 0.7), 913.25),
