@@ -17,6 +17,7 @@ the success function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,28 +45,40 @@ def base_effort(csf: Csf, v: float) -> float:
     raise ParameterError(f"unknown success function {csf!r}")
 
 
+# natural log of the largest float: a power whose log stays a margin below
+# it cannot overflow, so only powers near the float range pay for silencing
+# numpy's overflow warning
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _may_overflow(base: float, exponent: float) -> bool:
+    return base > 1.0 and exponent * math.log(base) > _LOG_FLOAT_MAX - 1.0
+
+
+def _finite_or_fail(compute, what: str, cost: PowerCost) -> float:
+    with np.errstate(over="ignore"):
+        value = compute()
+    if not math.isfinite(value):
+        raise SolverError(
+            f"final-stage {what} overflows the float range at "
+            f"exponent={cost.exponent:g}, divisor={cost.divisor:g}")
+    return value
+
+
 def stage2_sabotage(cost: PowerCost) -> float:
     """Final-stage sabotage: marginal cost equals one, prize-independent."""
-    with np.errstate(over="ignore"):
-        s = cost.marginal_inverse(1.0)
-    if not math.isfinite(s):
-        raise SolverError(
-            f"final-stage sabotage (divisor/exponent)^(1/(exponent-1)) exceeds "
-            f"the float range at exponent={cost.exponent:g}, "
-            f"divisor={cost.divisor:g}")
-    return s
+    if _may_overflow(cost.divisor / cost.exponent, 1.0 / (cost.exponent - 1.0)):
+        return _finite_or_fail(lambda: cost.marginal_inverse(1.0),
+                               "sabotage (divisor/exponent)^(1/(exponent-1))", cost)
+    return cost.marginal_inverse(1.0)
 
 
 def _sabotage_cost(cost: PowerCost, s: float) -> float:
     """c(s) of the final-stage sabotage, which must stay in the float range."""
-    with np.errstate(over="ignore"):
-        c = cost.cost(s)
-    if not math.isfinite(c):
-        raise SolverError(
-            f"final-stage sabotage cost s**exponent/divisor overflows the float "
-            f"range at s={s:g}, exponent={cost.exponent:g}, "
-            f"divisor={cost.divisor:g}")
-    return c
+    if _may_overflow(s, cost.exponent):
+        return _finite_or_fail(lambda: cost.cost(s),
+                               "sabotage cost s**exponent/divisor", cost)
+    return cost.cost(s)
 
 
 @dataclass(frozen=True)
