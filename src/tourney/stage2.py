@@ -74,11 +74,12 @@ def stage2_sabotage(cost: PowerCost) -> float:
 
 
 def _sabotage_cost(cost: PowerCost, s: float) -> float:
-    """c(s) of the final-stage sabotage, which must stay in the float range."""
+    """c(s) of the final-stage sabotage, which must stay in the float range.
+    s is a nonnegative float, so the unchecked kernel computes cost.cost(s)."""
     if _may_overflow(s, cost.exponent):
         return _finite_or_fail(lambda: cost.cost(s),
                                "sabotage cost s**exponent/divisor", cost)
-    return cost.cost(s)
+    return float(cost._cost(np.asarray(s, dtype=float)))
 
 
 @dataclass(frozen=True)
