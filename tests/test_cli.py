@@ -226,14 +226,13 @@ class TestSimulate:
         assert sum(payload["wins"]) == 50000
 
     def test_repeated_in_process_runs_keep_no_options(self, tmp_path,
-                                                      scenario_path, capsys):
+                                                      scenario_path):
         # one parser serves every run; options of an earlier run must not leak
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         assert cli.run(["simulate", str(scenario_path), "--trials", "3000",
                         "--mode", "structural", "--json", str(first)]) == 0
         assert cli.run(["simulate", str(scenario_path), "--seed", "5",
                         "--json", str(second)]) == 0
-        capsys.readouterr()
         payload = json.loads(second.read_text())
         assert (payload["trials"], payload["seed"], payload["mode"]) == (
             RATIO_SCENARIO["sim"]["trials"], 5, RATIO_SCENARIO["sim"]["mode"])
