@@ -13,8 +13,9 @@ OWN win probability, so the rival component is negative.
 Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`), where the formula lives.  The audit calls the kernels
-directly on arrays it has validated once.  The noise CSF's `_cdf_float` is
-`_cdf` on one Python float, for the semifinal root's inner loop.
+directly on arrays it has validated once, and the solver calls `_cost` on
+its own nonnegative floats.  The noise CSF's `_cdf_float` is `_cdf` on one
+Python float, for the semifinal root's inner loop.
 """
 
 from __future__ import annotations

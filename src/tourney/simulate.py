@@ -10,8 +10,10 @@ agreement validates the contest model itself.
 Under the ratio CSF with unit decisiveness the structural draw uses the
 race representation: scores b / E with E standard exponential give the
 contested ratio as the win probability.  Other decisiveness values have no
-such product representation and structural mode refuses them.  Under the
-noise CSF the structural draw is literal: performance plus uniform noise.
+such product representation and structural mode refuses them.  A match
+whose efforts could overflow a race score is run with both efforts scaled
+by 2**-64, which leaves the race unchanged.  Under the noise CSF the
+structural draw is literal: performance plus uniform noise.
 
 Runs are deterministic and chunked.  Chunk k of a run re-seeds its own
 counter-based generator from (seed, spawn_key k) with a fixed draw layout,
@@ -35,6 +37,8 @@ coin fix-up and the tally read once the chunk's noise is spent.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,6 +55,10 @@ MODES = ("direct", "structural")
 
 # two-sided 99% normal quantile for the reported confidence bands
 _Z99 = 2.5758293035489004
+
+# -1/log u never exceeds 2**53 for a uniform u below 1, so a race score
+# b * (-1/log u) stays finite while b stays below this bound
+_RACE_MAX = sys.float_info.max / 2.0 ** 54
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,16 @@ def _scores_into(csf: Csf, b: float, u: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.add(b ** csf.f_exponent, out, out=out)
 
 
+def _race_efforts(csf: Csf, b_a: float, b_b: float) -> tuple[float, float]:
+    """One match's efforts, both scaled by 2**-64 when the larger one could
+    overflow a ratio race score.  An exact power of two scales both scores
+    alike, so the race and its winner stay the same; below the bound the
+    efforts are returned as they are."""
+    if isinstance(csf, TullockCsf) and max(b_a, b_b) > _RACE_MAX:
+        return math.ldexp(b_a, -64), math.ldexp(b_b, -64)
+    return b_a, b_b
+
+
 def _check_structural(csf: Csf) -> None:
     if isinstance(csf, TullockCsf) and csf.r != 1.0:
         raise ParameterError(
@@ -138,6 +156,7 @@ def simulate_match(csf: Csf, b_i: float, b_j: float, mode: str = "direct",
     if mode == "direct":
         return int(rng.random() < win_prob(csf, b_i, b_j))
     _check_structural(csf)
+    b_i, b_j = _race_efforts(csf, b_i, b_j)
     u = rng.random(2)
     y = np.empty(2)
     _scores_into(csf, b_i, u[:1], y[:1])
@@ -183,8 +202,9 @@ def _structural_outcomes(solution: SpeSolution, rng: np.random.Generator,
     semifinals first and the final last, replaying each match's scores."""
     csf = solution.spec.csf
     b_final = solution.stage2.base_effort
-    pairs = (solution.matches[0].effective, solution.matches[1].effective,
-             (b_final, b_final))
+    pairs = [_race_efforts(csf, *pair)
+             for pair in (solution.matches[0].effective,
+                          solution.matches[1].effective, (b_final, b_final))]
     n = outcomes.shape[1]
     for start, stop in _slices(n, len(buf)):
         noise = buf[:stop - start]

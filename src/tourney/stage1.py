@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 from .errors import InteriorityError, ParameterError, SolverError
 from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
-from .stage2 import Effort, PayoffMenu, Stage2Solution, base_effort, solve_stage2
+from .stage2 import (Effort, PayoffMenu, Stage2Solution, _cost_value, _sabotage_cost,
+                     _sabotage_level, base_effort, solve_stage2)
 
 Bracket = tuple[tuple[str, str], tuple[str, str]]
 DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
@@ -196,7 +197,14 @@ def _ratio_root(values, cost: PowerCost, r: float, settings: SolverSettings,
     _certify(abs(phi(p) - p), settings)
     a_val, b_val = values(p)
     spread = r * p * (1.0 - p)
-    return spread * a_val, spread * b_val, p, cost.marginal_inverse(a_val / b_val)
+    return spread * a_val, spread * b_val, p, _sabotage_level(cost, a_val / b_val)
+
+
+def _noise_density(a: float, gap: float) -> float:
+    """ProbitUniformCsf.noise_diff_density(gap) at half width a, on floats
+    and bit for bit; a NaN gap gives NaN, as np.maximum does."""
+    room = 2.0 * a - abs(gap)
+    return (0.0 if 0.0 >= room else room) / (4.0 * a * a)
 
 
 def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
@@ -208,11 +216,19 @@ def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
     h(u) = (2a - |1 - kappa^beta| u) beta B - 4a^2 u^((1-beta)/beta).
     h(0) > 0, and h <= 0 at the dove's zero-gap effort, which brackets it.
     The outer root then matches p to the noise CDF at the resulting gap.
+    The inner root depends on p only through (A, B), so each value pair is
+    solved once: a constant pair (one mixed match) needs one inner root.
     """
     a, beta = csf.half_width, csf.f_exponent
+    roots: dict[tuple[float, float], tuple[float, float]] = {}
 
     def efforts(p: float) -> tuple[float, float]:
-        a_val, b_val = _positive_values(values, p)
+        pair = _positive_values(values, p)
+        if pair not in roots:
+            roots[pair] = inner(*pair)
+        return roots[pair]
+
+    def inner(a_val: float, b_val: float) -> tuple[float, float]:
         kappa = (a_val / b_val) ** (1.0 / (1.0 - beta))
         slope = abs(1.0 - kappa ** beta)
 
@@ -235,10 +251,10 @@ def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
     if not (bh > 0.0 and bd > 0.0):
         raise SolverError(
             f"semifinal effort left the float range: hawk {bh:.3g}, dove {bd:.3g}")
-    dens = csf.noise_diff_density(gap)
+    dens = _noise_density(a, gap)
     _certify(max(abs(dens * beta * bh ** (beta - 1.0) * a_val - 1.0),
                  abs(dens * beta * bd ** (beta - 1.0) * b_val - 1.0)), settings)
-    return bh, bd, p, cost.marginal_inverse(a_val / b_val)
+    return bh, bd, p, _sabotage_level(cost, a_val / b_val)
 
 
 def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
@@ -273,9 +289,14 @@ def stage1_payoffs(p_hawk: float, values: ContinuationValues, b_hawk: float,
     mixed match) plus the sabotage bill; the dove pays its padded productive
     effort b_dove + s1 outright.
     """
-    hawk = p_hawk * values.hawk_value - cost.cost(s1) - b_hawk
-    dove = (1.0 - p_hawk) * values.dove_value - (b_dove + s1)
-    return hawk, dove
+    return _payoffs(p_hawk, values.hawk_value, values.dove_value, b_hawk, b_dove,
+                    s1, cost.cost(s1))
+
+
+def _payoffs(p_hawk: float, a_val: float, b_val: float, b_hawk: float,
+             b_dove: float, s1: float, c1: float) -> tuple[float, float]:
+    """stage1_payoffs' arithmetic, given the sabotage bill c1 = c(s1)."""
+    return p_hawk * a_val - c1 - b_hawk, (1.0 - p_hawk) * b_val - (b_dove + s1)
 
 
 @dataclass(frozen=True)
@@ -379,8 +400,8 @@ def _mixed_matches(spec: TournamentSpec, values, pools) -> tuple[MatchSolution, 
     else:
         b_hawk, b_dove, p_hawk, s1 = _noise_root(values, spec.cost, spec.csf, spec.solver)
     a_val, b_val = values(p_hawk)
-    pay_hawk, pay_dove = stage1_payoffs(p_hawk, ContinuationValues(a_val, b_val),
-                                        b_hawk, b_dove, s1, spec.cost)
+    pay_hawk, pay_dove = _payoffs(p_hawk, a_val, b_val, b_hawk, b_dove, s1,
+                                  _cost_value(spec.cost, s1))
     hawk = (HAWK, Effort(x=b_hawk, s=s1), b_hawk, p_hawk, a_val, pay_hawk)
     dove = (DOVE, Effort(x=b_dove + s1, s=0.0), b_dove, 1.0 - p_hawk, b_val, pay_dove)
     return tuple(MatchSolution(*zip(*((hawk, dove) if pool[0] == HAWK else (dove, hawk))),
@@ -433,7 +454,7 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
             elif pools[i][0] == HAWK:
                 s = stage2.sabotage
                 solved[i] = _same_type_match(spec.csf, HAWK, cv.hawk_value, s,
-                                             spec.cost.cost(s))
+                                             _sabotage_cost(spec.cost, s))
             else:
                 solved[i] = _same_type_match(spec.csf, DOVE, cv.dove_value, 0.0, 0.0)
             advance = solved[i].hawk_advance_prob

@@ -65,21 +65,40 @@ def _finite_or_fail(compute, what: str, cost: PowerCost) -> float:
     return value
 
 
+def _sabotage_level(cost: PowerCost, y: float) -> float:
+    """cost.marginal_inverse(y) on a positive Python float, bit for bit.
+    The method's last step is an np.float64 ** float, which is libm pow, as
+    Python's float ** float is.  Near the float range the checked method
+    runs instead, because Python's ** raises OverflowError where numpy
+    returns inf."""
+    base = cost.divisor * y / cost.exponent
+    power = 1.0 / (cost.exponent - 1.0)
+    if _may_overflow(base, power):
+        return cost.marginal_inverse(y)
+    return base ** power
+
+
+def _cost_value(cost: PowerCost, s: float) -> float:
+    """cost.cost(s) on a nonnegative Python float, without validation.  It
+    runs the 0-d kernel, never Python's **: numpy's array power and libm's
+    pow differ in the last bit for about one input in twenty."""
+    return float(cost._cost(np.asarray(s, dtype=float)))
+
+
 def stage2_sabotage(cost: PowerCost) -> float:
     """Final-stage sabotage: marginal cost equals one, prize-independent."""
     if _may_overflow(cost.divisor / cost.exponent, 1.0 / (cost.exponent - 1.0)):
         return _finite_or_fail(lambda: cost.marginal_inverse(1.0),
                                "sabotage (divisor/exponent)^(1/(exponent-1))", cost)
-    return cost.marginal_inverse(1.0)
+    return _sabotage_level(cost, 1.0)
 
 
 def _sabotage_cost(cost: PowerCost, s: float) -> float:
-    """c(s) of the final-stage sabotage, which must stay in the float range.
-    s is a nonnegative float, so the unchecked kernel computes cost.cost(s)."""
+    """c(s) of the final-stage sabotage, which must stay in the float range."""
     if _may_overflow(s, cost.exponent):
-        return _finite_or_fail(lambda: cost.cost(s),
+        return _finite_or_fail(lambda: _cost_value(cost, s),
                                "sabotage cost s**exponent/divisor", cost)
-    return float(cost._cost(np.asarray(s, dtype=float)))
+    return _cost_value(cost, s)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,43 @@ class TestConfigValidation:
     def test_rejects_bad_mode(self):
         with pytest.raises(ParameterError):
             SimConfig(mode="weird")
+
+
+def _scaled(solution, k):
+    """The solution with every effective effort scaled by 2**k."""
+    def match(m):
+        return dataclasses.replace(
+            m, effective=tuple(math.ldexp(b, k) for b in m.effective))
+    return dataclasses.replace(
+        solution, matches=tuple(match(m) for m in solution.matches),
+        stage2=dataclasses.replace(
+            solution.stage2,
+            base_effort=math.ldexp(solution.stage2.base_effort, k)))
+
+
+class TestHugeRaceEfforts:
+    # at prize 1e307 every effective effort is near 1e306, so a race score
+    # b * (-1/log u) overflows for about one draw in seventy
+    SPEC = TournamentSpec(prize=1e307, csf=TullockCsf(r=1.0),
+                          cost=PowerCost(3.0, 12.0))
+
+    def test_scores_stay_finite_and_the_races_unchanged(self):
+        solution = solve_tournament(self.SPEC)
+        config = SimConfig(trials=3000, seed=7, mode="structural")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate_tournament(solution, config)
+        # r = 1: scaling every effort by one power of two is the same race
+        assert got.wins == simulate_tournament(_scaled(solution, -64), config).wins
+
+    def test_single_match_scores_stay_finite(self):
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [simulate_match(TullockCsf(r=1.0), 1e308, 5e307, mode="structural",
+                                  rng=rng) for _ in range(300)]
+        rng = np.random.default_rng(3)
+        want = [simulate_match(TullockCsf(r=1.0), math.ldexp(1e308, -64),
+                               math.ldexp(5e307, -64), mode="structural", rng=rng)
+                for _ in range(300)]
+        assert got == want

@@ -12,7 +12,8 @@ from tourney import (ContinuationValues, InteriorityError, ParameterError,
                      continuation_values, existence_gate,
                      solve_stage1_hd_probit, solve_stage1_hd_tullock,
                      solve_tournament, stage2_payoff_menu, stage2_sabotage)
-from tourney.stage1 import _brent
+from tourney import stage1
+from tourney.stage1 import _brent, _noise_density, stage1_payoffs
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -383,3 +384,49 @@ def test_underflowing_noise_efforts_are_a_solver_error():
     # every gate probe there fails cleanly instead of crashing the gate
     gate = existence_gate(spec, grid=64)
     assert gate.minimal_v_estimate is None
+
+
+@pytest.mark.parametrize("bracket", [(("H", "D"), ("D", "D")), (("D", "H"), ("H", "H")),
+                                     (("H", "H"), ("H", "D")), (("D", "D"), ("D", "H"))])
+def test_one_mixed_noise_bracket_runs_two_brent_roots(monkeypatch, bracket):
+    # the values are constant in p, so every outer step reuses one inner
+    # root: one inner and one outer Brent call
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return _brent(*args)
+
+    monkeypatch.setattr(stage1, "_brent", spy)
+    spec = TournamentSpec(prize=NOISE_SPEC_LARGE.prize, csf=NOISE_SPEC_LARGE.csf,
+                          cost=NOISE_SPEC_LARGE.cost, bracket=bracket)
+    sol = solve_tournament(spec)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert sol == solve_tournament(spec)
+
+
+def test_public_semifinal_functions_keep_their_checks():
+    values = ContinuationValues(hawk_value=30.0, dove_value=31.0)
+    with pytest.raises(ParameterError):
+        stage1_payoffs(0.5, values, 1.0, 1.0, -1.0, RATIO_SPEC.cost)
+    assert stage1_payoffs(0.5, values, 1.0, 2.0, 2.0, RATIO_SPEC.cost) == (
+        0.5 * 30.0 - RATIO_SPEC.cost.cost(2.0) - 1.0, 0.5 * 31.0 - 4.0)
+    with pytest.raises(InteriorityError):
+        solve_stage1_hd_tullock(lambda p: -1.0, lambda p: 2.0, RATIO_SPEC.cost, 1.0)
+    with pytest.raises(InteriorityError):
+        solve_stage1_hd_probit(lambda p: 2.0, lambda p: -1.0, NOISE_SPEC.cost,
+                               NOISE_SPEC.csf)
+
+
+@pytest.mark.parametrize("a", [5.0, 0.3, 1e-150, 1e150])
+def test_float_density_equals_the_array_density(a):
+    csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
+    gaps = [0.0, -0.0, 0.5 * a, -1.3 * a, 2.0 * a, -2.0 * a, 3.0 * a,
+            math.inf, -math.inf, math.nan, 0.7, -0.7]
+    for gap in gaps:
+        want = csf.noise_diff_density(gap)
+        got = _noise_density(a, gap)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)

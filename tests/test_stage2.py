@@ -1,13 +1,17 @@
 """Final-stage closed forms: base effort, sabotage and the payoff menu."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SolverError,
                      TournamentSpec, TullockCsf, base_effort, existence_gate,
                      solve_stage2, solve_tournament, stage2_payoff_menu,
                      stage2_profile, stage2_sabotage)
+from tourney.stage2 import _cost_value, _may_overflow, _sabotage_level
 
 RATIO_CSF = TullockCsf(r=1.0)
 RATIO_COST = PowerCost(3.0, 12.0)
@@ -169,3 +173,41 @@ def test_sabotage_is_a_cost_property_only(cost, v1, v2):
     s1 = solve_stage2(TullockCsf(r=1.0), cost, v1).sabotage
     s2 = solve_stage2(NOISE_CSF, cost, v2).sabotage
     assert s1 == s2 == stage2_sabotage(cost)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300)
+@given(exponent=st.floats(1.0, 6.0, exclude_min=True),
+       divisor=st.floats(1e-30, 1e300), y=st.floats(1e-12, 1e12))
+# routed to the checked path: inf, and a finite level within e of the range
+@example(exponent=1.001, divisor=1e300, y=1.0)
+@example(exponent=2.0, divisor=1e300, y=1.6e8)
+def test_float_closed_forms_equal_the_validated_methods(exponent, divisor, y):
+    cost = PowerCost(exponent, divisor)
+    with np.errstate(over="ignore"):
+        level = cost.marginal_inverse(y)
+        assert _bits(_sabotage_level(cost, y)) == _bits(level)
+        if math.isfinite(level):
+            assert _bits(_cost_value(cost, level)) == _bits(cost.cost(level))
+
+
+def test_checked_path_examples_route_as_intended():
+    # the explicit examples above reach the checked path, one overflowing
+    for exponent, divisor, y, finite in ((1.001, 1e300, 1.0, False),
+                                         (2.0, 1e300, 1.6e8, True)):
+        assert _may_overflow(divisor * y / exponent, 1.0 / (exponent - 1.0))
+        with np.errstate(over="ignore"):
+            level = _sabotage_level(PowerCost(exponent, divisor), y)
+        assert math.isfinite(level) == finite
+
+
+def test_public_cost_methods_still_reject_negative_inputs():
+    cost = PowerCost(3.0, 12.0)
+    for method in (cost.cost, cost.marginal, cost.marginal_inverse):
+        with pytest.raises(ParameterError):
+            method(-1.0)
+        with pytest.raises(ParameterError):
+            method(np.array([1.0, -1e-300]))
