@@ -400,10 +400,8 @@ def test_one_mixed_noise_bracket_runs_two_brent_roots(monkeypatch, bracket):
     monkeypatch.setattr(stage1, "_brent", spy)
     spec = TournamentSpec(prize=NOISE_SPEC_LARGE.prize, csf=NOISE_SPEC_LARGE.csf,
                           cost=NOISE_SPEC_LARGE.cost, bracket=bracket)
-    sol = solve_tournament(spec)
+    solve_tournament(spec)
     assert len(calls) == 2
-    monkeypatch.undo()
-    assert sol == solve_tournament(spec)
 
 
 def test_public_semifinal_functions_keep_their_checks():
