@@ -12,10 +12,11 @@ OWN win probability, so the rival component is negative.
 
 Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
-`_cost`, `_marginal`), where the formula lives.  The audit calls the kernels
-directly on arrays it has validated once, and the solver calls `_cost` on
-its own nonnegative floats.  The noise CSF's `_cdf_float` is `_cdf` on one
-Python float, for the semifinal root's inner loop.
+`_cost`, `_marginal`, `_marginal_inverse`), where the formula lives.  The
+audit calls the kernels directly on arrays it has validated once, and the
+solver calls `_cost` and `_marginal_inverse` on its own nonnegative floats.
+The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
+on one Python float, for the semifinal root's inner loop.
 """
 
 from __future__ import annotations
@@ -173,6 +174,13 @@ class ProbitUniformCsf:
         a = self.half_width
         return np.maximum(0.0, 2.0 * a - np.abs(t)) / (4.0 * a * a)
 
+    def _density_float(self, t: float) -> float:
+        """_density on one Python float, with the same bits.  A NaN stays
+        NaN, as np.maximum keeps it (Python's max(0.0, nan) gives 0.0)."""
+        a = self.half_width
+        room = 2.0 * a - abs(t)
+        return (0.0 if 0.0 >= room else room) / (4.0 * a * a)
+
     def _win_prob(self, bo, br):
         """Unchecked kernel of win_prob: nonnegative float arrays in."""
         return self._cdf(self._gap(bo, br))
@@ -216,8 +224,7 @@ class PowerCost:
 
     def marginal_inverse(self, y):
         (ya,) = _checked("marginal cost level must be nonnegative", y)
-        return _match_input(
-            (self.divisor * ya / self.exponent) ** (1.0 / (self.exponent - 1.0)), y)
+        return _match_input(self._marginal_inverse(ya), y)
 
     def curvature(self, s):
         """Second derivative of the cost, used by second-order checks."""
@@ -232,6 +239,12 @@ class PowerCost:
     def _marginal(self, s):
         """Unchecked kernel of marginal: nonnegative floats or arrays in."""
         return self.exponent * s ** (self.exponent - 1.0) / self.divisor
+
+    def _marginal_inverse(self, y):
+        """Unchecked kernel of marginal_inverse: nonnegative floats or arrays
+        in.  On a Python float the power is Python's, which raises
+        OverflowError where numpy's would return inf."""
+        return (self.divisor * y / self.exponent) ** (1.0 / (self.exponent - 1.0))
 
 
 def win_prob(csf: Csf, b_own, b_rival):

@@ -200,13 +200,6 @@ def _ratio_root(values, cost: PowerCost, r: float, settings: SolverSettings,
     return spread * a_val, spread * b_val, p, _sabotage_level(cost, a_val / b_val)
 
 
-def _noise_density(a: float, gap: float) -> float:
-    """ProbitUniformCsf.noise_diff_density(gap) at half width a, on floats
-    and bit for bit; a NaN gap gives NaN, as np.maximum does."""
-    room = 2.0 * a - abs(gap)
-    return (0.0 if 0.0 >= room else room) / (4.0 * a * a)
-
-
 def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
                 settings: SolverSettings) -> tuple[float, float, float, float]:
     """Mixed semifinal under the noise CSF; values(p) -> (hawk value, dove
@@ -251,7 +244,7 @@ def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
     if not (bh > 0.0 and bd > 0.0):
         raise SolverError(
             f"semifinal effort left the float range: hawk {bh:.3g}, dove {bd:.3g}")
-    dens = _noise_density(a, gap)
+    dens = csf._density_float(gap)
     _certify(max(abs(dens * beta * bh ** (beta - 1.0) * a_val - 1.0),
                  abs(dens * beta * bd ** (beta - 1.0) * b_val - 1.0)), settings)
     return bh, bd, p, _sabotage_level(cost, a_val / b_val)

@@ -65,17 +65,16 @@ def _finite_or_fail(compute, what: str, cost: PowerCost) -> float:
     return value
 
 
-def _sabotage_level(cost: PowerCost, y: float) -> float:
+def _sabotage_level(cost: PowerCost, y: float,
+                    near_range=PowerCost.marginal_inverse) -> float:
     """cost.marginal_inverse(y) on a positive Python float, bit for bit.
-    The method's last step is an np.float64 ** float, which is libm pow, as
-    Python's float ** float is.  Near the float range the checked method
-    runs instead, because Python's ** raises OverflowError where numpy
-    returns inf."""
-    base = cost.divisor * y / cost.exponent
-    power = 1.0 / (cost.exponent - 1.0)
-    if _may_overflow(base, power):
-        return cost.marginal_inverse(y)
-    return base ** power
+    The kernel's last step is then Python's float ** float, which is libm
+    pow, as the method's np.float64 ** float is.  Near the float range,
+    where Python's ** raises OverflowError and numpy's returns inf,
+    near_range(cost, y) runs instead: by default the checked method."""
+    if _may_overflow(cost.divisor * y / cost.exponent, 1.0 / (cost.exponent - 1.0)):
+        return near_range(cost, y)
+    return cost._marginal_inverse(y)
 
 
 def _cost_value(cost: PowerCost, s: float) -> float:
@@ -85,12 +84,14 @@ def _cost_value(cost: PowerCost, s: float) -> float:
     return float(cost._cost(np.asarray(s, dtype=float)))
 
 
+def _finite_sabotage_level(cost: PowerCost, y: float) -> float:
+    return _finite_or_fail(lambda: cost.marginal_inverse(y),
+                           "sabotage (divisor/exponent)^(1/(exponent-1))", cost)
+
+
 def stage2_sabotage(cost: PowerCost) -> float:
     """Final-stage sabotage: marginal cost equals one, prize-independent."""
-    if _may_overflow(cost.divisor / cost.exponent, 1.0 / (cost.exponent - 1.0)):
-        return _finite_or_fail(lambda: cost.marginal_inverse(1.0),
-                               "sabotage (divisor/exponent)^(1/(exponent-1))", cost)
-    return _sabotage_level(cost, 1.0)
+    return _sabotage_level(cost, 1.0, near_range=_finite_sabotage_level)
 
 
 def _sabotage_cost(cost: PowerCost, s: float) -> float:

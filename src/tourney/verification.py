@@ -175,7 +175,7 @@ def _foc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
         d_own, d_rival = spec.csf._partials(np.maximum(0.0, t.x - t.s_rival),
                                             np.maximum(0.0, t.x_rival - t.s))
         effort = d_own * t.value - 1.0
-        sabotage = -d_rival[h] * t.value[h] - spec.cost._marginal(t.s[h])
+        sabotage = -d_rival[h] * t.value[h] - spec.cost.marginal(t.s[h])
     return _per_coordinate(t, effort, sabotage)
 
 

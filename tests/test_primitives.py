@@ -214,6 +214,20 @@ def test_float_cdf_is_bit_identical_to_the_array_cdf(a):
     assert np.isnan(_noise_cdf(csf, np.array([np.nan]), np.empty(1))).all()
 
 
+@pytest.mark.parametrize("a", [5.0, 0.3, 1e-150, 1e150])
+def test_float_density_equals_the_array_density(a):
+    csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
+    gaps = [0.0, -0.0, 0.5 * a, -1.3 * a, 2.0 * a, -2.0 * a, 3.0 * a,
+            np.inf, -np.inf, np.nan, 0.7, -0.7]
+    for gap in gaps:
+        want = csf.noise_diff_density(gap)
+        got = csf._density_float(gap)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want))
+        assert np.signbit(got) == np.signbit(want)
+
+
+
 def test_power_cost_rejects_bad_parameters():
     for exponent, divisor in ((1.0, 12.0), (3.0, 0.0), (np.nan, 12.0),
                               (np.inf, 12.0), (3.0, np.nan), (3.0, np.inf),

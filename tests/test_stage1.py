@@ -13,7 +13,7 @@ from tourney import (ContinuationValues, InteriorityError, ParameterError,
                      solve_stage1_hd_probit, solve_stage1_hd_tullock,
                      solve_tournament, stage2_payoff_menu, stage2_sabotage)
 from tourney import stage1
-from tourney.stage1 import _brent, _noise_density, stage1_payoffs
+from tourney.stage1 import _brent, stage1_payoffs
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -415,16 +415,3 @@ def test_public_semifinal_functions_keep_their_checks():
     with pytest.raises(InteriorityError):
         solve_stage1_hd_probit(lambda p: 2.0, lambda p: -1.0, NOISE_SPEC.cost,
                                NOISE_SPEC.csf)
-
-
-@pytest.mark.parametrize("a", [5.0, 0.3, 1e-150, 1e150])
-def test_float_density_equals_the_array_density(a):
-    csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
-    gaps = [0.0, -0.0, 0.5 * a, -1.3 * a, 2.0 * a, -2.0 * a, 3.0 * a,
-            math.inf, -math.inf, math.nan, 0.7, -0.7]
-    for gap in gaps:
-        want = csf.noise_diff_density(gap)
-        got = _noise_density(a, gap)
-        assert type(got) is float
-        assert got == want or (math.isnan(got) and math.isnan(want))
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
