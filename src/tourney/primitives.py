@@ -13,8 +13,9 @@ OWN win probability, so the rival component is negative.
 Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`, `_marginal_inverse`), where the formula lives.  The
-audit calls the kernels directly on arrays it has validated once, and the
-solver calls `_cost` and `_marginal_inverse` on its own nonnegative floats.
+audit calls the kernels directly on arrays it has validated once, apart
+from one `marginal` per audit for the hawks' sabotage, and the solver calls
+`_cost` and `_marginal_inverse` on its own nonnegative floats.
 The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
 on one Python float, for the semifinal root's inner loop.
 """
