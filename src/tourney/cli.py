@@ -7,7 +7,8 @@ published figures.
 
 Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
-flags), 3 when no equilibrium candidate exists for the parameters.
+flags), 3 when no equilibrium candidate exists for the parameters or the
+arithmetic leaves the float range.
 """
 
 from __future__ import annotations
@@ -471,6 +472,9 @@ def run(argv=None) -> int:
         return 3
     except SolverError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
+        return 3
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        print(f"error: arithmetic failure: {exc}", file=sys.stderr)
         return 3
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,15 +30,27 @@ A chunk is consumed in slices of BLOCK rows through one reused draw buffer
 small enough to stay in a core's L2 cache.  Successive fills of the buffer
 continue the chunk's stream, so the slices hold exactly the draws of the
 layout above.  Scores are computed in place into reused rows, and each
-slice's outcomes and ties land in chunk-length boolean rows, which the
-coin fix-up and the tally read once the chunk's noise is spent.
+slice is tallied as soon as its outcomes are known.  A structural slice
+with a tie keeps a copy of its outcomes and ties until the chunk's coins,
+drawn slice by slice through the same buffer, settle them.
+
+The chunks of a run are spread over the usable CPUs, one worker thread per
+CPU and never more workers than chunks, with the calling thread as worker
+0; numpy releases the interpreter lock while it draws and compares.  Each
+worker keeps its own buffers and sums the wins of its chunks, and the
+run's wins are the sum of the workers' sums, so the counts do not depend
+on the number of CPUs.  There is no option to set: a run of at most CHUNK
+trials stays in the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -185,44 +197,101 @@ def _slices(n: int, rows: int):
         yield start, min(start + rows, n)
 
 
-def _direct_outcomes(thresholds, rng: np.random.Generator, buf: np.ndarray,
-                     outcomes: np.ndarray) -> None:
-    """Fill outcomes[k] with draw k of each trial falling below thresholds[k]."""
-    for start, stop in _slices(outcomes.shape[1], len(buf)):
+def _direct_wins(thresholds, rng: np.random.Generator, n: int,
+                 buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Wins of one chunk of n trials, where match k goes to its first
+    contestant when draw k of the trial falls below thresholds[k]."""
+    wins = np.zeros(4, dtype=np.int64)
+    for start, stop in _slices(n, len(buf)):
         draws = buf[:stop - start]
+        outcomes = rows[:, :stop - start]
         rng.random(out=draws)
         for k, p in enumerate(thresholds):
-            np.less(draws[:, k], p, out=outcomes[k, start:stop])
+            np.less(draws[:, k], p, out=outcomes[k])
+        wins += _tally(*outcomes)
+    return wins
 
 
-def _structural_outcomes(solution: SpeSolution, rng: np.random.Generator,
-                         buf: np.ndarray, scores: np.ndarray,
-                         outcomes: np.ndarray, ties: np.ndarray) -> None:
-    """Fill outcomes[k] with the first contestant of match k winning, the
-    semifinals first and the final last, replaying each match's scores."""
+def _structural_wins(solution: SpeSolution, rng: np.random.Generator, n: int,
+                     buf: np.ndarray, scores: np.ndarray, rows: np.ndarray,
+                     ties: np.ndarray) -> np.ndarray:
+    """Wins of one chunk of n trials, replaying each match's scores, the
+    semifinals first and the final last."""
     csf = solution.spec.csf
     b_final = solution.stage2.base_effort
     pairs = [_race_efforts(csf, *pair)
              for pair in (solution.matches[0].effective,
                           solution.matches[1].effective, (b_final, b_final))]
-    n = outcomes.shape[1]
+    wins = np.zeros(4, dtype=np.int64)
+    tied = {}
     for start, stop in _slices(n, len(buf)):
         noise = buf[:stop - start]
-        rng.random(out=noise)
+        outcomes, tie = rows[:, :stop - start], ties[:, :stop - start]
         y_a, y_b = scores[:, :stop - start]
+        rng.random(out=noise)
         for k, (b_a, b_b) in enumerate(pairs):
             _scores_into(csf, b_a, noise[:, 2 * k], y_a)
             _scores_into(csf, b_b, noise[:, 2 * k + 1], y_b)
-            np.greater(y_a, y_b, out=outcomes[k, start:stop])
-            np.equal(y_a, y_b, out=ties[k, start:stop])
-    if ties.any():
-        # the coin block follows the whole noise block in the chunk's stream
-        coin_buf = buf.reshape(-1, 3)
-        for start, stop in _slices(n, len(coin_buf)):
+            np.greater(y_a, y_b, out=outcomes[k])
+            np.equal(y_a, y_b, out=tie[k])
+        if tie.any():
+            tied[start] = outcomes.copy(), tie.copy()
+        else:
+            wins += _tally(*outcomes)
+    if tied:
+        # the coin block follows the whole noise block in the chunk's stream,
+        # so every slice's coins up to the last tied slice are drawn in order
+        coin_buf = buf.reshape(-1, 3)[:len(buf)]
+        for start, stop in _slices(min(n, max(tied) + len(buf)), len(buf)):
             coins = coin_buf[:stop - start]
             rng.random(out=coins)
-            for k in range(3):
-                outcomes[k, start:stop] |= ties[k, start:stop] & (coins[:, k] < 0.5)
+            if start in tied:
+                outcomes, tie = tied[start]
+                for k in range(3):
+                    outcomes[k] |= tie[k] & (coins[:, k] < 0.5)
+                wins += _tally(*outcomes)
+    return wins
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _summed_workers(worker, chunks: int) -> np.ndarray:
+    """Sum of worker(w, count) over the count = min(chunks, usable CPUs)
+    workers w.
+
+    The calling thread is worker 0 and each other worker runs in its own
+    thread, under a copy of the caller's context so that numpy's errstate
+    holds there too.  An exception from any worker is raised here once every
+    thread has been joined.
+    """
+    count = min(chunks, _usable_cpus())
+    results = [None] * count
+
+    def run(w: int) -> None:
+        try:
+            results[w] = worker(w, count)
+        except BaseException as exc:  # raised again below, after the joins
+            results[w] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, w))
+               for w in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(results)
 
 
 def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
@@ -235,24 +304,29 @@ def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
     # final is a coin flip
     thresholds = (solution.matches[0].win_probs[0],
                   solution.matches[1].win_probs[0], 0.5)
+    trials = config.trials
+    chunks = -(-trials // CHUNK)
+    block = min(BLOCK, trials)
 
-    rows = min(CHUNK, config.trials)
-    block = min(BLOCK, rows)
-    buf = np.empty((block, 3 if direct else 6))
-    outcomes = np.empty((3, rows), dtype=bool)
-    if not direct:
-        scores = np.empty((2, block))
-        ties = np.empty((3, rows), dtype=bool)
-    wins = np.zeros(4, dtype=np.int64)
-    for chunk_index, (start, stop) in enumerate(_slices(config.trials, CHUNK)):
-        rng = _chunk_rng(config.seed, chunk_index)
-        chunk = outcomes[:, :stop - start]
-        if direct:
-            _direct_outcomes(thresholds, rng, buf, chunk)
-        else:
-            _structural_outcomes(solution, rng, buf, scores, chunk,
-                                 ties[:, :stop - start])
-        wins += _tally(*chunk)
+    def worker(first: int, step: int) -> np.ndarray:
+        """Summed wins of chunks first, first + step, first + 2 step, ..."""
+        buf = np.empty((block, 3 if direct else 6))
+        rows = np.empty((3, block), dtype=bool)
+        if not direct:
+            scores = np.empty((2, block))
+            ties = np.empty((3, block), dtype=bool)
+        wins = np.zeros(4, dtype=np.int64)
+        for chunk_index in range(first, chunks, step):
+            rng = _chunk_rng(config.seed, chunk_index)
+            n = min(CHUNK, trials - chunk_index * CHUNK)
+            if direct:
+                wins += _direct_wins(thresholds, rng, n, buf, rows)
+            else:
+                wins += _structural_wins(solution, rng, n, buf, scores, rows,
+                                         ties)
+        return wins
+
+    wins = _summed_workers(worker, chunks)
 
     freq = wins / config.trials
     ci99 = _Z99 * np.sqrt(freq * (1.0 - freq) / config.trials)

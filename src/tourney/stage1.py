@@ -258,8 +258,9 @@ def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
     hawk_value_of_p / dove_value_of_p map the hawk's own win probability to
     the continuation values (constant closures for asymmetric seedings).
     Returns (hawk effective effort, dove effective effort, hawk win prob,
-    sabotage).
+    sabotage).  Raises ParameterError when r lies outside TullockCsf's (0, 1].
     """
+    TullockCsf(r)  # TullockCsf's own check and message for r
     return _ratio_root(lambda p: (hawk_value_of_p(p), dove_value_of_p(p)),
                        cost, r, settings)
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tourney import ParameterError, cli, parse_scenario
+from tourney import ParameterError, cli, parse_scenario, simulate
 
 RATIO_SCENARIO = {
     "prize": 80.0,
@@ -240,6 +240,39 @@ class TestSimulate:
     def test_rejects_bad_mode_choice(self, scenario_path):
         proc = run_cli("simulate", str(scenario_path), "--mode", "exact")
         assert proc.returncode == 2
+
+
+class TestArithmeticFailures:
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError,
+                                       FloatingPointError])
+    def test_exit_three_with_one_error_line(self, monkeypatch, capsys,
+                                            scenario_path, error):
+        def handler(_args):
+            raise error("float range left")
+
+        monkeypatch.setitem(cli._HANDLERS, "simulate", handler)
+        assert cli.run(["simulate", str(scenario_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert "float range left" in err
+
+    def test_a_simulate_worker_failure_exits_three(self, monkeypatch, capsys,
+                                                   scenario_path):
+        # chunk 1 runs in a worker thread when two CPUs are usable
+        def chunk_rng(seed, chunk):
+            if chunk == 1:
+                raise FloatingPointError("overflow in a worker")
+            return draw(seed, chunk)
+
+        draw = simulate._chunk_rng
+        monkeypatch.setattr(simulate, "_chunk_rng", chunk_rng)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                            lambda _pid: {0, 1})
+        assert cli.run(["simulate", str(scenario_path), "--trials",
+                        str(2 * simulate.CHUNK)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: arithmetic failure: overflow in a worker\n"
 
 
 class TestReplicate:

@@ -2,6 +2,9 @@
 replaces, which is kept here as the reference."""
 
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from tourney import (PowerCost, ProbitUniformCsf, SimConfig, TournamentSpec,
                      TullockCsf, simulate_match, simulate_tournament,
                      solve_tournament)
+from tourney import simulate
 from tourney.simulate import BLOCK, CHUNK, _chunk_rng, _scores_into
 
 SPECS = {
@@ -162,3 +166,117 @@ def test_simulate_match_uses_the_same_scores(name, b_i, b_j):
         y_j = float(_reference_scores(csf, b_j, u[1:2])[0])
         want = int(ref.random() < 0.5) if y_i == y_j else int(y_i > y_j)
         assert simulate_match(csf, b_i, b_j, mode="structural", rng=rng) == want
+
+
+# ----------------------------------------------------------------------
+# Chunks spread over the usable CPUs: the same wins for any CPU count.
+# ----------------------------------------------------------------------
+
+CPU_COUNTS = (1, 2, 3, 8)
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                        lambda _pid: set(range(count)))
+
+
+@pytest.mark.parametrize("trials", EDGE_TRIALS)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", ["direct", "structural"])
+@pytest.mark.parametrize("name", sorted(SOLUTIONS))
+def test_wins_do_not_depend_on_the_cpu_count(monkeypatch, name, mode, variant,
+                                             trials):
+    solution = _variant(name, variant)
+    config = SimConfig(trials=trials, seed=7, mode=mode)
+    want = _reference_wins(solution, config)
+    for cpus in CPU_COUNTS:
+        _use_cpus(monkeypatch, cpus)
+        assert simulate_tournament(solution, config).wins == want, cpus
+
+
+def _tied_slices(solution, config):
+    """(chunk, slice) pairs of the run whose structural scores tie."""
+    tied = set()
+    for chunk, start in enumerate(range(0, config.trials, CHUNK)):
+        n = min(CHUNK, config.trials - start)
+        noise = _chunk_rng(config.seed, chunk).random((n, 6))
+        csf = solution.spec.csf
+        b_final = solution.stage2.base_effort
+        pairs = (solution.matches[0].effective, solution.matches[1].effective,
+                 (b_final, b_final))
+        for k, (b_a, b_b) in enumerate(pairs):
+            ties = (_reference_scores(csf, b_a, noise[:, 2 * k])
+                    == _reference_scores(csf, b_b, noise[:, 2 * k + 1]))
+            tied.update((chunk, row // BLOCK) for row in np.flatnonzero(ties))
+    return tied
+
+
+def test_one_tied_slice_in_a_middle_chunk(monkeypatch):
+    # a noise performance of 2**35 leaves the uniform noise on [-5, 5] a grid
+    # of about 2**18 sums, so equal efforts tie about once per chunk.  At seed
+    # 166 they tie in one row of slice 10 of the middle chunk only; that row's
+    # coin hands the semifinal to slot 0, who wins the final, and the coin
+    # in the same row of the coin block's first slice would not
+    b = 2.0 ** 70
+    solution = _with_efforts(SOLUTIONS["noise"], (b, b))
+    config = SimConfig(trials=2 * CHUNK + 1000, seed=166, mode="structural")
+    assert _tied_slices(solution, config) == {(1, 10)}
+    want = _reference_wins(solution, config)
+    for cpus in CPU_COUNTS:
+        _use_cpus(monkeypatch, cpus)
+        assert simulate_tournament(solution, config).wins == want, cpus
+
+
+def test_more_workers_than_cores_under_fast_thread_switching(monkeypatch):
+    _use_cpus(monkeypatch, 8)
+    config = SimConfig(trials=8 * CHUNK + 1, seed=3, mode="direct")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = simulate_tournament(SOLUTIONS["ratio"], config).wins
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == _reference_wins(SOLUTIONS["ratio"], config)
+
+
+def test_cpu_count_without_an_affinity_interface(monkeypatch):
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    assert simulate._usable_cpus() == 3
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert simulate._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("failing_chunk", [0, 1])
+def test_a_worker_exception_reaches_the_caller_after_every_join(
+        monkeypatch, failing_chunk):
+    _use_cpus(monkeypatch, 2)
+
+    def chunk_rng(seed, chunk):
+        if chunk == failing_chunk:
+            raise RuntimeError(f"chunk {chunk}")
+        return _chunk_rng(seed, chunk)
+
+    monkeypatch.setattr(simulate, "_chunk_rng", chunk_rng)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
+        simulate_tournament(SOLUTIONS["ratio"],
+                            SimConfig(trials=2 * CHUNK + 1000, seed=7))
+    assert threading.active_count() == baseline
+
+
+def test_every_worker_runs_under_the_callers_errstate(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    seen = []
+
+    def direct_wins(*args):
+        seen.append((threading.get_ident(), np.geterr()["divide"]))
+        return direct(*args)
+
+    direct = simulate._direct_wins
+    monkeypatch.setattr(simulate, "_direct_wins", direct_wins)
+    with np.errstate(divide="raise"):
+        simulate_tournament(SOLUTIONS["ratio"],
+                            SimConfig(trials=2 * CHUNK + 1000, seed=7))
+    assert len({thread for thread, _ in seen}) == 2
+    assert [divide for _, divide in seen] == ["raise"] * 3

@@ -136,6 +136,13 @@ class TestMixedSemifinalSolvers:
             assert bh / bd == pytest.approx(a0 / b0, rel=1e-10)
             assert p == pytest.approx(a0 ** r / (a0 ** r + b0 ** r), abs=1e-10)
 
+    @pytest.mark.parametrize("r", [-1.0, 0.0, 5.0])
+    def test_ratio_solver_rejects_decisiveness_outside_the_csf_range(self, r):
+        with pytest.raises(ParameterError,
+                           match=r"decisiveness exponent must be in \(0, 1\]"):
+            solve_stage1_hd_tullock(lambda _p: 17.0, lambda _p: 18.0,
+                                    PowerCost(3.0, 12.0), r)
+
     def test_brent_converges_to_known_roots(self):
         def f(x):
             return x ** 3 - 2.0
