@@ -180,7 +180,7 @@ def simulate_match(csf: Csf, b_i: float, b_j: float, mode: str = "direct",
 
 def _tally(first: np.ndarray, second: np.ndarray,
            final_first: np.ndarray) -> np.ndarray:
-    """Wins per slot from one chunk's match outcomes.
+    """Wins per slot from one slice's match outcomes.
 
     ``first`` is slot 0 beating slot 1, ``second`` slot 2 beating slot 3 and
     ``final_first`` the first semifinal's winner taking the final.
@@ -261,21 +261,29 @@ def _usable_cpus() -> int:
 
 
 def _summed_workers(worker, chunks: int) -> np.ndarray:
-    """Sum of worker(w, count) over the count = min(chunks, usable CPUs)
-    workers w.
+    """Sum of the chunk wins that worker(w, count) yields, over the
+    count = min(chunks, usable CPUs) workers w.
 
     The calling thread is worker 0 and each other worker runs in its own
     thread, under a copy of the caller's context so that numpy's errstate
-    holds there too.  An exception from any worker is raised here once every
-    thread has been joined.
+    holds there too.  Once a worker raises, an interrupt in the caller
+    included, the others stop after their current chunk, and the exception
+    is raised here when every thread has been joined.
     """
     count = min(chunks, _usable_cpus())
     results = [None] * count
+    failed = threading.Event()
 
     def run(w: int) -> None:
         try:
-            results[w] = worker(w, count)
+            wins = np.zeros(4, dtype=np.int64)
+            for chunk_wins in worker(w, count):
+                wins += chunk_wins
+                if failed.is_set():
+                    break
+            results[w] = wins
         except BaseException as exc:  # raised again below, after the joins
+            failed.set()
             results[w] = exc
 
     threads = [threading.Thread(target=contextvars.copy_context().run,
@@ -308,23 +316,22 @@ def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
     chunks = -(-trials // CHUNK)
     block = min(BLOCK, trials)
 
-    def worker(first: int, step: int) -> np.ndarray:
-        """Summed wins of chunks first, first + step, first + 2 step, ..."""
+    def worker(first: int, step: int):
+        """Wins of chunks first, first + step, first + 2 step, ..., one
+        chunk at a time."""
         buf = np.empty((block, 3 if direct else 6))
         rows = np.empty((3, block), dtype=bool)
         if not direct:
             scores = np.empty((2, block))
             ties = np.empty((3, block), dtype=bool)
-        wins = np.zeros(4, dtype=np.int64)
         for chunk_index in range(first, chunks, step):
             rng = _chunk_rng(config.seed, chunk_index)
             n = min(CHUNK, trials - chunk_index * CHUNK)
             if direct:
-                wins += _direct_wins(thresholds, rng, n, buf, rows)
+                yield _direct_wins(thresholds, rng, n, buf, rows)
             else:
-                wins += _structural_wins(solution, rng, n, buf, scores, rows,
-                                         ties)
-        return wins
+                yield _structural_wins(solution, rng, n, buf, scores, rows,
+                                       ties)
 
     wins = _summed_workers(worker, chunks)
 

@@ -2,7 +2,6 @@
 replaces, which is kept here as the reference."""
 
 import dataclasses
-import os
 import sys
 import threading
 
@@ -196,14 +195,14 @@ def test_wins_do_not_depend_on_the_cpu_count(monkeypatch, name, mode, variant,
 
 def _tied_slices(solution, config):
     """(chunk, slice) pairs of the run whose structural scores tie."""
+    csf = solution.spec.csf
+    b_final = solution.stage2.base_effort
+    pairs = (solution.matches[0].effective, solution.matches[1].effective,
+             (b_final, b_final))
     tied = set()
     for chunk, start in enumerate(range(0, config.trials, CHUNK)):
         n = min(CHUNK, config.trials - start)
         noise = _chunk_rng(config.seed, chunk).random((n, 6))
-        csf = solution.spec.csf
-        b_final = solution.stage2.base_effort
-        pairs = (solution.matches[0].effective, solution.matches[1].effective,
-                 (b_final, b_final))
         for k, (b_a, b_b) in enumerate(pairs):
             ties = (_reference_scores(csf, b_a, noise[:, 2 * k])
                     == _reference_scores(csf, b_b, noise[:, 2 * k + 1]))
@@ -263,6 +262,25 @@ def test_a_worker_exception_reaches_the_caller_after_every_join(
         simulate_tournament(SOLUTIONS["ratio"],
                             SimConfig(trials=2 * CHUNK + 1000, seed=7))
     assert threading.active_count() == baseline
+
+
+def test_a_failure_stops_the_other_workers_after_their_chunk(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    started = []
+
+    def chunk_rng(seed, chunk):
+        started.append(chunk)
+        if chunk == 0:
+            raise KeyboardInterrupt
+        return _chunk_rng(seed, chunk)
+
+    monkeypatch.setattr(simulate, "_chunk_rng", chunk_rng)
+    with pytest.raises(KeyboardInterrupt):
+        simulate_tournament(SOLUTIONS["ratio"],
+                            SimConfig(trials=40 * CHUNK, seed=7))
+    # the caller fails on its first chunk; left running, the other worker
+    # would start all 20 of its chunks
+    assert len(started) < 1 + 20
 
 
 def test_every_worker_runs_under_the_callers_errstate(monkeypatch):
