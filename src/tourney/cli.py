@@ -7,8 +7,8 @@ published figures.
 
 Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
-flags), 3 when no equilibrium candidate exists for the parameters or the
-arithmetic leaves the float range.
+flags), 3 when no equilibrium candidate exists for the parameters or on a
+solver or arithmetic failure.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ Direct mode draws an (n, 3) block per chunk.  Structural mode draws an
 (n, 6) noise block and, after it, an (n, 3) block of tie-break coins.  The
 coins are read only on exact score ties, which positive efforts all but
 never produce, so a chunk draws its coin block only if one of its matches
-tied; because each chunk has its own generator, the coins it does draw are
-the ones the full layout would give.
+tied, and only up to the last tied row's slice; because each chunk has its
+own generator, the coins it does draw are the ones the full layout would
+give.
 
 A chunk is consumed in slices of BLOCK rows through one reused draw buffer
 small enough to stay in a core's L2 cache.  Successive fills of the buffer
