@@ -127,7 +127,9 @@ def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
     """Read a scenario JSON file into a spec and a simulation config.
 
     Unknown keys are rejected rather than ignored, so typos fail loudly, and
-    so are the non-standard literals NaN, Infinity and -Infinity.
+    so are the non-standard literals NaN, Infinity and -Infinity.  A file
+    that is not UTF-8, or nests deeper than the parser can recurse, is a
+    ParameterError too.
     """
 
     def non_finite(literal: str):
@@ -138,6 +140,10 @@ def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
             data = json.load(handle, parse_constant=non_finite)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 text ({exc})") from exc
+        except RecursionError as exc:
+            raise ParameterError(f"{path}: JSON nested too deeply") from exc
     return _scenario_from_dict(data, str(path))
 
 

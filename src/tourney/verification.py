@@ -18,9 +18,11 @@ sit four layers:
 
 The oracle's coarse grids are its bulk.  Each is computed in two buffers
 that every problem of a search reuses, by an in-place kernel that gives the
-primitive's payoff bit for bit.  Outlays whose payoff bound max(value, 0) - x
-is below a payoff the grid attains are skipped, since they cannot hold the
-argmax; every reported number is the one the full grid gives.
+primitive's payoff bit for bit; its ratio-CSF tie fix writes one
+prefix-by-suffix slice.  Outlays whose payoff bound max(value, 0) - x is
+below a payoff the grid attains are skipped, since they cannot hold the
+argmax; one vectorised count finds how many are kept, and every reported
+number is the one the full grid gives.
 
 A candidate is accepted only when every layer comes back clean.  The
 existence gate then maps out the smallest prize for which that happens,
@@ -34,7 +36,6 @@ more than the tolerance; the finished search would report that gain too.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -120,7 +121,9 @@ def _payoff(csf, cost, frozen, x, s):
 
 
 def _baseline(csf, cost, t: _Table) -> np.ndarray:
-    return _payoff(csf, cost, t.frozen(slice(None), 0), t.x, t.s)
+    # a huge outlay's cost overflows to inf, a payoff the gain tests read
+    with np.errstate(over="ignore"):
+        return _payoff(csf, cost, t.frozen(slice(None), 0), t.x, t.s)
 
 
 def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict[str, float]:
@@ -231,15 +234,17 @@ def soc_check(solution: SpeSolution, spec: TournamentSpec | None = None,
 # Corner bound and grid oracle.
 # ----------------------------------------------------------------------
 
-def _corner(spec: TournamentSpec, t: _Table) -> dict[str, float]:
+def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, float]:
+    """Every hawk row's corner gain over its baseline (base holds every
+    row's)."""
     # wiping out the rival's entire outlay and entering with token effort
     # wins outright under the ratio CSF and a coin flip under bounded noise
-    hawks = t.take(np.flatnonzero(t.hawk))
+    rows = np.flatnonzero(t.hawk)
     p_corner = 1.0 if isinstance(spec.csf, TullockCsf) else 0.5
     with np.errstate(over="ignore"):
-        bound = p_corner * hawks.value - spec.cost._cost(hawks.x_rival)
-        gain = bound - _baseline(spec.csf, spec.cost, hawks)
-    return dict(zip(hawks.keys, gain.tolist()))
+        bound = p_corner * t.value[rows] - spec.cost._cost(t.x_rival[rows])
+        gain = bound - base[rows]
+    return dict(zip((t.keys[i] for i in rows.tolist()), gain.tolist()))
 
 
 def corner_deviation_gain(player, solution: SpeSolution,
@@ -255,7 +260,7 @@ def corner_deviation_gain(player, solution: SpeSolution,
     spec = solution.spec if spec is None else spec
     t = _table(solution)
     key = t.keys[_find_problem(t, player, stage, pairing)]
-    corner = _corner(spec, t)
+    corner = _corner(spec, t, _baseline(spec.csf, spec.cost, t))
     if key not in corner:
         raise ParameterError(f"{key} is a dove; corner deviations need sabotage")
     return corner[key]
@@ -311,11 +316,12 @@ def _noise_cdf(csf, t: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
-    """_payoff(csf, cost, frozen, x, s) for an outlay column x (K x 1) and a
-    sabotage row s, written into out (K x len(s)) with tmp as scratch, with
-    no temporary of the grid's size.  The ratio CSF runs _win_prob's ufuncs
-    on the same operands in the same order and the noise CSF takes
-    _noise_cdf, so every cell is bit-identical to _payoff's."""
+    """_payoff(csf, cost, frozen, x, s) for an ascending outlay column x
+    (K x 1) and an ascending sabotage row s, written into out (K x len(s))
+    with tmp as scratch, with no temporary of the grid's size.  The ratio
+    CSF runs _win_prob's ufuncs on the same operands in the same order and
+    the noise CSF takes _noise_cdf, so every cell is bit-identical to
+    _payoff's."""
     value, x_rival, s_rival = frozen
     bo = np.maximum(0.0, x - s_rival)
     br = np.maximum(0.0, x_rival - s)
@@ -325,8 +331,12 @@ def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
         np.add(po, pr, out=out)
         with np.errstate(invalid="ignore"):
             np.divide(po, out, out=out)
-        # 0/0 only where both efforts are zero, a tie at one half
-        out[np.ix_(po[:, 0] == 0.0, pr == 0.0)] = 0.5
+        # 0/0 only where both powers are zero, a tie at one half.  With
+        # r > 0 a power rises with its effort, so the zero own powers are a
+        # prefix of the ascending outlays and the zero rival powers a
+        # suffix of the ascending sabotage levels.
+        out[:np.count_nonzero(po == 0.0),
+            pr.size - np.count_nonzero(pr == 0.0):] = 0.5
     else:
         np.subtract(csf._performance(bo), csf._performance(br), out=out)
         _noise_cdf(csf, out, tmp)
@@ -337,8 +347,10 @@ def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
 
 def _kept_rows(top: float, xs: np.ndarray, floor: float) -> int:
     """How many leading outlays of the ascending xs have a payoff bound
-    fl(top - x) that is not below floor (all of them for a NaN floor)."""
-    return bisect.bisect_left(xs, True, key=lambda x: top - x < floor)
+    fl(top - x) that is not below floor (all of them for a NaN floor).
+    fl(top - x) falls as x rises, so those outlays are a prefix and one
+    vectorised count of them gives its length."""
+    return int(np.count_nonzero(~(top - xs < floor)))
 
 
 def _gains(best: float, base: float) -> bool:
@@ -356,12 +368,13 @@ def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
 
     Only outlays that can hold the argmax are evaluated.  The grid row
     nearest each candidate's own outlay goes first, through _payoff: its
-    maximum is a floor the grid attains.  Every payoff has p <= 1 and c(s) >= 0, and rounding
-    is monotone, so a payoff at outlay x is at most fl(max(value, 0) - x).
-    A row whose bound is below the floor lies strictly below the grid
-    maximum and can neither be nor tie the first argmax.  The bound falls
-    as x grows, so those rows are a suffix of the grid, and they are
-    skipped.
+    maximum is a floor the grid attains.  Every payoff has p <= 1 and
+    c(s) >= 0, and rounding is monotone, so a payoff at outlay x is at most
+    fl(max(value, 0) - x).  A row whose bound is below the floor lies
+    strictly below the grid maximum and can neither be nor tie the first
+    argmax.  The bound falls as x grows, so those rows are a suffix of the
+    grid: _kept_rows counts the rest in one vectorised pass, and the suffix
+    is skipped.
     """
     nearest = np.minimum(np.searchsorted(xs, t.x), xs.size - 1)
     floor = _payoff(csf, cost, t.frozen(slice(None), 1), xs[nearest, None],
@@ -394,8 +407,10 @@ def _search_2d(csf, cost, t: _Table, prize: float, n: int, need=None):
     baselines), it returns None as soon as a row's running best _gains."""
     k = len(t.keys)
     at = np.arange(k)
-    xs = np.broadcast_to(np.linspace(0.0, prize, n), (k, n))
+    frozen = t.frozen(at, 2)
+    xs = np.linspace(0.0, prize, n)
     ss = _linspace_rows(np.zeros(k), t.x_rival, n)
+    cell_x, cell_s = xs[1] - xs[0], ss[:, 1] - ss[:, 0]
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
     best_s = np.zeros(k)
@@ -403,17 +418,20 @@ def _search_2d(csf, cost, t: _Table, prize: float, n: int, need=None):
         if step == 0:
             # one problem at a time, so that memory holds one n x n grid
             # (and its scratch) and not k of them
-            coarse = _coarse(csf, cost, t, xs[0], ss, need)
+            coarse = _coarse(csf, cost, t, xs, ss, need)
             if coarse is None:
                 return None
             flat, top = coarse
+            i, j = np.divmod(flat, n)
+            x_at, s_at = xs[i], ss[at, j]
         else:
-            xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _HAWK_REFINE)
-            ss = _around(s_at, ss[:, 1] - ss[:, 0], t.x_rival, _HAWK_REFINE)
-            flat, top = _argmax_rows(_payoff(csf, cost, t.frozen(at, 2),
+            xs = _around(x_at, cell_x, prize, _HAWK_REFINE)
+            ss = _around(s_at, cell_s, t.x_rival, _HAWK_REFINE)
+            cell_x, cell_s = xs[:, 1] - xs[:, 0], ss[:, 1] - ss[:, 0]
+            flat, top = _argmax_rows(_payoff(csf, cost, frozen,
                                              xs[:, :, None], ss[:, None, :]))
-        i, j = np.divmod(flat, ss.shape[1])
-        x_at, s_at = xs[at, i], ss[at, j]
+            i, j = np.divmod(flat, _HAWK_REFINE)
+            x_at, s_at = xs[at, i], ss[at, j]
         better = top > best
         best = np.where(better, top, best)
         best_x = np.where(better, x_at, best_x)
@@ -430,19 +448,23 @@ def _search_1d(csf, cost, t: _Table, prize: float, n: int, need=None):
     running best _gains."""
     k = len(t.keys)
     at = np.arange(k)
-    xs = np.broadcast_to(np.linspace(0.0, prize, 40 * n + 1), (k, 40 * n + 1))
+    frozen = t.frozen(at, 1)
+    xs = np.linspace(0.0, prize, 40 * n + 1)
+    cell = xs[1] - xs[0]
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
     for step in range(3):
         if step == 0:
-            coarse = _coarse(csf, cost, t, xs[0], np.zeros((k, 1)), need)
+            coarse = _coarse(csf, cost, t, xs, np.zeros((k, 1)), need)
             if coarse is None:
                 return None
             i, top = coarse
+            x_at = xs[i]
         else:
-            xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _DOVE_REFINE)
-            i, top = _argmax_rows(_payoff(csf, cost, t.frozen(at, 1), xs, 0.0))
-        x_at = xs[at, i]
+            xs = _around(x_at, cell, prize, _DOVE_REFINE)
+            cell = xs[:, 1] - xs[:, 0]
+            i, top = _argmax_rows(_payoff(csf, cost, frozen, xs, 0.0))
+            x_at = xs[at, i]
         better = top > best
         best = np.where(better, top, best)
         best_x = np.where(better, x_at, best_x)
@@ -452,37 +474,46 @@ def _search_1d(csf, cost, t: _Table, prize: float, n: int, need=None):
 
 
 def _oracle(spec: TournamentSpec, t: _Table, n: int, *,
-            reject_early: bool = False) -> list[OracleResult] | None:
-    """Grid-search every row's deviation space; one result per row.
+            reject_early: bool = False, base: np.ndarray | None = None,
+            ) -> list[OracleResult] | bool | None:
+    """Grid-search every row's deviation space; one OracleResult per row.
+    base holds the rows' baselines, computed here when the caller has none.
 
-    With reject_early, the searches are handed the rows' baselines and the
-    call returns None as soon as one row's running best gains more than
-    GAIN_TOLERANCE, which the finished search would report too.  The dove's
-    line, the cheapest search and the likeliest to find a gain, runs first.
+    With reject_early the call gives only a verdict.  The searches are
+    handed the baselines, and the call returns None as soon as one row's
+    running best gains more than GAIN_TOLERANCE, which the finished search
+    would report too, and True when no row does.  The dove's line, the
+    cheapest search and the likeliest to find a gain, runs first.
     """
-    best = np.empty(len(t.keys))
-    best_x = np.empty(len(t.keys))
-    best_s = np.empty(len(t.keys))
+    if base is None:
+        base = _baseline(spec.csf, spec.cost, t)
     two_d = t.hawk & (t.x_rival > 0.0)
+    found = []
     # a huge outlay's cost overflows to inf, a payoff the gain tests read
     with np.errstate(over="ignore"):
-        base = _baseline(spec.csf, spec.cost, t)
         for rows, search in ((np.flatnonzero(~two_d), _search_1d),
                              (np.flatnonzero(two_d), _search_2d)):
             if rows.size:
-                found = search(spec.csf, spec.cost, t.take(rows), spec.prize, n,
-                               base[rows].tolist() if reject_early else None)
-                if found is None:
+                result = search(spec.csf, spec.cost, t.take(rows), spec.prize, n,
+                                base[rows].tolist() if reject_early else None)
+                if result is None:
                     return None
-                best[rows], best_x[rows], best_s[rows] = found
+                found.append((rows, result))
+    if reject_early:
+        return True
+    best = np.empty(len(t.keys))
+    best_x = np.empty(len(t.keys))
+    best_s = np.empty(len(t.keys))
+    for rows, result in found:
+        best[rows], best_x[rows], best_s[rows] = result
     return [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
         best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
 
 
-def _distinct(t: _Table) -> tuple[_Table, list[int]]:
-    """The table's distinct problems, first occurrence first, and for every
-    row the index of its problem among them: problems with identical data
-    share one search."""
+def _distinct(t: _Table) -> tuple[list[int], list[int]]:
+    """The rows of the table's distinct problems, first occurrence first,
+    and for every row the index of its problem among them: problems with
+    identical data share one search."""
     index: dict[tuple, int] = {}
     unique, of = [], []
     for row, sig in enumerate(zip(t.hawk.tolist(), t.value.tolist(), t.x.tolist(),
@@ -492,13 +523,13 @@ def _distinct(t: _Table) -> tuple[_Table, list[int]]:
             index[sig] = len(unique)
             unique.append(row)
         of.append(index[sig])
-    return t.take(unique), of
+    return unique, of
 
 
-def _oracle_report(spec: TournamentSpec, t: _Table, n: int,
+def _oracle_report(spec: TournamentSpec, t: _Table, n: int, base: np.ndarray,
                    ) -> tuple[dict[str, float], dict[str, tuple[float, float]]]:
     unique, of = _distinct(t)
-    found = _oracle(spec, unique, n)
+    found = _oracle(spec, t.take(unique), n, base=base[unique])
     results = [found[i] for i in of]
     return ({key: r.gain for key, r in zip(t.keys, results)},
             {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)})
@@ -591,8 +622,9 @@ def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
     foc = foc_residuals(solution, spec)
     soc = soc_check(solution, spec)
     t = _table(solution)
-    corner = _corner(spec, t)
-    oracle_gains, oracle_argmax = _oracle_report(spec, t, n)
+    base = _baseline(spec.csf, spec.cost, t)
+    corner = _corner(spec, t, base)
+    oracle_gains, oracle_argmax = _oracle_report(spec, t, n, base)
     notes = (_local_notes(foc, soc, corner)
              + _oracle_notes(oracle_gains, oracle_argmax)
              + _stage_notes(solution))
@@ -631,10 +663,15 @@ def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
         return False
     spec = solution.spec
     t = _table(solution)
-    if (_stage_notes(solution) or _corner_notes(_corner(spec, t))
+    if _stage_notes(solution):
+        return False
+    base = _baseline(spec.csf, spec.cost, t)
+    if (_corner_notes(_corner(spec, t, base))
             or _foc_notes(_foc(spec, t)) or _soc_notes(_soc(spec, t))):
         return False
-    return _oracle(spec, _distinct(t)[0], n, reject_early=True) is not None
+    unique = _distinct(t)[0]
+    return _oracle(spec, t.take(unique), n, reject_early=True,
+                   base=base[unique]) is not None
 
 
 def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:

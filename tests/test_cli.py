@@ -72,6 +72,18 @@ class TestSolve:
         proc = run_cli("solve", str(path))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000 + b"]" * 100000,
+        b"\xff\xfe" + json.dumps(RATIO_SCENARIO).encode("utf-16-le"),
+    ], ids=["deeply-nested", "not-utf-8"])
+    def test_hostile_file_exits_two_with_one_error_line(self, tmp_path, capsys,
+                                                         content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        assert cli.run(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_exits_two(self, tmp_path):
         proc = run_cli("solve", str(tmp_path / "nope.json"))
         assert proc.returncode == 2

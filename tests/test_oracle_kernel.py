@@ -1,6 +1,7 @@
 """The grid oracle's pruned, in-place coarse search against the plain
 full-grid search it replaces, which is kept here as the reference."""
 
+import bisect
 import math
 
 import numpy as np
@@ -173,16 +174,14 @@ def test_pruned_oracle_equals_the_full_grid_search(problem):
 def test_early_rejection_agrees_with_the_finished_search(problem):
     # the gate's oracle stops at the first row whose running best gains;
     # it must reject exactly the tables the finished search rejects, and
-    # report the same results when it does not
+    # pass (True) every other table
     spec, t, n = problem
     with np.errstate(invalid="ignore"):
         full = _oracle(spec, t, n)
     gains = any(not r.gain <= GAIN_TOLERANCE for r in full)
     with np.errstate(invalid="ignore"):
         early = _oracle(spec, t, n, reject_early=True)
-    assert (early is None) == gains
-    if early is not None:
-        assert early == full
+    assert early is (None if gains else True)
 
 
 @pytest.mark.parametrize("points", [50, 128, 400, 5121])
@@ -210,3 +209,48 @@ def test_nan_floor_keeps_every_row():
     xs = np.linspace(0.0, 80.0, 5121)
     for top in (0.0, 30.0, math.nan):
         assert _kept_rows(top, xs, math.nan) == xs.size
+
+
+def _kept_rows_by_bisection(top, xs, floor):
+    """The bisection _kept_rows replaced: the first outlay whose bound
+    fl(top - x) is below floor, found through a key over numpy scalars."""
+    return bisect.bisect_left(xs, True, key=lambda x: top - x < floor)
+
+
+_special = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _kept_rows_cases(draw):
+    points = draw(st.sampled_from([128, 5121]))
+    xs = np.linspace(0.0, draw(st.floats(1e-300, 1e300)), points)
+    scaled = st.floats(-2.0, 2.0).map(lambda u: u * xs[-1])
+    top = draw(st.one_of(_special, scaled))
+    # a floor equal to some outlay's bound is an exact tie
+    floor = draw(st.one_of(_special, scaled, st.integers(0, points - 1).map(
+        lambda i: float(top - xs[i]))))
+    return top, xs, floor
+
+
+@settings(deadline=None, max_examples=300)
+@given(_kept_rows_cases())
+def test_kept_rows_count_equals_the_bisection(case):
+    assert _kept_rows(*case) == _kept_rows_by_bisection(*case)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.3])
+@pytest.mark.parametrize("xs, ss, frozen", [
+    # every row has zero own power, the last column zero rival power
+    (np.linspace(0.0, 80.0, 50), np.linspace(0.0, 6.7, 50), (20.0, 6.7, 90.0)),
+    # the one column has zero rival power, rows up to s_rival zero own power
+    (np.linspace(0.0, 80.0, 50), np.zeros(1), (20.0, 0.0, 10.0)),
+    # both: every cell is a tie
+    (np.linspace(0.0, 80.0, 50), np.zeros(1), (20.0, 0.0, 90.0)),
+    # neither: no zero power anywhere
+    (np.linspace(5.0, 80.0, 50), np.linspace(0.0, 3.0, 50), (20.0, 6.7, 1.9)),
+], ids=["zero-own-rows", "zero-rival-column", "both", "neither"])
+def test_tie_cells_match_the_payoff(r, xs, ss, frozen):
+    csf = TullockCsf(r=r)
+    out = np.empty((xs.size, ss.size))
+    got = _grid_payoff(csf, COST, frozen, xs[:, None], ss, out, np.empty_like(out))
+    np.testing.assert_array_equal(got, _payoff(csf, COST, frozen, xs[:, None], ss))

@@ -1,0 +1,77 @@
+"""One SHA-256 over everything the solver, the audit and the gate report.
+
+Run:  python tools/audit_digest.py
+
+It hashes the repr of, in this order:
+
+* every certify-sweep op of the perfbench pools, seeds 1-3: the op's
+  GateResult, then the SpeSolution and VerificationReport it audits;
+* every solve-sweep op's SpeSolution, seeds 1-3;
+* verify_solution on the five scenario-pipeline scenarios at oracle grids
+  50, 128 and 400.
+
+The package is imported from this checkout's src/ and the pools from its
+perfbench/workloads.py, so running the script in two checkouts and
+comparing the printed digests shows whether a change moved any reported
+number.  Every float's repr round-trips, so equal digests mean equal bits.
+An op that raises is hashed as its exception's type and message.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import tourney  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+GRIDS = (50, 128, 400)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # an op's failure is part of what is hashed
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _results():
+    for seed in SEEDS:
+        certify = workloads.CertifySweep(tourney, seed)
+        for i in range(len(certify)):
+            yield _outcome(certify.op, i)
+    for seed in SEEDS:
+        solve = workloads.SolveSweep(tourney, seed)
+        for i in range(len(solve)):
+            yield _outcome(solve.op, i)
+    dirs = {"bundled": ROOT / "src" / "tourney" / "scenarios",
+            "owned": workloads.SCENARIO_DIR}
+    for name, where, _ in workloads.PIPELINE_SCENARIOS:
+        spec, _ = tourney.parse_scenario(dirs[where] / name)
+        solution = tourney.solve_tournament(spec)
+        for grid in GRIDS:
+            yield _outcome(tourney.verify_solution, solution, spec, grid)
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    count = 0
+    for result in _results():
+        text = repr(result)
+        # a numpy array's repr rounds and elides, which would hide a change
+        if "array(" in text:
+            raise SystemExit(f"result holds an array, its repr is lossy: {text[:200]}")
+        digest.update(text.encode())
+        digest.update(b"\n")
+        count += 1
+    print(f"{digest.hexdigest()}  ({count} results)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
