@@ -128,8 +128,8 @@ def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
 
     Unknown keys are rejected rather than ignored, so typos fail loudly, and
     so are the non-standard literals NaN, Infinity and -Infinity.  A file
-    that is not UTF-8, or nests deeper than the parser can recurse, is a
-    ParameterError too.
+    that is not UTF-8 JSON, holds an integer longer than int() accepts or
+    nests deeper than the parser can recurse is a ParameterError too.
     """
 
     def non_finite(literal: str):
@@ -138,10 +138,12 @@ def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle, parse_constant=non_finite)
-        except json.JSONDecodeError as exc:
+        except ParameterError:
+            raise
+        except ValueError as exc:
+            # malformed JSON, bytes that are not UTF-8, or an integer
+            # literal past Python's digit limit
             raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise ParameterError(f"{path}: not UTF-8 text ({exc})") from exc
         except RecursionError as exc:
             raise ParameterError(f"{path}: JSON nested too deeply") from exc
     return _scenario_from_dict(data, str(path))

@@ -235,8 +235,8 @@ def soc_check(solution: SpeSolution, spec: TournamentSpec | None = None,
 # ----------------------------------------------------------------------
 
 def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, float]:
-    """Every hawk row's corner gain over its baseline (base holds every
-    row's)."""
+    """Every hawk row's corner gain over its baseline; base holds the
+    baselines of all rows."""
     # wiping out the rival's entire outlay and entering with token effort
     # wins outright under the ratio CSF and a coin flip under bounded noise
     rows = np.flatnonzero(t.hawk)

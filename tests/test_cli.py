@@ -75,7 +75,8 @@ class TestSolve:
     @pytest.mark.parametrize("content", [
         b"[" * 100000 + b"]" * 100000,
         b"\xff\xfe" + json.dumps(RATIO_SCENARIO).encode("utf-16-le"),
-    ], ids=["deeply-nested", "not-utf-8"])
+        json.dumps(RATIO_SCENARIO).replace("80.0", "9" * 5000).encode(),
+    ], ids=["deeply-nested", "not-utf-8", "integer-past-the-digit-limit"])
     def test_hostile_file_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                          content):
         path = tmp_path / "hostile.json"
