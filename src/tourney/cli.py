@@ -9,6 +9,13 @@ Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
 flags), 3 when no equilibrium candidate exists for the parameters or on a
 solver or arithmetic failure.
+
+The audit loads on the first `verify`, so `solve` and `simulate` never
+import `tourney.verification`.  Its entry point stays a module attribute,
+`verify_solution`, which a caller may replace; `verify` calls whatever the
+attribute holds when it runs, like every other layer this module calls.
+The Monte Carlo engine loads with the module, because `parse_scenario`
+returns a `SimConfig` for every subcommand.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .primitives import PowerCost, ProbitUniformCsf, TullockCsf
 from .simulate import MODES, SimConfig, simulate_tournament
 from .stage1 import (SolverSettings, SpeSolution, TournamentSpec,
                      solve_tournament)
-from .verification import verify_solution
 
 CSV_HEADER = ("player", "type", "stage1_x", "stage1_s", "stage1_b",
               "stage1_p", "win_prob", "payoff")
@@ -35,6 +41,15 @@ CSV_HEADER = ("player", "type", "stage1_x", "stage1_s", "stage1_b",
 _TOP_KEYS = {"prize", "csf", "cost", "bracket", "solver", "sim"}
 _SOLVER_KEYS = {"tolerance", "oracle_grid"}
 _SIM_KEYS = {"trials", "seed", "mode"}
+
+
+def __getattr__(name):
+    """Load the audit on the first lookup of verify_solution."""
+    if name != "verify_solution":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .verification import verify_solution
+    globals()[name] = verify_solution
+    return verify_solution
 
 
 def _fail(where: str, message: str):
@@ -56,7 +71,10 @@ def _number(obj, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(where, f"{key} is an integer too large for a float")
 
 
 def _integer(obj, key: str, where: str) -> int:
@@ -279,7 +297,9 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     spec, _ = parse_scenario(args.scenario)
     solution = solve_tournament(spec)
-    report = verify_solution(solution)
+    # read off the module, not as a global name: the first verify loads the
+    # audit, and a replaced attribute is the one called
+    report = sys.modules[__name__].verify_solution(solution)
     print(f"first-order residual (max abs): "
           f"{max(abs(v) for v in report.foc_residuals.values()):.3e}")
     print(f"second-order curvature (max): {max(report.soc_values.values()):.6g}")

@@ -65,6 +65,9 @@ CHUNK = 1 << 18
 # 768 KiB, which stays in a core's L2 cache
 BLOCK = 1 << 14
 MODES = ("direct", "structural")
+# the largest trial count a run accepts: at 20-50 ns per trial, minutes of
+# CPU; a larger count would run for hours or never end
+MAX_TRIALS = 10 ** 10
 
 # two-sided 99% normal quantile for the reported confidence bands
 _Z99 = 2.5758293035489004
@@ -83,8 +86,10 @@ class SimConfig:
     mode: str = "direct"
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ParameterError(f"trials must be a positive integer, got {self.trials!r}")
+        if (not isinstance(self.trials, int) or isinstance(self.trials, bool)
+                or not 1 <= self.trials <= MAX_TRIALS):
+            raise ParameterError(f"trials must be an integer from 1 to "
+                                 f"{MAX_TRIALS}, got {self.trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.mode not in MODES:

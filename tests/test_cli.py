@@ -1,5 +1,11 @@
-"""Command line surface: exit codes, file outputs, scenario parsing."""
+"""Command line surface: exit codes, file outputs, scenario parsing.
 
+The contract runs in process through cli.run, with stdout and stderr
+captured; two tests run `python -m tourney` as a process.
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -20,6 +26,18 @@ CSV_HEADER = "player,type,stage1_x,stage1_s,stage1_b,stage1_p,win_prob,payoff"
 
 
 def run_cli(*args):
+    """cli.run(args) in this process, with its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(list(args))
+        except SystemExit as exc:  # argparse exits on a bad flag
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_process(*args):
     return subprocess.run([sys.executable, "-m", "tourney", *args],
                           capture_output=True, text=True, timeout=300)
 
@@ -84,6 +102,21 @@ class TestSolve:
         assert cli.run(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["prize", "divisor"])
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys,
+                                                     key):
+        huge = 10 ** 400
+        bad = (dict(RATIO_SCENARIO, prize=huge) if key == "prize" else
+               dict(RATIO_SCENARIO, cost={"exponent": 3.0, "divisor": huge}))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ParameterError, match=key):
+            parse_scenario(path)
+        assert cli.run(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
 
     def test_missing_file_exits_two(self, tmp_path):
         proc = run_cli("solve", str(tmp_path / "nope.json"))
@@ -254,6 +287,24 @@ class TestSimulate:
         proc = run_cli("simulate", str(scenario_path), "--mode", "exact")
         assert proc.returncode == 2
 
+    def test_rejects_trials_past_the_cap(self, monkeypatch, tmp_path,
+                                         scenario_path):
+        # the config is refused before any solve or draw
+        def refuse(*_args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "solve_tournament", refuse)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(RATIO_SCENARIO,
+                                        sim={"trials": 10 ** 30})))
+        for args in (("simulate", str(path)),
+                     ("simulate", str(scenario_path), "--trials",
+                      str(simulate.MAX_TRIALS + 1))):
+            proc = run_cli(*args)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: trials")
+            assert proc.stderr.count("\n") == 1
+
 
 class TestArithmeticFailures:
     @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError,
@@ -295,6 +346,32 @@ class TestReplicate:
         assert "asserted rows: all match" in proc.stdout
         assert "recorded" in proc.stdout
         assert proc.stdout.count("MISMATCH") == 0
+
+
+class TestProcess:
+    """`python -m tourney` as a process: the entry point, and the exit code
+    and stderr a shell sees."""
+
+    def test_module_entry_point(self, tmp_path, scenario_path):
+        out_json = tmp_path / "solution.json"
+        proc = run_process("solve", str(scenario_path), "--json", str(out_json))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "semifinal" in proc.stdout
+        assert json.loads(out_json.read_text())["matches"][0]["types"] == [
+            "H", "D"]
+
+    def test_no_traceback_at_process_level(self, tmp_path):
+        bad = dict(RATIO_SCENARIO, prize=8e201,
+                   cost={"exponent": 2, "divisor": 1.2e201})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_process("solve", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestScenarioParsing:

@@ -10,7 +10,7 @@ import pytest
 from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SimConfig,
                      TournamentSpec, TullockCsf, simulate_match,
                      simulate_tournament, solve_tournament)
-from tourney.simulate import CHUNK
+from tourney.simulate import CHUNK, MAX_TRIALS
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -181,6 +181,14 @@ class TestConfigValidation:
             SimConfig(trials=0)
         with pytest.raises(ParameterError):
             SimConfig(trials=True)
+
+    def test_caps_trials(self):
+        # configs only: a run of MAX_TRIALS takes minutes
+        assert MAX_TRIALS == 10 ** 10
+        assert SimConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+        for trials in (MAX_TRIALS + 1, 10 ** 30):
+            with pytest.raises(ParameterError, match="trials"):
+                SimConfig(trials=trials)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ParameterError):
