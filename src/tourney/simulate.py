@@ -79,7 +79,8 @@ _RACE_MAX = sys.float_info.max / 2.0 ** 54
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Size, seed and sampling mode of one Monte Carlo run."""
+    """Size, seed and sampling mode of one Monte Carlo run; trials runs from
+    1 to MAX_TRIALS."""
 
     trials: int = 1_000_000
     seed: int = 42
