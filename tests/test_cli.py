@@ -94,7 +94,11 @@ class TestSolve:
         b"[" * 100000 + b"]" * 100000,
         b"\xff\xfe" + json.dumps(RATIO_SCENARIO).encode("utf-16-le"),
         json.dumps(RATIO_SCENARIO).replace("80.0", "9" * 5000).encode(),
-    ], ids=["deeply-nested", "not-utf-8", "integer-past-the-digit-limit"])
+        json.dumps(dict(RATIO_SCENARIO, prize=10 ** 400)).encode(),
+        json.dumps(dict(RATIO_SCENARIO, cost={"exponent": 3.0,
+                                              "divisor": 10 ** 400})).encode(),
+    ], ids=["deeply-nested", "not-utf-8", "integer-past-the-digit-limit",
+            "prize-too-large-for-a-float", "divisor-too-large-for-a-float"])
     def test_hostile_file_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                          content):
         path = tmp_path / "hostile.json"
@@ -102,21 +106,6 @@ class TestSolve:
         assert cli.run(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("key", ["prize", "divisor"])
-    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys,
-                                                     key):
-        huge = 10 ** 400
-        bad = (dict(RATIO_SCENARIO, prize=huge) if key == "prize" else
-               dict(RATIO_SCENARIO, cost={"exponent": 3.0, "divisor": huge}))
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ParameterError, match=key):
-            parse_scenario(path)
-        assert cli.run(["solve", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert key in err
 
     def test_missing_file_exits_two(self, tmp_path):
         proc = run_cli("solve", str(tmp_path / "nope.json"))
