@@ -22,6 +22,18 @@ so the mixed match is solved first and the same-type match after it.
 The solver always reports the interior candidate.  Whether that candidate
 survives global scrutiny (corner deviations, dropout free-riding, local
 curvature) is the verification module's job, not this one's.
+
+A solution is a tree of frozen records: `SpeSolution` holds the spec, the
+final stage's `Stage2Solution` and one `MatchSolution` per semifinal, whose
+strategies are `Effort` records.  They are declared with `stage2._record`,
+whose `__init__` stores the fields without one `object.__setattr__` call
+each, and a solve builds only the records it needs: two identical mixed
+semifinals share one `MatchSolution`, and a same-type pairing's players
+share one `Effort`.  The records are immutable, so sharing one is
+indistinguishable from holding equal copies.  The inputs, `TournamentSpec`
+and `SolverSettings`, are stock frozen dataclasses whose `__post_init__`
+validates them, and each final-pairing check reads the bracket's sorted
+reachable pairings from a table built once at import.
 """
 
 from __future__ import annotations
@@ -32,9 +44,10 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import InteriorityError, ParameterError, SolverError
-from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
-from .stage2 import (Effort, PayoffMenu, Stage2Solution, _cost_value, _sabotage_cost,
-                     _sabotage_level, base_effort, solve_stage2)
+from .primitives import (DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf,
+                         _is_real)
+from .stage2 import (Effort, PayoffMenu, Stage2Solution, _cost_value, _record,
+                     _sabotage_cost, _sabotage_level, base_effort, solve_stage2)
 
 Bracket = tuple[tuple[str, str], tuple[str, str]]
 DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
@@ -49,7 +62,8 @@ class SolverSettings:
     oracle_grid: int = 400
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance)
+                and self.tolerance > 0):
             raise ParameterError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}")
         if type(self.oracle_grid) is not int or self.oracle_grid < 50:
@@ -81,7 +95,7 @@ class TournamentSpec:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        if not (math.isfinite(self.prize) and self.prize > 0):
+        if not (_is_real(self.prize) and math.isfinite(self.prize) and self.prize > 0):
             raise ParameterError(f"prize must be positive and finite, got {self.prize}")
         object.__setattr__(self, "bracket", _normalize_bracket(self.bracket))
 
@@ -90,7 +104,7 @@ class TournamentSpec:
         return self.bracket[0] + self.bracket[1]
 
 
-@dataclass(frozen=True)
+@_record
 class ContinuationValues:
     """What each type is fighting for in a semifinal."""
 
@@ -128,6 +142,11 @@ def continuation_values(menu: PayoffMenu, p_parallel_hawk: float,
 # Mixed semifinals: one bracketed scalar root for p = phi(p).
 # ----------------------------------------------------------------------
 
+# _brent's tolerance terms; 2.0 * eps * |b| multiplies left to right, so
+# the product's first factor is exactly this constant
+_TWO_EPS = 2.0 * sys.float_info.epsilon
+_FLOAT_MIN = sys.float_info.min
+
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Root of f on [lo, hi] by Brent's method (inverse quadratic, secant
     and bisection steps), given endpoint values of opposite sign or zero.
@@ -142,7 +161,7 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + sys.float_info.min
+        tol = _TWO_EPS * abs(b) + _FLOAT_MIN
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             break
@@ -293,7 +312,7 @@ def _payoffs(p_hawk: float, a_val: float, b_val: float, b_hawk: float,
     return p_hawk * a_val - c1 - b_hawk, (1.0 - p_hawk) * b_val - (b_dove + s1)
 
 
-@dataclass(frozen=True)
+@_record
 class MatchSolution:
     """One semifinal: strategies, win odds and value flows, in slot order."""
 
@@ -306,7 +325,7 @@ class MatchSolution:
     hawk_advance_prob: float
 
 
-@dataclass(frozen=True)
+@_record
 class SpeSolution:
     """Interior equilibrium candidate for the full tournament."""
 
@@ -363,9 +382,13 @@ def _title_probs(w) -> tuple[float, float, float, float]:
     return tuple(probs)
 
 
-def _reachable_pairings(bracket: Bracket) -> set[str]:
-    return {t0 + t1 if t0 == t1 else "HD"
-            for t0 in set(bracket[0]) for t1 in set(bracket[1])}
+# the final pairings each of the sixteen normalized brackets can reach,
+# sorted
+_REACHABLE_PAIRINGS: dict[Bracket, tuple[str, ...]] = {
+    (types[:2], types[2:]): tuple(sorted({t0 + t1 if t0 == t1 else "HD"
+                                          for t0 in set(types[:2])
+                                          for t1 in set(types[2:])}))
+    for types in itertools.product((HAWK, DOVE), repeat=4)}
 
 
 _MENU_FLOORS = {
@@ -376,7 +399,7 @@ _MENU_FLOORS = {
 
 
 def _check_reachable_menu(menu: PayoffMenu, bracket: Bracket) -> None:
-    for pairing in sorted(_reachable_pairings(bracket)):
+    for pairing in _REACHABLE_PAIRINGS[bracket]:
         for label, attr in _MENU_FLOORS[pairing]:
             value = getattr(menu, attr)
             if value <= 0:
@@ -396,11 +419,15 @@ def _mixed_matches(spec: TournamentSpec, values, pools) -> tuple[MatchSolution, 
     a_val, b_val = values(p_hawk)
     pay_hawk, pay_dove = _payoffs(p_hawk, a_val, b_val, b_hawk, b_dove, s1,
                                   _cost_value(spec.cost, s1))
-    hawk = (HAWK, Effort(x=b_hawk, s=s1), b_hawk, p_hawk, a_val, pay_hawk)
-    dove = (DOVE, Effort(x=b_dove + s1, s=0.0), b_dove, 1.0 - p_hawk, b_val, pay_dove)
-    return tuple(MatchSolution(*zip(*((hawk, dove) if pool[0] == HAWK else (dove, hawk))),
-                               hawk_advance_prob=p_hawk)
-                 for pool in pools)
+    hawk = (HAWK, Effort(b_hawk, s1), b_hawk, p_hawk, a_val, pay_hawk)
+    dove = (DOVE, Effort(b_dove + s1, 0.0), b_dove, 1.0 - p_hawk, b_val, pay_dove)
+    # pools in the same slot order share one record
+    by_pool = {}
+    for pool in pools:
+        if pool not in by_pool:
+            by_pool[pool] = MatchSolution(
+                *zip(*((hawk, dove) if pool[0] == HAWK else (dove, hawk))), p_hawk)
+    return tuple(by_pool[pool] for pool in pools)
 
 
 def _same_type_match(csf, match_type: str, value: float, s: float,
@@ -408,8 +435,8 @@ def _same_type_match(csf, match_type: str, value: float, s: float,
     """Two players of one type: a 50/50 contest at the base effort for the
     prize value, each hawk paying sabotage s at cost c on top."""
     b = base_effort(csf, value)
-    slot = (match_type, Effort(x=b + s, s=s), b, 0.5, value, 0.5 * value - c - (b + s))
-    return MatchSolution(*zip(slot, slot), hawk_advance_prob=float(match_type == HAWK))
+    slot = (match_type, Effort(b + s, s), b, 0.5, value, 0.5 * value - c - (b + s))
+    return MatchSolution(*zip(slot, slot), float(match_type == HAWK))
 
 
 def solve_tournament(spec: TournamentSpec) -> SpeSolution:

@@ -12,13 +12,24 @@ is a fair coin flip and the whole stage collapses to three closed forms:
 
 Sabotage here depends only on the cost function, never on the prize or
 the success function.
+
+The results are frozen records (`Effort`, `PayoffMenu`, `Stage2Solution`
+here, the semifinal and tournament records in `stage1`, the audit's in
+`verification`), declared with `_record`: a frozen dataclass whose
+`__init__` writes the fields straight into the instance dict instead of
+calling `object.__setattr__` once per field.  A solve builds about a dozen
+of them, so the constructor is a measurable share of its time.  Equality,
+hashing, repr, `dataclasses.replace`, copying and pickling are the stock
+frozen dataclass's.  Validated inputs (the success functions, the cost,
+the spec and the solver settings) keep the stock `__init__`, which runs
+their `__post_init__` checks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -102,7 +113,35 @@ def _sabotage_cost(cost: PowerCost, s: float) -> float:
     return _cost_value(cost, s)
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """dataclass(frozen=True) with a cheaper __init__ of the same signature.
+
+    The generated __init__ takes every field as a parameter, in field order,
+    and stores it in the instance __dict__, which is what the stock frozen
+    __init__ stores through one object.__setattr__ call per field.  Only
+    for records without defaults or __post_init__, so every argument is
+    stored as given."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    if (hasattr(cls, "__post_init__") or {"self", "_d"} & set(names)
+            or any(f.default is not MISSING or f.default_factory is not MISSING
+                   for f in fields(cls))):
+        raise TypeError(f"{cls.__name__} cannot be a record: it has a default, "
+                        f"a __post_init__ or a field named self or _d")
+    source = "\n".join([f"def __init__(self, {', '.join(names)}):",
+                        "    _d = self.__dict__"]
+                       + [f"    _d[{name!r}] = {name}" for name in names])
+    namespace: dict = {}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
+    cls.__init__ = init
+    return cls
+
+
+@_record
 class Effort:
     """One player's strategy: productive effort x and sabotage s."""
 
@@ -110,7 +149,7 @@ class Effort:
     s: float
 
 
-@dataclass(frozen=True)
+@_record
 class PayoffMenu:
     """Expected final payoffs by own type versus rival type.
 
@@ -155,11 +194,15 @@ def _menu(v: float, b: float, s: float, c: float) -> PayoffMenu:
 
 
 def _profile(pairing: str, b: float, s: float) -> tuple[Effort, Effort]:
+    """Both players' strategies; a same-type pairing's two players share
+    one record, as they play the same strategy."""
     if pairing == "DD":
-        return Effort(x=b, s=0.0), Effort(x=b, s=0.0)
+        dove = Effort(b, 0.0)
+        return dove, dove
     if pairing == "HD":
-        return Effort(x=b, s=s), Effort(x=b + s, s=0.0)
-    return Effort(x=b + s, s=s), Effort(x=b + s, s=s)
+        return Effort(b, s), Effort(b + s, 0.0)
+    hawk = Effort(b + s, s)
+    return hawk, hawk
 
 
 def stage2_payoff_menu(csf: Csf, cost: PowerCost, v: float) -> PayoffMenu:
@@ -181,7 +224,7 @@ def stage2_profile(pairing: str, csf: Csf, cost: PowerCost, v: float) -> tuple[E
     return _profile(pairing, base_effort(csf, v), stage2_sabotage(cost))
 
 
-@dataclass(frozen=True)
+@_record
 class Stage2Solution:
     """Closed-form final stage: common effective effort, sabotage, menu."""
 

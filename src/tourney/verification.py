@@ -37,7 +37,7 @@ more than the tolerance; the finished search would report that gain too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,8 +45,9 @@ from .errors import InteriorityError, ParameterError, SolverError
 # effective_effort is unused here, but perfbench's tracer patches it by
 # this module's name
 from .primitives import HAWK, TullockCsf, effective_effort  # noqa: F401
-from .stage1 import (SpeSolution, TournamentSpec, _reachable_pairings,
+from .stage1 import (_REACHABLE_PAIRINGS, SpeSolution, TournamentSpec,
                      solve_tournament)
+from .stage2 import _record
 
 FOC_TOLERANCE = 1e-8
 GAIN_TOLERANCE = 1e-6
@@ -55,7 +56,7 @@ _HAWK_REFINE = 21
 _DOVE_REFINE = 201
 
 
-@dataclass(frozen=True)
+@_record
 class _Table:
     """Every player's unilateral choice problem at the candidate, one row
     each: pick an outlay x and (hawks only) a sabotage level s against the
@@ -90,7 +91,7 @@ def _table(solution: SpeSolution) -> _Table:
             rows.append((f"semifinal{mi}_player{slot}", match.types[slot],
                          match.values[slot], own.x, own.s, rival.x, rival.s))
     profiles = solution.stage2.profiles
-    for pairing in sorted(_reachable_pairings(solution.spec.bracket)):
+    for pairing in _REACHABLE_PAIRINGS[solution.spec.bracket]:
         efforts = profiles[pairing]
         if pairing == "HD":
             roles = ((0, "final_HD_hawk"), (1, "final_HD_dove"))
@@ -266,7 +267,7 @@ def corner_deviation_gain(player, solution: SpeSolution,
     return corner[key]
 
 
-@dataclass(frozen=True)
+@_record
 class OracleResult:
     """Outcome of a brute-force search of one player's deviation space."""
 
@@ -557,7 +558,7 @@ def best_response_oracle(player, solution: SpeSolution,
 # The verdict.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class VerificationReport:
     """Everything measured about one candidate, plus the verdict."""
 
@@ -643,7 +644,7 @@ def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
 # Existence gate.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class GateResult:
     """Admissibility verdict at the requested prize, with a threshold map."""
 

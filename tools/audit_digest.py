@@ -15,6 +15,12 @@ perfbench/workloads.py, so running the script in two checkouts and
 comparing the printed digests shows whether a change moved any reported
 number.  Every float's repr round-trips, so equal digests mean equal bits.
 An op that raises is hashed as its exception's type and message.
+
+Below the total it prints one digest per section (certify-sweep gate and
+audit, solve-sweep solutions, scenario verify reports), each over that
+section's lines alone, so a mismatch shows where it sits.  The total is
+the hash of every section's lines in order, as it was before the sections
+were printed.
 """
 
 from __future__ import annotations
@@ -40,15 +46,21 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _results():
+def _certify_sweep():
     for seed in SEEDS:
         certify = workloads.CertifySweep(tourney, seed)
         for i in range(len(certify)):
             yield _outcome(certify.op, i)
+
+
+def _solve_sweep():
     for seed in SEEDS:
         solve = workloads.SolveSweep(tourney, seed)
         for i in range(len(solve)):
             yield _outcome(solve.op, i)
+
+
+def _scenario_reports():
     dirs = {"bundled": ROOT / "src" / "tourney" / "scenarios",
             "owned": workloads.SCENARIO_DIR}
     for name, where, _ in workloads.PIPELINE_SCENARIOS:
@@ -58,18 +70,31 @@ def _results():
             yield _outcome(tourney.verify_solution, solution, spec, grid)
 
 
+SECTIONS = (("certify-sweep gate and audit", _certify_sweep),
+            ("solve-sweep solutions", _solve_sweep),
+            ("scenario verify reports", _scenario_reports))
+
+
 def main() -> int:
-    digest = hashlib.sha256()
+    total = hashlib.sha256()
+    lines = []
     count = 0
-    for result in _results():
-        text = repr(result)
-        # a numpy array's repr rounds and elides, which would hide a change
-        if "array(" in text:
-            raise SystemExit(f"result holds an array, its repr is lossy: {text[:200]}")
-        digest.update(text.encode())
-        digest.update(b"\n")
-        count += 1
-    print(f"{digest.hexdigest()}  ({count} results)")
+    for title, results in SECTIONS:
+        digest = hashlib.sha256()
+        n = 0
+        for result in results():
+            text = repr(result)
+            # a numpy array's repr rounds and elides, which would hide a change
+            if "array(" in text:
+                raise SystemExit(f"result holds an array, its repr is lossy: {text[:200]}")
+            line = text.encode() + b"\n"
+            total.update(line)
+            digest.update(line)
+            n += 1
+        lines.append(f"  {digest.hexdigest()}  ({n} results) {title}")
+        count += n
+    print(f"{total.hexdigest()}  ({count} results)")
+    print("\n".join(lines))
     return 0
 
 
