@@ -34,10 +34,16 @@ HAWK = "H"
 DOVE = "D"
 
 
-def _is_real(value) -> bool:
-    """Whether a validated parameter is a real number: True is not one,
-    though bool subclasses int."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _finite_real(value) -> bool:
+    """Whether a validated parameter is a finite real number.  A bool is
+    not one, though bool subclasses int, and neither is an int beyond the
+    float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _match_input(value, *inputs):
@@ -74,7 +80,7 @@ class TullockCsf:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (_is_real(self.r) and 0.0 < self.r <= 1.0):
+        if not (_finite_real(self.r) and 0.0 < self.r <= 1.0):
             raise ParameterError(f"decisiveness exponent must be in (0, 1], got {self.r}")
 
     def win_prob(self, b_own, b_rival):
@@ -119,15 +125,14 @@ class ProbitUniformCsf:
     f_exponent: float
 
     def __post_init__(self):
-        if not (_is_real(self.half_width) and math.isfinite(self.half_width)
-                and self.half_width > 0):
+        if not (_finite_real(self.half_width) and self.half_width > 0):
             raise ParameterError(
                 f"noise half width must be positive and finite, got {self.half_width}")
         if not math.isfinite(8.0 * self.half_width * self.half_width):
             raise ParameterError(
                 f"noise half width must keep 8 * half_width**2 finite, "
                 f"got {self.half_width}")
-        if not (_is_real(self.f_exponent) and 0.0 < self.f_exponent < 1.0):
+        if not (_finite_real(self.f_exponent) and 0.0 < self.f_exponent < 1.0):
             raise ParameterError(
                 f"performance exponent must be in (0, 1), got {self.f_exponent}")
 
@@ -216,12 +221,10 @@ class PowerCost:
     divisor: float
 
     def __post_init__(self):
-        if not (_is_real(self.exponent) and math.isfinite(self.exponent)
-                and self.exponent > 1.0):
+        if not (_finite_real(self.exponent) and self.exponent > 1.0):
             raise ParameterError(
                 f"cost exponent must be finite and exceed 1, got {self.exponent}")
-        if not (_is_real(self.divisor) and math.isfinite(self.divisor)
-                and self.divisor > 0.0):
+        if not (_finite_real(self.divisor) and self.divisor > 0.0):
             raise ParameterError(
                 f"cost divisor must be positive and finite, got {self.divisor}")
 

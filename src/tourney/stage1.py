@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .errors import InteriorityError, ParameterError, SolverError
 from .primitives import (DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf,
-                         _is_real)
+                         _finite_real)
 from .stage2 import (Effort, PayoffMenu, Stage2Solution, _cost_value, _record,
                      _sabotage_cost, _sabotage_level, base_effort, solve_stage2)
 
@@ -62,8 +62,7 @@ class SolverSettings:
     oracle_grid: int = 400
 
     def __post_init__(self):
-        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance)
-                and self.tolerance > 0):
+        if not (_finite_real(self.tolerance) and self.tolerance > 0):
             raise ParameterError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}")
         if type(self.oracle_grid) is not int or self.oracle_grid < 50:
@@ -95,7 +94,7 @@ class TournamentSpec:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        if not (_is_real(self.prize) and math.isfinite(self.prize) and self.prize > 0):
+        if not (_finite_real(self.prize) and self.prize > 0):
             raise ParameterError(f"prize must be positive and finite, got {self.prize}")
         object.__setattr__(self, "bracket", _normalize_bracket(self.bracket))
 
@@ -146,6 +145,7 @@ def continuation_values(menu: PayoffMenu, p_parallel_hawk: float,
 # the product's first factor is exactly this constant
 _TWO_EPS = 2.0 * sys.float_info.epsilon
 _FLOAT_MIN = sys.float_info.min
+
 
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Root of f on [lo, hi] by Brent's method (inverse quadratic, secant

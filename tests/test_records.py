@@ -206,8 +206,8 @@ NUMERIC_FIELDS = {
 
 
 @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
-@pytest.mark.parametrize("value", [True, False, "1", None, [1.0]],
-                         ids=["True", "False", "str", "None", "list"])
+@pytest.mark.parametrize("value", [True, False, "1", None, [1.0], 10 ** 400],
+                         ids=["True", "False", "str", "None", "list", "huge_int"])
 def test_numeric_fields_refuse_non_numbers(field, value):
     build, message = NUMERIC_FIELDS[field]
     with pytest.raises(ParameterError, match=message):
