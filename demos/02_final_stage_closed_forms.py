@@ -5,8 +5,8 @@ sabotage priced at unit marginal cost, and the four continuation payoffs
 are strictly ordered for every parameter choice.
 """
 
-from tourney import (PowerCost, ProbitUniformCsf, TullockCsf, base_effort,
-                     solve_stage2, stage2_sabotage)
+from tourney import PowerCost, ProbitUniformCsf, TullockCsf
+from tourney.stage2 import solve_stage2
 
 print("== ratio contest, prize 80, cost s^3/12 ==")
 sol = solve_stage2(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
@@ -34,11 +34,11 @@ for prize in (20.0, 200.0, 2000.0):
     print(f"  prize {prize:>6}: effort {final.base_effort:.6f}"
           f"  sabotage {final.sabotage}")
 print(f"  (the dose is pinned by the cost function alone:"
-      f" {stage2_sabotage(cost)})")
+      f" marginal cost 1 at s = {cost.marginal_inverse(1.0)})")
 
 print()
 print("== effort does respond, and the two families scale differently ==")
 for prize in (20.0, 40.0, 60.0):
-    b_ratio = base_effort(TullockCsf(r=1.0), prize)
-    b_noise = base_effort(csf, prize)
+    b_ratio = solve_stage2(TullockCsf(r=1.0), cost, prize).base_effort
+    b_noise = solve_stage2(csf, cost, prize).base_effort
     print(f"  prize {prize:>5}: ratio {b_ratio:>6.2f}   noisy {b_noise:.4f}")

@@ -16,35 +16,31 @@ and `stage1`.  The audit (`verification`), the Monte Carlo engine
 submodules or through any name they export here, so a caller that only
 solves never compiles them.  A loaded name is stored in the package, and
 later lookups find it there.
+
+The package exports the pipeline and nothing else: the inputs, the solver
+and its result records, the audit and the existence gate with their
+reports, the Monte Carlo engine, the errors and `parse_scenario`.  The
+closed forms and helpers behind them (`stage2.solve_stage2`,
+`primitives.effective_effort`, `cli.solution_to_dict`, ...) stay in their
+modules.
 """
 
 import importlib
 
 from .errors import InteriorityError, ParameterError, SolverError
-from .primitives import (DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf,
-                         TullockCsf, effective_effort, win_prob,
-                         win_prob_partials)
-from .stage2 import (Effort, PayoffMenu, Stage2Solution, base_effort,
-                     solve_stage2, stage2_payoff_menu, stage2_profile,
-                     stage2_sabotage)
-from .stage1 import (ContinuationValues, MatchSolution, SolverSettings,
-                     SpeSolution, TournamentSpec, bracket_win_probs,
-                     continuation_values, solve_stage1_hd_probit,
-                     solve_stage1_hd_tullock, solve_tournament,
-                     stage1_payoffs)
+from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
+from .stage2 import Effort, PayoffMenu, Stage2Solution
+from .stage1 import (MatchSolution, SolverSettings, SpeSolution, TournamentSpec,
+                     solve_tournament)
 
 __version__ = "0.1.0"
 
 # the names each deferred layer exports here
 _DEFERRED = {
     "verification": ("FOC_TOLERANCE", "GAIN_TOLERANCE", "GateResult",
-                     "OracleResult", "VerificationReport",
-                     "best_response_oracle", "corner_deviation_gain",
-                     "existence_gate", "foc_residuals", "soc_check",
-                     "verify_solution"),
-    "simulate": ("MODES", "SimConfig", "SimResult", "simulate_match",
-                 "simulate_tournament"),
-    "cli": ("parse_scenario", "solution_to_dict"),
+                     "VerificationReport", "existence_gate", "verify_solution"),
+    "simulate": ("MODES", "SimConfig", "SimResult", "simulate_tournament"),
+    "cli": ("parse_scenario",),
 }
 _LAYER_OF = {name: layer for layer, names in _DEFERRED.items()
              for name in names}
@@ -65,54 +61,34 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *_DEFERRED, *_LAYER_OF})
 
+
 __all__ = [
     "DOVE",
     "HAWK",
     "MODES",
     "FOC_TOLERANCE",
     "GAIN_TOLERANCE",
-    "ContinuationValues",
     "Csf",
-    "Effort",
-    "GateResult",
-    "InteriorityError",
-    "MatchSolution",
-    "OracleResult",
-    "ParameterError",
-    "PayoffMenu",
-    "PowerCost",
-    "ProbitUniformCsf",
-    "SimConfig",
-    "SimResult",
-    "SolverError",
-    "SolverSettings",
-    "SpeSolution",
-    "Stage2Solution",
-    "TournamentSpec",
     "TullockCsf",
-    "VerificationReport",
-    "base_effort",
-    "best_response_oracle",
-    "bracket_win_probs",
-    "continuation_values",
-    "corner_deviation_gain",
-    "effective_effort",
-    "existence_gate",
-    "foc_residuals",
-    "parse_scenario",
-    "simulate_match",
-    "simulate_tournament",
-    "soc_check",
-    "solution_to_dict",
-    "solve_stage1_hd_probit",
-    "solve_stage1_hd_tullock",
-    "solve_stage2",
+    "ProbitUniformCsf",
+    "PowerCost",
+    "TournamentSpec",
+    "SolverSettings",
+    "SimConfig",
+    "InteriorityError",
+    "ParameterError",
+    "SolverError",
     "solve_tournament",
-    "stage1_payoffs",
-    "stage2_payoff_menu",
-    "stage2_profile",
-    "stage2_sabotage",
+    "SpeSolution",
+    "MatchSolution",
+    "Stage2Solution",
+    "PayoffMenu",
+    "Effort",
     "verify_solution",
-    "win_prob",
-    "win_prob_partials",
+    "VerificationReport",
+    "existence_gate",
+    "GateResult",
+    "simulate_tournament",
+    "SimResult",
+    "parse_scenario",
 ]

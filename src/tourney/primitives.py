@@ -81,7 +81,7 @@ class TullockCsf:
 
     def __post_init__(self):
         if not (_finite_real(self.r) and 0.0 < self.r <= 1.0):
-            raise ParameterError(f"decisiveness exponent must be in (0, 1], got {self.r}")
+            raise ParameterError(f"decisiveness exponent must be in (0, 1], got {self.r!r}")
 
     def win_prob(self, b_own, b_rival):
         bo, br = _checked("effective efforts must be nonnegative", b_own, b_rival)
@@ -127,14 +127,14 @@ class ProbitUniformCsf:
     def __post_init__(self):
         if not (_finite_real(self.half_width) and self.half_width > 0):
             raise ParameterError(
-                f"noise half width must be positive and finite, got {self.half_width}")
+                f"noise half width must be positive and finite, got {self.half_width!r}")
         if not math.isfinite(8.0 * self.half_width * self.half_width):
             raise ParameterError(
                 f"noise half width must keep 8 * half_width**2 finite, "
-                f"got {self.half_width}")
+                f"got {self.half_width!r}")
         if not (_finite_real(self.f_exponent) and 0.0 < self.f_exponent < 1.0):
             raise ParameterError(
-                f"performance exponent must be in (0, 1), got {self.f_exponent}")
+                f"performance exponent must be in (0, 1), got {self.f_exponent!r}")
 
     def performance(self, b):
         (ba,) = _checked("effective efforts must be nonnegative", b)
@@ -223,10 +223,10 @@ class PowerCost:
     def __post_init__(self):
         if not (_finite_real(self.exponent) and self.exponent > 1.0):
             raise ParameterError(
-                f"cost exponent must be finite and exceed 1, got {self.exponent}")
+                f"cost exponent must be finite and exceed 1, got {self.exponent!r}")
         if not (_finite_real(self.divisor) and self.divisor > 0.0):
             raise ParameterError(
-                f"cost divisor must be positive and finite, got {self.divisor}")
+                f"cost divisor must be positive and finite, got {self.divisor!r}")
 
     def cost(self, s):
         (sa,) = _checked("sabotage must be nonnegative", s)
@@ -259,13 +259,3 @@ class PowerCost:
         in.  On a Python float the power is Python's, which raises
         OverflowError where numpy's would return inf."""
         return (self.divisor * y / self.exponent) ** (1.0 / (self.exponent - 1.0))
-
-
-def win_prob(csf: Csf, b_own, b_rival):
-    """Win probability of the player exerting b_own against b_rival."""
-    return csf.win_prob(b_own, b_rival)
-
-
-def win_prob_partials(csf: Csf, b_own, b_rival):
-    """Signed partials (d own, d rival) of the own win probability."""
-    return csf.win_prob_partials(b_own, b_rival)

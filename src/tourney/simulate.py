@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .primitives import DOVE, HAWK, Csf, TullockCsf, win_prob
+from .primitives import DOVE, HAWK, Csf, TullockCsf
 from .stage1 import SpeSolution
 
 CHUNK = 1 << 18
@@ -158,31 +158,6 @@ def _check_structural(csf: Csf) -> None:
         raise ParameterError(
             "structural mode requires unit decisiveness under the ratio CSF; "
             f"got r={csf.r}")
-
-
-def simulate_match(csf: Csf, b_i: float, b_j: float, mode: str = "direct",
-                   rng: np.random.Generator | None = None) -> int:
-    """Play one match at effective efforts (b_i, b_j); 1 if player i wins.
-
-    Direct mode draws a single uniform against the analytic win probability.
-    Structural mode draws the CSF's own randomness and compares scores,
-    settling exact ties with a fair coin.
-    """
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if rng is None:
-        raise ParameterError("an explicit numpy Generator is required")
-    if mode == "direct":
-        return int(rng.random() < win_prob(csf, b_i, b_j))
-    _check_structural(csf)
-    b_i, b_j = _race_efforts(csf, b_i, b_j)
-    u = rng.random(2)
-    y = np.empty(2)
-    _scores_into(csf, b_i, u[:1], y[:1])
-    _scores_into(csf, b_j, u[1:], y[1:])
-    if y[0] == y[1]:
-        return int(rng.random() < 0.5)
-    return int(y[0] > y[1])
 
 
 def _tally(first: np.ndarray, second: np.ndarray,

@@ -95,7 +95,7 @@ class TournamentSpec:
 
     def __post_init__(self):
         if not (_finite_real(self.prize) and self.prize > 0):
-            raise ParameterError(f"prize must be positive and finite, got {self.prize}")
+            raise ParameterError(f"prize must be positive and finite, got {self.prize!r}")
         object.__setattr__(self, "bracket", _normalize_bracket(self.bracket))
 
     @property
@@ -103,38 +103,20 @@ class TournamentSpec:
         return self.bracket[0] + self.bracket[1]
 
 
-@_record
-class ContinuationValues:
-    """What each type is fighting for in a semifinal."""
-
-    hawk_value: float
-    dove_value: float
-
-
-def continuation_values(menu: PayoffMenu, p_parallel_hawk: float,
-                        opponent_pool: tuple[str, str]) -> ContinuationValues:
-    """Expected final-stage payoff by own type, mixing over the parallel
-    semifinal's winner type.
-
-    opponent_pool is the pair of types contesting the parallel match; the
-    mixing weight is forced to 0 or 1 when that pool is single-typed.
-    """
-    if not 0.0 <= p_parallel_hawk <= 1.0:
-        raise ParameterError(
-            f"parallel hawk probability must be in [0, 1], got {p_parallel_hawk}")
-    pool = tuple(opponent_pool)
-    if pool == (HAWK, HAWK):
+def _continuation_values(menu: PayoffMenu, p_parallel_hawk: float,
+                         opponent_pool: tuple[str, str]) -> tuple[float, float]:
+    """Expected final-stage payoff (hawk, dove) by own type, mixing over the
+    parallel semifinal's winner type.  opponent_pool is the pair of types
+    contesting the parallel match; the mixing weight is 1 or 0 when that
+    pool is single-typed and p_parallel_hawk when it is mixed."""
+    if opponent_pool == (HAWK, HAWK):
         q = 1.0
-    elif pool == (DOVE, DOVE):
+    elif opponent_pool == (DOVE, DOVE):
         q = 0.0
-    elif set(pool) == {HAWK, DOVE}:
-        q = p_parallel_hawk
     else:
-        raise ParameterError(f"invalid opponent pool {opponent_pool!r}")
-    return ContinuationValues(
-        hawk_value=q * menu.hawk_vs_hawk + (1.0 - q) * menu.hawk_vs_dove,
-        dove_value=q * menu.dove_vs_hawk + (1.0 - q) * menu.dove_vs_dove,
-    )
+        q = p_parallel_hawk
+    return (q * menu.hawk_vs_hawk + (1.0 - q) * menu.hawk_vs_dove,
+            q * menu.dove_vs_hawk + (1.0 - q) * menu.dove_vs_dove)
 
 
 # ----------------------------------------------------------------------
@@ -263,52 +245,26 @@ def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
     if not (bh > 0.0 and bd > 0.0):
         raise SolverError(
             f"semifinal effort left the float range: hawk {bh:.3g}, dove {bd:.3g}")
+    try:
+        slope_h, slope_d = bh ** (beta - 1.0), bd ** (beta - 1.0)
+    except OverflowError:
+        # beta - 1 < 0, so the smaller effort's power overflows first
+        who, b = ("hawk", bh) if bh <= bd else ("dove", bd)
+        raise SolverError(
+            f"semifinal {who} effort {b:.3g} left the float range: its "
+            f"marginal performance b**(beta-1) overflows at beta={beta:g}") from None
     dens = csf._density_float(gap)
-    _certify(max(abs(dens * beta * bh ** (beta - 1.0) * a_val - 1.0),
-                 abs(dens * beta * bd ** (beta - 1.0) * b_val - 1.0)), settings)
+    _certify(max(abs(dens * beta * slope_h * a_val - 1.0),
+                 abs(dens * beta * slope_d * b_val - 1.0)), settings)
     return bh, bd, p, _sabotage_level(cost, a_val / b_val)
-
-
-def solve_stage1_hd_tullock(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
-                            r: float, settings: SolverSettings = SolverSettings(),
-                            ) -> tuple[float, float, float, float]:
-    """Solve the mixed semifinal under the ratio CSF.
-
-    hawk_value_of_p / dove_value_of_p map the hawk's own win probability to
-    the continuation values (constant closures for asymmetric seedings).
-    Returns (hawk effective effort, dove effective effort, hawk win prob,
-    sabotage).  Raises ParameterError when r lies outside TullockCsf's (0, 1].
-    """
-    TullockCsf(r)  # TullockCsf's own check and message for r
-    return _ratio_root(lambda p: (hawk_value_of_p(p), dove_value_of_p(p)),
-                       cost, r, settings)
-
-
-def solve_stage1_hd_probit(hawk_value_of_p, dove_value_of_p, cost: PowerCost,
-                           csf: ProbitUniformCsf,
-                           settings: SolverSettings = SolverSettings(),
-                           ) -> tuple[float, float, float, float]:
-    """Solve the mixed semifinal under the noise CSF; same contract as the
-    ratio solver.  Raises SolverError when an effort underflows to zero."""
-    return _noise_root(lambda p: (hawk_value_of_p(p), dove_value_of_p(p)),
-                       cost, csf, settings)
-
-
-def stage1_payoffs(p_hawk: float, values: ContinuationValues, b_hawk: float,
-                   b_dove: float, s1: float, cost: PowerCost) -> tuple[float, float]:
-    """Expected semifinal payoffs (hawk, dove) at an interior candidate.
-
-    The hawk's outlay is its effective effort (nobody sabotages a hawk in a
-    mixed match) plus the sabotage bill; the dove pays its padded productive
-    effort b_dove + s1 outright.
-    """
-    return _payoffs(p_hawk, values.hawk_value, values.dove_value, b_hawk, b_dove,
-                    s1, cost.cost(s1))
 
 
 def _payoffs(p_hawk: float, a_val: float, b_val: float, b_hawk: float,
              b_dove: float, s1: float, c1: float) -> tuple[float, float]:
-    """stage1_payoffs' arithmetic, given the sabotage bill c1 = c(s1)."""
+    """Expected semifinal payoffs (hawk, dove) at an interior candidate.
+    The hawk's outlay is its effective effort (nobody sabotages a hawk in a
+    mixed match) plus the sabotage bill c1 = c(s1); the dove pays its
+    padded productive effort b_dove + s1 outright."""
     return p_hawk * a_val - c1 - b_hawk, (1.0 - p_hawk) * b_val - (b_dove + s1)
 
 
@@ -354,25 +310,11 @@ class SpeSolution:
         return acc
 
 
-def bracket_win_probs(semifinal_win_probs, bracket) -> tuple[float, float, float, float]:
-    """Tournament win probability per player, enumerating the bracket tree.
-
-    Every final pairing is a 50/50 contest at the common effective effort,
-    so each final branch splits its reach probability evenly.
-    """
-    _normalize_bracket(bracket)
-    w = [float(x) for x in semifinal_win_probs]
-    if len(w) != 4:
-        raise ParameterError("need one semifinal win probability per player")
-    for pair in ((0, 1), (2, 3)):
-        total = w[pair[0]] + w[pair[1]]
-        if abs(total - 1.0) > 1e-9:
-            raise ParameterError(
-                f"semifinal win probabilities of players {pair} sum to {total}, not 1")
-    return _title_probs(w)
-
-
 def _title_probs(w) -> tuple[float, float, float, float]:
+    """Tournament win probability per player from the four semifinal win
+    probabilities, enumerating the bracket tree.  Every final pairing is a
+    50/50 contest at the common effective effort, so each final branch
+    splits its reach probability evenly."""
     probs = [0.0, 0.0, 0.0, 0.0]
     for i in (0, 1):
         for j in (2, 3):
@@ -456,7 +398,7 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
     if all(mixed):
         # identical mixed semifinals: symmetry ties the parallel hawk
         # probability to the own win probability, one scalar fixed point;
-        # the values are continuation_values' arithmetic at q = p
+        # the values are _continuation_values' arithmetic at q = p
         hh, hd = menu.hawk_vs_hawk, menu.hawk_vs_dove
         dh, dd = menu.dove_vs_hawk, menu.dove_vs_dove
         matches = _mixed_matches(
@@ -468,21 +410,18 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
         solved = {}
         advance = 0.0
         for i in (first, 1 - first):
-            cv = continuation_values(menu, advance, pools[1 - i])
+            ab = _continuation_values(menu, advance, pools[1 - i])
             if mixed[i]:
-                ab = (cv.hawk_value, cv.dove_value)
                 solved[i] = _mixed_matches(spec, lambda _p: ab, pools[i:i + 1])[0]
             elif pools[i][0] == HAWK:
                 s = stage2.sabotage
-                solved[i] = _same_type_match(spec.csf, HAWK, cv.hawk_value, s,
+                solved[i] = _same_type_match(spec.csf, HAWK, ab[0], s,
                                              _sabotage_cost(spec.cost, s))
             else:
-                solved[i] = _same_type_match(spec.csf, DOVE, cv.dove_value, 0.0, 0.0)
+                solved[i] = _same_type_match(spec.csf, DOVE, ab[1], 0.0, 0.0)
             advance = solved[i].hawk_advance_prob
         matches = (solved[0], solved[1])
 
-    # bracket_win_probs' arithmetic; the spec's bracket is already
-    # normalized and each match's win probabilities sum to one
     return SpeSolution(spec=spec, stage2=stage2, matches=matches,
                        win_probs=_title_probs(matches[0].win_probs
                                               + matches[1].win_probs))

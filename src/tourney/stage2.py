@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .primitives import DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf
+from .primitives import Csf, PowerCost, ProbitUniformCsf, TullockCsf
 
 PAIRINGS = ("DD", "HD", "HH")
 
@@ -164,19 +164,6 @@ class PayoffMenu:
     dove_vs_hawk: float
     hawk_vs_hawk: float
 
-    def value(self, own: str, rival: str) -> float:
-        key = {
-            (DOVE, DOVE): self.dove_vs_dove,
-            (HAWK, DOVE): self.hawk_vs_dove,
-            (DOVE, HAWK): self.dove_vs_hawk,
-            (HAWK, HAWK): self.hawk_vs_hawk,
-        }
-        try:
-            return key[(own, rival)]
-        except KeyError:
-            raise ParameterError(
-                f"unknown type pairing ({own!r}, {rival!r})") from None
-
     @property
     def ordered(self) -> bool:
         return (self.dove_vs_dove > self.hawk_vs_dove
@@ -194,8 +181,11 @@ def _menu(v: float, b: float, s: float, c: float) -> PayoffMenu:
 
 
 def _profile(pairing: str, b: float, s: float) -> tuple[Effort, Effort]:
-    """Both players' strategies; a same-type pairing's two players share
-    one record, as they play the same strategy."""
+    """Both players' strategies in one final pairing, hawk listed first in
+    HD.  Doves pad their productive effort by the sabotage they absorb, and
+    hawks facing hawks do the same, so every effective effort lands on the
+    common base.  A same-type pairing's two players share one record, as
+    they play the same strategy."""
     if pairing == "DD":
         dove = Effort(b, 0.0)
         return dove, dove
@@ -203,25 +193,6 @@ def _profile(pairing: str, b: float, s: float) -> tuple[Effort, Effort]:
         return Effort(b, s), Effort(b + s, 0.0)
     hawk = Effort(b + s, s)
     return hawk, hawk
-
-
-def stage2_payoff_menu(csf: Csf, cost: PowerCost, v: float) -> PayoffMenu:
-    """Expected final-stage payoffs for each own-type / rival-type pairing."""
-    b = base_effort(csf, v)
-    s = stage2_sabotage(cost)
-    return _menu(v, b, s, _sabotage_cost(cost, s))
-
-
-def stage2_profile(pairing: str, csf: Csf, cost: PowerCost, v: float) -> tuple[Effort, Effort]:
-    """Equilibrium strategies for one final pairing, hawk listed first in HD.
-
-    Doves pad their productive effort by the sabotage they absorb; hawks
-    facing hawks do the same.  Effective efforts always land on the common
-    base, so the contest stays even.
-    """
-    if pairing not in PAIRINGS:
-        raise ParameterError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    return _profile(pairing, base_effort(csf, v), stage2_sabotage(cost))
 
 
 @_record

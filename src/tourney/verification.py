@@ -148,30 +148,19 @@ def _grid_size(spec: TournamentSpec, grid) -> int:
     return n
 
 
-def _find_problem(t: _Table, player, stage, pairing) -> int:
-    if stage == 1:
-        if player not in (0, 1, 2, 3):
-            raise ParameterError(f"player must be a bracket slot 0..3, got {player!r}")
-        key = f"semifinal{player // 2}_player{player % 2}"
-    elif stage == 2:
-        if pairing not in ("DD", "HD", "HH"):
-            raise ParameterError(f"pairing must be DD, HD or HH, got {pairing!r}")
-        if pairing == "HD":
-            key = "final_HD_hawk" if player in (None, 0) else "final_HD_dove"
-        else:
-            key = f"final_{pairing}"
-    else:
-        raise ParameterError(f"stage must be 1 or 2, got {stage!r}")
-    if key not in t.keys:
-        raise ParameterError(f"no such choice problem in this solution: {key}")
-    return t.keys.index(key)
-
-
 # ----------------------------------------------------------------------
 # First and second order conditions.
 # ----------------------------------------------------------------------
 
-def _foc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
+def foc_residuals(spec: TournamentSpec, t: _Table) -> dict[str, float]:
+    """Analytic stationarity residuals for every choice variable of the
+    table.
+
+    Each productive entry is d(win prob)/d(own effort) * value - 1, each
+    sabotage entry is the marginal win-probability gain from weakening the
+    rival minus the marginal sabotage cost.  All vanish at an interior
+    candidate.
+    """
     h = t.hawk
     # a zero effective effort has no finite partial: its residual comes out
     # inf or NaN, which the first-order test rejects
@@ -183,20 +172,14 @@ def _foc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     return _per_coordinate(t, effort, sabotage)
 
 
-def foc_residuals(solution: SpeSolution, spec: TournamentSpec | None = None,
-                  ) -> dict[str, float]:
-    """Analytic stationarity residuals for every choice variable.
+def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
+    """Finite-difference own-second-partials of every payoff of the table
+    at the candidate.
 
-    Each productive entry is d(win prob)/d(own effort) * value - 1, each
-    sabotage entry is the marginal win-probability gain from weakening the
-    rival minus the marginal sabotage cost.  All vanish at an interior
-    candidate.
+    Negative values mean the stationary point is a local maximum along that
+    coordinate.  The step is absolute-floored so that curvature is measured
+    at a scale deviations actually live on, not lost to round-off.
     """
-    spec = solution.spec if spec is None else spec
-    return _foc(spec, _table(solution))
-
-
-def _soc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     # one three-point stencil per coordinate: productive effort for every
     # row, then sabotage for the hawk rows, all evaluated in one call
     hawks = np.flatnonzero(t.hawk)
@@ -219,18 +202,6 @@ def _soc(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     return _per_coordinate(t, curvature[on_x], curvature[~on_x])
 
 
-def soc_check(solution: SpeSolution, spec: TournamentSpec | None = None,
-              ) -> dict[str, float]:
-    """Finite-difference own-second-partials of every payoff at the candidate.
-
-    Negative values mean the stationary point is a local maximum along that
-    coordinate.  The step is absolute-floored so that curvature is measured
-    at a scale deviations actually live on, not lost to round-off.
-    """
-    spec = solution.spec if spec is None else spec
-    return _soc(spec, _table(solution))
-
-
 # ----------------------------------------------------------------------
 # Corner bound and grid oracle.
 # ----------------------------------------------------------------------
@@ -246,25 +217,6 @@ def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, floa
         bound = p_corner * t.value[rows] - spec.cost._cost(t.x_rival[rows])
         gain = bound - base[rows]
     return dict(zip((t.keys[i] for i in rows.tolist()), gain.tolist()))
-
-
-def corner_deviation_gain(player, solution: SpeSolution,
-                          spec: TournamentSpec | None = None, *,
-                          stage: int = 1, pairing: str | None = None) -> float:
-    """Payoff gain from the most violent feasible deviation a hawk has:
-    sabotage the rival down to zero and win on a token positive effort.
-
-    Positive gain disqualifies the candidate.  Only hawks can play this
-    card, so `player` must point at one (stage 1: bracket slot; stage 2:
-    hawk role of `pairing`).
-    """
-    spec = solution.spec if spec is None else spec
-    t = _table(solution)
-    key = t.keys[_find_problem(t, player, stage, pairing)]
-    corner = _corner(spec, t, _baseline(spec.csf, spec.cost, t))
-    if key not in corner:
-        raise ParameterError(f"{key} is a dove; corner deviations need sabotage")
-    return corner[key]
 
 
 @_record
@@ -536,24 +488,6 @@ def _oracle_report(spec: TournamentSpec, t: _Table, n: int, base: np.ndarray,
             {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)})
 
 
-def best_response_oracle(player, solution: SpeSolution,
-                         spec: TournamentSpec | None = None,
-                         grid: int | None = None, *, stage: int = 1,
-                         pairing: str | None = None) -> OracleResult:
-    """Grid-search one player's whole deviation space against the candidate.
-
-    Hawks search productive effort crossed with sabotage up to the rival's
-    full outlay; doves search productive effort alone.  Both the dropout
-    point and the full-sabotage kink sit exactly on the coarse grid, and
-    the search refines twice around the incumbent best cell.  A gain
-    meaningfully above zero disqualifies the candidate.
-    """
-    spec = solution.spec if spec is None else spec
-    n = _grid_size(spec, grid)
-    t = _table(solution)
-    return _oracle(spec, t.take([_find_problem(t, player, stage, pairing)]), n)[0]
-
-
 # ----------------------------------------------------------------------
 # The verdict.
 # ----------------------------------------------------------------------
@@ -608,8 +542,8 @@ def _stage_notes(solution: SpeSolution) -> list[str]:
     return notes
 
 
-def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
-                    grid: int | None = None) -> VerificationReport:
+def verify_solution(solution: SpeSolution, *, grid: int | None = None,
+                    ) -> VerificationReport:
     """Run every acceptance layer against a candidate and report honestly.
 
     The verdict is interior_ok only when first-order residuals are zero to
@@ -617,12 +551,13 @@ def verify_solution(solution: SpeSolution, spec: TournamentSpec | None = None,
     corner deviation pays, the grid oracle finds no profitable move for
     anyone, semifinal payoffs are nonnegative and the final-stage menu is
     strictly ordered.  Notes name each failure, first failure first.
+    grid, when given, replaces the spec's oracle_grid.
     """
-    spec = solution.spec if spec is None else spec
+    spec = solution.spec
     n = _grid_size(spec, grid)
-    foc = foc_residuals(solution, spec)
-    soc = soc_check(solution, spec)
     t = _table(solution)
+    foc = foc_residuals(spec, t)
+    soc = soc_check(spec, t)
     base = _baseline(spec.csf, spec.cost, t)
     corner = _corner(spec, t, base)
     oracle_gains, oracle_argmax = _oracle_report(spec, t, n, base)
@@ -668,7 +603,8 @@ def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
         return False
     base = _baseline(spec.csf, spec.cost, t)
     if (_corner_notes(_corner(spec, t, base))
-            or _foc_notes(_foc(spec, t)) or _soc_notes(_soc(spec, t))):
+            or _foc_notes(foc_residuals(spec, t))
+            or _soc_notes(soc_check(spec, t))):
         return False
     unique = _distinct(t)[0]
     return _oracle(spec, t.take(unique), n, reject_early=True,

@@ -17,10 +17,11 @@ import pytest
 
 from tourney import (InteriorityError, PowerCost, ProbitUniformCsf,
                      SimConfig, SolverError, SolverSettings, TournamentSpec,
-                     TullockCsf, continuation_values, existence_gate,
-                     simulate_tournament, soc_check, solve_stage2,
-                     solve_tournament, stage2_payoff_menu, stage2_sabotage,
-                     verify_solution)
+                     TullockCsf, existence_gate, simulate_tournament,
+                     solve_tournament, verify_solution)
+from tourney.stage1 import _continuation_values
+from tourney.stage2 import solve_stage2, stage2_sabotage
+from tourney.verification import _table, soc_check
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -65,14 +66,13 @@ def test_ratio_scenario_replication():
 
     menu = sol.stage2.menu
     for p in (0.0, 0.25, 0.466, 0.5, 0.75, 1.0):
-        values = continuation_values(menu, p, ("H", "D"))
-        assert values.hawk_value == pytest.approx(58.0 / 3.0 - 2.0 * p,
-                                                  abs=1e-12)
-        assert values.dove_value == pytest.approx(20.0 - 2.0 * p, abs=1e-12)
+        hawk, dove = _continuation_values(menu, p, ("H", "D"))
+        assert hawk == pytest.approx(58.0 / 3.0 - 2.0 * p, abs=1e-12)
+        assert dove == pytest.approx(20.0 - 2.0 * p, abs=1e-12)
 
     def phi(p):
-        values = continuation_values(menu, p, ("H", "D"))
-        return values.hawk_value / (values.hawk_value + values.dove_value)
+        hawk, dove = _continuation_values(menu, p, ("H", "D"))
+        return hawk / (hawk + dove)
 
     p_star = sol.matches[0].hawk_advance_prob
     assert abs(phi(p_star) - p_star) <= 1e-10
@@ -181,7 +181,7 @@ def test_payoff_menu_ordering():
         assert 0.0 < cost.cost(s2) < s2
         for csf in csfs:
             for prize in (25.0, 400.0):
-                menu = stage2_payoff_menu(csf, cost, prize)
+                menu = solve_stage2(csf, cost, prize).menu
                 assert menu.ordered
 
 
@@ -207,14 +207,12 @@ def test_no_profitable_deviation_at_accepted_equilibria():
 
     # dropout payoff at the recorded semifinal figures: full sabotage against
     # the rival dove's gross effort buys a win worth A but costs far more
-    menu = stage2_payoff_menu(RATIO_SPEC.csf, RATIO_SPEC.cost, RATIO_SPEC.prize)
+    menu = solve_stage2(RATIO_SPEC.csf, RATIO_SPEC.cost, RATIO_SPEC.prize).menu
     recorded_p = 0.466
-    values = continuation_values(menu, recorded_p, ("H", "D"))
-    dove_effective = recorded_p * (1.0 - recorded_p) * values.dove_value
-    sabotage = RATIO_SPEC.cost.marginal_inverse(values.hawk_value
-                                                / values.dove_value)
-    corner_payoff = values.hawk_value - RATIO_SPEC.cost.cost(dove_effective
-                                                             + sabotage)
+    hawk_value, dove_value = _continuation_values(menu, recorded_p, ("H", "D"))
+    dove_effective = recorded_p * (1.0 - recorded_p) * dove_value
+    sabotage = RATIO_SPEC.cost.marginal_inverse(hawk_value / dove_value)
+    corner_payoff = hawk_value - RATIO_SPEC.cost.cost(dove_effective + sabotage)
     assert corner_payoff == pytest.approx(-6.8, abs=0.1)
 
 
@@ -271,7 +269,7 @@ def _final_sabotage_curvature(spec):
     curvature = cost.curvature(stage2_sabotage(cost))
     shortcut = 4.0 / (r * v) - curvature
     quoted = 1.0 / (4.0 * r * v) - curvature
-    measured = soc_check(solve_tournament(spec))["final_HH_sabotage"]
+    measured = soc_check(spec, _table(solve_tournament(spec)))["final_HH_sabotage"]
     return shortcut, quoted, measured
 
 

@@ -164,6 +164,23 @@ class TestSolve:
         assert len(proc.stderr.splitlines()) == 1
         assert "float range" in proc.stderr
 
+    def test_overflowing_noise_marginal_exits_three_naming_the_effort(self, tmp_path):
+        # the hawk's semifinal effort is subnormal, so b**(beta - 1) overflows
+        bad = {"prize": 1.17899697664905e-289,
+               "csf": {"type": "probit_uniform", "half_width": 9.874721158009316e+17,
+                       "f_exponent": 0.04213301543363942},
+               "cost": {"exponent": 1.0176127334995588,
+                        "divisor": 3.3636355226570527e-270},
+               "bracket": [["D", "H"], ["H", "H"]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "semifinal hawk effort" in proc.stderr
+        assert "overflows" in proc.stderr
+
     def test_unknown_csf_type_exits_two(self, tmp_path):
         bad = dict(RATIO_SCENARIO, csf={"type": "logit"})
         path = tmp_path / "bad.json"

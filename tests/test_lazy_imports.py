@@ -1,7 +1,11 @@
-"""Which modules a caller loads: the audit, the Monte Carlo engine and the
-CLI load only when used.  Each test runs a fresh interpreter, because this
-one has imported every layer already."""
+"""Which modules a caller loads and which names the package exports: the
+audit, the Monte Carlo engine and the CLI load only when used.  Each
+import-set test runs a fresh interpreter, because this one has imported
+every layer already."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +14,19 @@ from pathlib import Path
 import tourney
 
 EXAMPLE = str(Path(tourney.__file__).parent / "scenarios" / "example1.json")
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# the pipeline: inputs, solver, audit, gate, simulation, reports, errors
+PUBLIC = (
+    "DOVE", "HAWK", "MODES", "FOC_TOLERANCE", "GAIN_TOLERANCE",
+    "Csf", "TullockCsf", "ProbitUniformCsf", "PowerCost",
+    "TournamentSpec", "SolverSettings", "SimConfig",
+    "InteriorityError", "ParameterError", "SolverError",
+    "solve_tournament", "SpeSolution", "MatchSolution", "Stage2Solution",
+    "PayoffMenu", "Effort",
+    "verify_solution", "VerificationReport", "existence_gate", "GateResult",
+    "simulate_tournament", "SimResult", "parse_scenario",
+)
 
 
 def run_python(*args):
@@ -64,9 +81,11 @@ namespace = {}
 exec("from tourney import *", namespace)
 star = [n for n in tourney.__all__ if namespace.get(n) is not getattr(tourney, n)]
 print(json.dumps([missing, layers, before, star,
-                  [n for n in tourney.__all__ if n not in vars(tourney)]]))
+                  [n for n in tourney.__all__ if n not in vars(tourney)],
+                  tourney.__all__]))
 """)
-    missing, layers, before, star, unstored = result
+    missing, layers, before, star, unstored, public = result
+    assert sorted(public) == sorted(PUBLIC)
     assert missing == [] and layers == []
     assert before == ["tourney.errors", "tourney.primitives",
                       "tourney.stage1", "tourney.stage2"]
@@ -115,3 +134,38 @@ print(json.dumps([early, err.getvalue(), loaded_early, codes, calls]))
     assert loaded_early is False
     assert codes == [0, 0, 0, 0]
     assert calls == ["early", "verify_solution", "simulate_tournament"]
+
+
+def test_public_api_is_the_pipeline():
+    assert len(PUBLIC) == len(set(PUBLIC)) == 28
+    assert sorted(tourney.__all__) == sorted(PUBLIC)
+    assert len(tourney.__all__) == 28
+    deferred = {name for names in tourney._DEFERRED.values() for name in names}
+    assert deferred <= set(PUBLIC)
+
+
+def test_every_tracer_patch_point_exists_and_is_called():
+    # perfbench's tracer patches module attributes by name; a missing one
+    # fails its install, and one the package stopped calling reads zero
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, tourney)
+        for owner, attr, original in tracer._patches:
+            assert callable(original), (owner, attr)
+        ratio = tourney.TournamentSpec(prize=80.0, csf=tourney.TullockCsf(r=1.0),
+                                       cost=tourney.PowerCost(3.0, 12.0))
+        tourney.verify_solution(tourney.solve_tournament(ratio), grid=64)
+        tourney.existence_gate(ratio, grid=64)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert tourney.cli.run(["simulate", EXAMPLE, "--trials", "1000"]) == 0
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer.table())
+    for name in ("primitives.calls", "stage2.calls", "stage1.calls",
+                 "verification.foc.ms", "verification.soc.ms",
+                 "verification.audit.calls", "verification.gate.calls",
+                 "simulate.calls", "cli.self_ms"):
+        assert metrics[name] > 0, name

@@ -20,7 +20,7 @@ from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SolverSettings
                      verification)
 
 RECORDS = (stage2.Effort, stage2.PayoffMenu, stage2.Stage2Solution,
-           stage1.ContinuationValues, stage1.MatchSolution, stage1.SpeSolution,
+           stage1.MatchSolution, stage1.SpeSolution,
            verification._Table, verification.OracleResult,
            verification.VerificationReport, verification.GateResult)
 
@@ -210,8 +210,10 @@ NUMERIC_FIELDS = {
                          ids=["True", "False", "str", "None", "list", "huge_int"])
 def test_numeric_fields_refuse_non_numbers(field, value):
     build, message = NUMERIC_FIELDS[field]
-    with pytest.raises(ParameterError, match=message):
+    with pytest.raises(ParameterError, match=message) as caught:
         build(value)
+    # the value is shown as written: the string "1" reads '1', not 1
+    assert str(caught.value).endswith(f"got {value!r}")
 
 
 @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SimConfig,
-                     TournamentSpec, TullockCsf, simulate_match,
-                     simulate_tournament, solve_tournament)
-from tourney.simulate import CHUNK, MAX_TRIALS
+                     TournamentSpec, TullockCsf, simulate_tournament,
+                     solve_tournament)
+from tourney.simulate import CHUNK, MAX_TRIALS, _scores_into
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -130,49 +130,12 @@ class TestStructuralMode:
         with pytest.raises(ParameterError):
             simulate_tournament(solution, SimConfig(trials=1000,
                                                     mode="structural"))
-        rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
-            simulate_match(spec.csf, 1.0, 2.0, mode="structural", rng=rng)
 
     def test_zero_effort_race_never_scores(self):
-        rng = np.random.default_rng(0)
-        wins = sum(simulate_match(TullockCsf(r=1.0), 0.0, 1.0, rng=rng)
-                   for _ in range(200))
-        assert wins == 0
-
-    def test_tied_scores_fall_back_to_a_fair_coin(self):
-        rng = np.random.default_rng(0)
-        n = 4000
-        wins = sum(simulate_match(TullockCsf(r=1.0), 0.0, 0.0, rng=rng)
-                   for _ in range(n))
-        assert abs(wins / n - 0.5) <= three_sigma(0.5, n)
-
-
-class TestMatchSampler:
-    def test_direct_frequency(self):
-        rng = np.random.default_rng(42)
-        n = 20_000
-        wins = sum(simulate_match(TullockCsf(r=1.0), 3.0, 1.0, rng=rng)
-                   for _ in range(n))
-        assert abs(wins / n - 0.75) <= three_sigma(0.75, n)
-
-    def test_structural_probit_frequency(self):
-        csf = ProbitUniformCsf(half_width=5.0, f_exponent=0.5)
-        expected = csf.win_prob(4.0, 1.0)
-        rng = np.random.default_rng(42)
-        n = 20_000
-        wins = sum(simulate_match(csf, 4.0, 1.0, mode="structural", rng=rng)
-                   for _ in range(n))
-        assert abs(wins / n - expected) <= three_sigma(expected, n)
-
-    def test_requires_a_generator(self):
-        with pytest.raises(ParameterError):
-            simulate_match(TullockCsf(r=1.0), 1.0, 2.0)
-
-    def test_rejects_unknown_mode(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
-            simulate_match(TullockCsf(r=1.0), 1.0, 2.0, mode="exact", rng=rng)
+        u = np.random.default_rng(0).random(200)
+        out = np.empty(200)
+        assert not _scores_into(TullockCsf(r=1.0), 0.0, u, out).any()
+        assert (_scores_into(TullockCsf(r=1.0), 1.0, u, out) > 0.0).all()
 
 
 class TestConfigValidation:
@@ -227,15 +190,3 @@ class TestHugeRaceEfforts:
             got = simulate_tournament(solution, config)
         # r = 1: scaling every effort by one power of two is the same race
         assert got.wins == simulate_tournament(_scaled(solution, -64), config).wins
-
-    def test_single_match_scores_stay_finite(self):
-        rng = np.random.default_rng(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = [simulate_match(TullockCsf(r=1.0), 1e308, 5e307, mode="structural",
-                                  rng=rng) for _ in range(300)]
-        rng = np.random.default_rng(3)
-        want = [simulate_match(TullockCsf(r=1.0), math.ldexp(1e308, -64),
-                               math.ldexp(5e307, -64), mode="structural", rng=rng)
-                for _ in range(300)]
-        assert got == want

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourney import (PowerCost, ProbitUniformCsf, SimConfig, TournamentSpec,
-                     TullockCsf, simulate_match, simulate_tournament,
-                     solve_tournament)
+                     TullockCsf, simulate_tournament, solve_tournament)
 from tourney import simulate
 from tourney.simulate import BLOCK, CHUNK, _chunk_rng, _scores_into
 
@@ -151,20 +150,6 @@ def test_scores_into_equals_the_expressions(name, b):
     _scores_into(csf, b, u[:, 0], out)
     expected = _reference_scores(csf, b, u[:, 0])
     assert out.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(SOLUTIONS))
-@pytest.mark.parametrize("b_i, b_j", [(4.13, 4.73), (0.0, 1.0), (0.0, 0.0)])
-def test_simulate_match_uses_the_same_scores(name, b_i, b_j):
-    csf = SPECS[name].csf
-    rng = np.random.default_rng(5)
-    ref = np.random.default_rng(5)
-    for _ in range(300):
-        u = ref.random(2)
-        y_i = float(_reference_scores(csf, b_i, u[0:1])[0])
-        y_j = float(_reference_scores(csf, b_j, u[1:2])[0])
-        want = int(ref.random() < 0.5) if y_i == y_j else int(y_i > y_j)
-        assert simulate_match(csf, b_i, b_j, mode="structural", rng=rng) == want
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourney import (ContinuationValues, InteriorityError, ParameterError,
-                     PowerCost, ProbitUniformCsf, SolverError, SolverSettings,
-                     TournamentSpec, TullockCsf, bracket_win_probs,
-                     continuation_values, existence_gate,
-                     solve_stage1_hd_probit, solve_stage1_hd_tullock,
-                     solve_tournament, stage2_payoff_menu, stage2_sabotage)
+from tourney import (InteriorityError, ParameterError, PowerCost,
+                     ProbitUniformCsf, SolverError, SolverSettings,
+                     TournamentSpec, TullockCsf, existence_gate,
+                     solve_tournament)
 from tourney import stage1
-from tourney.stage1 import _brent, stage1_payoffs
+from tourney.stage1 import (_brent, _continuation_values, _noise_root,
+                            _ratio_root, _title_probs)
+from tourney.stage2 import solve_stage2
+
+RATIO_MENU = solve_stage2(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0).menu
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -96,52 +98,34 @@ class TestNoiseScenario:
 
 class TestContinuationValues:
     def test_pool_pins_the_mixing_weight(self):
-        menu = stage2_payoff_menu(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
-        all_hawks = continuation_values(menu, 0.3, ("H", "H"))
-        assert all_hawks.hawk_value == pytest.approx(menu.hawk_vs_hawk)
-        assert all_hawks.dove_value == pytest.approx(menu.dove_vs_hawk)
-        all_doves = continuation_values(menu, 0.3, ("D", "D"))
-        assert all_doves.hawk_value == pytest.approx(menu.hawk_vs_dove)
-        assert all_doves.dove_value == pytest.approx(menu.dove_vs_dove)
+        menu = RATIO_MENU
+        assert _continuation_values(menu, 0.3, ("H", "H")) == (
+            menu.hawk_vs_hawk, menu.dove_vs_hawk)
+        assert _continuation_values(menu, 0.3, ("D", "D")) == (
+            menu.hawk_vs_dove, menu.dove_vs_dove)
 
     def test_mixed_pool_is_affine_in_probability(self):
-        menu = stage2_payoff_menu(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
         for p in (0.0, 0.25, 0.466, 0.75, 1.0):
-            values = continuation_values(menu, p, ("H", "D"))
-            assert values.hawk_value == pytest.approx(58.0 / 3.0 - 2.0 * p,
-                                                      abs=1e-12)
-            assert values.dove_value == pytest.approx(20.0 - 2.0 * p, abs=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        menu = stage2_payoff_menu(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
-        with pytest.raises(ParameterError):
-            continuation_values(menu, 1.5, ("H", "D"))
-        with pytest.raises(ParameterError):
-            continuation_values(menu, 0.5, ("H", "X"))
+            hawk, dove = _continuation_values(RATIO_MENU, p, ("H", "D"))
+            assert hawk == pytest.approx(58.0 / 3.0 - 2.0 * p, abs=1e-12)
+            assert dove == pytest.approx(20.0 - 2.0 * p, abs=1e-12)
 
 
 class TestMixedSemifinalSolvers:
     def test_constant_values_have_analytic_fixed_point(self):
         a0, b0 = 52.0 / 3.0, 18.0
-        _, _, p, _ = solve_stage1_hd_tullock(lambda _p: a0, lambda _p: b0,
-                                             PowerCost(3.0, 12.0), 1.0)
+        _, _, p, _ = _ratio_root(lambda _p: (a0, b0), PowerCost(3.0, 12.0), 1.0,
+                                 SolverSettings())
         assert p == pytest.approx(a0 / (a0 + b0), abs=1e-11)
 
     def test_effort_ratio_equals_value_ratio(self):
         # holds for every decisiveness level, not just the linear case
         for r in (0.25, 0.5, 0.75, 1.0):
             a0, b0 = 15.0, 19.0
-            bh, bd, p, _ = solve_stage1_hd_tullock(lambda _p: a0, lambda _p: b0,
-                                                   PowerCost(3.0, 12.0), r)
+            bh, bd, p, _ = _ratio_root(lambda _p: (a0, b0), PowerCost(3.0, 12.0),
+                                       r, SolverSettings())
             assert bh / bd == pytest.approx(a0 / b0, rel=1e-10)
             assert p == pytest.approx(a0 ** r / (a0 ** r + b0 ** r), abs=1e-10)
-
-    @pytest.mark.parametrize("r", [-1.0, 0.0, 5.0])
-    def test_ratio_solver_rejects_decisiveness_outside_the_csf_range(self, r):
-        with pytest.raises(ParameterError,
-                           match=r"decisiveness exponent must be in \(0, 1\]"):
-            solve_stage1_hd_tullock(lambda _p: 17.0, lambda _p: 18.0,
-                                    PowerCost(3.0, 12.0), r)
 
     def test_brent_converges_to_known_roots(self):
         def f(x):
@@ -203,12 +187,10 @@ class TestMixedSemifinalSolvers:
         assert abs(d_dove * match.values[1] - 1.0) <= spec.solver.tolerance
 
     def test_hawk_win_probability_declines_with_parallel_hawks(self):
-        menu = stage2_payoff_menu(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0)
         probs = []
         for q in (0.0, 0.5, 1.0):
-            values = continuation_values(menu, q, ("H", "D"))
-            ratio = values.hawk_value / (values.hawk_value + values.dove_value)
-            probs.append(ratio)
+            hawk, dove = _continuation_values(RATIO_MENU, q, ("H", "D"))
+            probs.append(hawk / (hawk + dove))
         assert probs[0] > probs[1] > probs[2]
 
 
@@ -263,18 +245,10 @@ class TestAlternativeSeedings:
 
 class TestBracketArithmetic:
     def test_even_semifinals_give_quarter_each(self):
-        probs = bracket_win_probs((0.5, 0.5, 0.5, 0.5), (("H", "D"), ("H", "D")))
-        assert probs == pytest.approx((0.25, 0.25, 0.25, 0.25))
+        assert _title_probs((0.5, 0.5, 0.5, 0.5)) == (0.25, 0.25, 0.25, 0.25)
 
     def test_degenerate_semifinals(self):
-        probs = bracket_win_probs((1.0, 0.0, 0.0, 1.0), (("H", "D"), ("H", "D")))
-        assert probs == pytest.approx((0.5, 0.0, 0.0, 0.5))
-
-    def test_rejects_inconsistent_probabilities(self):
-        with pytest.raises(ParameterError):
-            bracket_win_probs((0.6, 0.6, 0.5, 0.5), (("H", "D"), ("H", "D")))
-        with pytest.raises(ParameterError):
-            bracket_win_probs((0.5, 0.5, 0.5), (("H", "D"), ("H", "D")))
+        assert _title_probs((1.0, 0.0, 0.0, 1.0)) == (0.5, 0.0, 0.0, 0.5)
 
 
 class TestSpecValidation:
@@ -357,26 +331,6 @@ def test_solutions_are_bit_identical_to_pinned_values(prize, csf, cost, bracket,
     match = sol.matches[0]
     assert (match.hawk_advance_prob, match.effective, match.efforts[0].s,
             sol.win_probs[0]) == pinned
-    assert sol.win_probs == bracket_win_probs(sol.semifinal_win_probs, bracket)
-
-
-def test_two_callback_solvers_match_the_tournament_exactly():
-    for spec in (RATIO_SPEC, NOISE_SPEC_LARGE):
-        sol = solve_tournament(spec)
-        menu = sol.stage2.menu
-
-        def hawk(p):
-            return continuation_values(menu, p, ("H", "D")).hawk_value
-
-        def dove(p):
-            return continuation_values(menu, p, ("H", "D")).dove_value
-
-        if isinstance(spec.csf, TullockCsf):
-            got = solve_stage1_hd_tullock(hawk, dove, spec.cost, spec.csf.r)
-        else:
-            got = solve_stage1_hd_probit(hawk, dove, spec.cost, spec.csf)
-        match = sol.matches[0]
-        assert got == (*match.effective, match.hawk_advance_prob, match.efforts[0].s)
 
 
 def test_underflowing_noise_efforts_are_a_solver_error():
@@ -411,14 +365,21 @@ def test_one_mixed_noise_bracket_runs_two_brent_roots(monkeypatch, bracket):
     assert len(calls) == 2
 
 
-def test_public_semifinal_functions_keep_their_checks():
-    values = ContinuationValues(hawk_value=30.0, dove_value=31.0)
-    with pytest.raises(ParameterError):
-        stage1_payoffs(0.5, values, 1.0, 1.0, -1.0, RATIO_SPEC.cost)
-    assert stage1_payoffs(0.5, values, 1.0, 2.0, 2.0, RATIO_SPEC.cost) == (
-        0.5 * 30.0 - RATIO_SPEC.cost.cost(2.0) - 1.0, 0.5 * 31.0 - 4.0)
-    with pytest.raises(InteriorityError):
-        solve_stage1_hd_tullock(lambda p: -1.0, lambda p: 2.0, RATIO_SPEC.cost, 1.0)
-    with pytest.raises(InteriorityError):
-        solve_stage1_hd_probit(lambda p: 2.0, lambda p: -1.0, NOISE_SPEC.cost,
-                               NOISE_SPEC.csf)
+def test_semifinal_roots_refuse_nonpositive_values():
+    with pytest.raises(InteriorityError, match="prize too small"):
+        _ratio_root(lambda p: (-1.0, 2.0), RATIO_SPEC.cost, 1.0, RATIO_SPEC.solver)
+    with pytest.raises(InteriorityError, match="prize too small"):
+        _noise_root(lambda p: (2.0, -1.0), NOISE_SPEC.cost, NOISE_SPEC.csf,
+                    NOISE_SPEC.solver)
+
+
+def test_overflowing_noise_marginal_is_a_solver_error():
+    # the hawk's effort rounds to a subnormal, and its marginal performance
+    # b**(beta - 1) leaves the float range during certification
+    spec = TournamentSpec(prize=1.17899697664905e-289,
+                          csf=ProbitUniformCsf(9.874721158009316e+17,
+                                               0.04213301543363942),
+                          cost=PowerCost(1.0176127334995588, 3.3636355226570527e-270),
+                          bracket=(("D", "H"), ("H", "H")))
+    with pytest.raises(SolverError, match="semifinal hawk effort .* overflows"):
+        solve_tournament(spec)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SolverError,
-                     TournamentSpec, TullockCsf, base_effort, existence_gate,
-                     solve_stage2, solve_tournament, stage2_payoff_menu,
-                     stage2_profile, stage2_sabotage)
-from tourney.stage2 import _cost_value, _may_overflow, _sabotage_level
+from tourney import (Effort, ParameterError, PayoffMenu, PowerCost,
+                     ProbitUniformCsf, SolverError, TournamentSpec, TullockCsf,
+                     existence_gate, solve_tournament)
+from tourney.stage2 import (_cost_value, _may_overflow, _sabotage_level,
+                            base_effort, solve_stage2, stage2_sabotage)
 
 RATIO_CSF = TullockCsf(r=1.0)
 RATIO_COST = PowerCost(3.0, 12.0)
@@ -45,29 +45,16 @@ def test_noise_scenario_closed_forms():
 
 
 def test_profiles_pad_the_sabotaged_side():
-    hawk, dove = stage2_profile("HD", RATIO_CSF, RATIO_COST, 80.0)
+    profiles = solve_stage2(RATIO_CSF, RATIO_COST, 80.0).profiles
+    hawk, dove = profiles["HD"]
     assert (hawk.x, hawk.s) == (20.0, 2.0)
     assert (dove.x, dove.s) == (22.0, 0.0)
-    both = stage2_profile("HH", RATIO_CSF, RATIO_COST, 80.0)
+    both = profiles["HH"]
     assert both[0] == both[1]
     assert (both[0].x, both[0].s) == (22.0, 2.0)
-    dd = stage2_profile("DD", RATIO_CSF, RATIO_COST, 80.0)
+    dd = profiles["DD"]
     assert (dd[0].x, dd[0].s) == (20.0, 0.0)
-
-
-def test_profile_rejects_unknown_pairing():
-    with pytest.raises(ParameterError):
-        stage2_profile("DH", RATIO_CSF, RATIO_COST, 80.0)
-
-
-def test_menu_value_lookup():
-    menu = stage2_payoff_menu(RATIO_CSF, RATIO_COST, 80.0)
-    assert menu.value("D", "D") == menu.dove_vs_dove
-    assert menu.value("H", "D") == menu.hawk_vs_dove
-    assert menu.value("D", "H") == menu.dove_vs_hawk
-    assert menu.value("H", "H") == menu.hawk_vs_hawk
-    with pytest.raises(ParameterError):
-        menu.value("H", "X")
+    assert set(profiles) == {"DD", "HD", "HH"}
 
 
 @given(r=st.floats(0.05, 1.0), v=prizes)
@@ -112,8 +99,6 @@ def test_sabotage_cost_overflow_is_a_solver_error(csf, v):
     with pytest.raises(SolverError, match="sabotage cost .* float range"):
         solve_stage2(csf, cost, v)
     with pytest.raises(SolverError, match="sabotage cost .* float range"):
-        stage2_payoff_menu(csf, cost, v)
-    with pytest.raises(SolverError, match="sabotage cost .* float range"):
         solve_tournament(TournamentSpec(prize=v, csf=csf, cost=cost))
 
 
@@ -130,13 +115,16 @@ def test_sabotage_overflow_is_a_solver_error():
     (RATIO_CSF, RATIO_COST, 80.0), (NOISE_CSF, NOISE_COST, 20.0),
     (TullockCsf(r=0.37), PowerCost(2.3, 0.7), 913.25),
     (ProbitUniformCsf(half_width=0.8, f_exponent=0.3), PowerCost(1.7, 4.1), 3.3)])
-def test_solve_stage2_equals_the_public_builders_exactly(csf, cost, v):
+def test_solve_stage2_equals_the_validated_closed_forms_exactly(csf, cost, v):
     sol = solve_stage2(csf, cost, v)
-    assert sol.menu == stage2_payoff_menu(csf, cost, v)
-    assert sol.profiles == {p: stage2_profile(p, csf, cost, v)
-                            for p in ("DD", "HD", "HH")}
-    assert sol.base_effort == base_effort(csf, v)
-    assert sol.sabotage == stage2_sabotage(cost)
+    b, s = base_effort(csf, v), cost.marginal_inverse(1.0)
+    c = cost.cost(s)
+    assert (sol.base_effort, sol.sabotage) == (b, s) == (b, stage2_sabotage(cost))
+    assert sol.menu == PayoffMenu(v / 2.0 - b, v / 2.0 - b - c, v / 2.0 - b - s,
+                                  v / 2.0 - b - s - c)
+    assert sol.profiles == {"DD": (Effort(b, 0.0),) * 2,
+                            "HD": (Effort(b, s), Effort(b + s, 0.0)),
+                            "HH": (Effort(b + s, s),) * 2}
 
 
 def _gaps_resolvable(cost, v):
@@ -151,7 +139,7 @@ def _gaps_resolvable(cost, v):
 @given(cost=costs, v=prizes)
 def test_menu_is_strictly_ordered_for_any_cost(cost, v):
     assume(_gaps_resolvable(cost, v))
-    menu = stage2_payoff_menu(TullockCsf(r=1.0), cost, v)
+    menu = solve_stage2(TullockCsf(r=1.0), cost, v).menu
     assert menu.ordered
 
 
@@ -159,7 +147,7 @@ def test_menu_is_strictly_ordered_for_any_cost(cost, v):
 def test_menu_spreads_are_the_sabotage_quantities(cost, v):
     # being sabotaged costs the victim s, sabotaging costs the attacker c(s)
     assume(_gaps_resolvable(cost, v))
-    menu = stage2_payoff_menu(TullockCsf(r=1.0), cost, v)
+    menu = solve_stage2(TullockCsf(r=1.0), cost, v).menu
     s = stage2_sabotage(cost)
     c_s = cost.cost(s)
     slack = 1e-12 * max(1.0, v, s)

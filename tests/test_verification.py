@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from tourney import (Effort, InteriorityError, ParameterError, PowerCost,
                      ProbitUniformCsf, SolverError, SolverSettings,
-                     TournamentSpec, TullockCsf, best_response_oracle,
-                     continuation_values, corner_deviation_gain,
-                     existence_gate, foc_residuals, soc_check,
-                     solve_tournament, stage2_sabotage, verify_solution)
+                     TournamentSpec, TullockCsf, existence_gate,
+                     solve_tournament, verify_solution)
 from tourney import verification
+from tourney.stage2 import stage2_sabotage
 from tourney.verification import (_candidate_ok, _corner_notes, _foc_notes,
-                                  _local_notes, _oracle_notes, _soc_notes)
+                                  _local_notes, _oracle, _oracle_notes,
+                                  _soc_notes, _table, foc_residuals, soc_check)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -93,39 +93,21 @@ class TestNoiseScenarioRejected:
 
 
 class TestCornerGains:
-    def test_matches_report(self, ratio_report):
-        sol = solve_tournament(RATIO_SPEC)
-        gain = corner_deviation_gain(0, sol)
-        assert gain == pytest.approx(
-            ratio_report.corner_gains["semifinal0_player0"], abs=1e-12)
-
-    def test_final_stage_corner(self):
-        sol = solve_tournament(RATIO_SPEC)
-        gain = corner_deviation_gain(0, sol, stage=2, pairing="HH")
-        assert gain < 0.0
-
-    def test_only_defined_for_hawks(self):
-        sol = solve_tournament(RATIO_SPEC)
-        with pytest.raises(ParameterError):
-            corner_deviation_gain(1, sol)
+    def test_only_defined_for_hawks(self, ratio_report):
+        assert set(ratio_report.corner_gains) == {
+            "semifinal0_player0", "semifinal1_player0", "final_HD_hawk", "final_HH"}
 
 
 class TestOracle:
     def test_baseline_matches_candidate_payoff(self):
         sol = solve_tournament(RATIO_SPEC)
-        result = best_response_oracle(0, sol, grid=100)
+        result = _oracle(RATIO_SPEC, _table(sol), 100)[0]
         assert result.baseline == pytest.approx(sol.matches[0].payoffs[0],
                                                 abs=1e-9)
         assert result.best_payoff - result.baseline == result.gain
 
-    def test_rejects_coarse_grids(self):
-        sol = solve_tournament(RATIO_SPEC)
-        with pytest.raises(ParameterError):
-            best_response_oracle(0, sol, grid=10)
-
     @pytest.mark.parametrize("grid", [1, True, 10, 49, 128.9, 128.0, "128"])
-    @pytest.mark.parametrize("entry", ["verify_solution", "existence_gate",
-                                       "best_response_oracle"])
+    @pytest.mark.parametrize("entry", ["verify_solution", "existence_gate"])
     def test_grid_override_follows_the_settings_rule(self, entry, grid):
         # the rule SolverSettings.oracle_grid applies: an int, not a bool,
         # of at least 50
@@ -133,17 +115,16 @@ class TestOracle:
         calls = {
             "verify_solution": lambda g: verify_solution(sol, grid=g),
             "existence_gate": lambda g: existence_gate(RATIO_SPEC, grid=g),
-            "best_response_oracle": lambda g: best_response_oracle(0, sol, grid=g),
         }
         with pytest.raises(ParameterError, match="oracle grid"):
             calls[entry](grid)
         with pytest.raises(ParameterError):
             SolverSettings(oracle_grid=grid)
 
-    def test_dove_search_is_one_dimensional(self):
-        sol = solve_tournament(RATIO_SPEC)
-        result = best_response_oracle(1, sol, grid=100)
-        assert result.best_s == 0.0
+    def test_dove_search_is_one_dimensional(self, ratio_report):
+        for key, (_, best_s) in ratio_report.oracle_argmax.items():
+            if key not in ratio_report.corner_gains:
+                assert best_s == 0.0, key
 
 
 class TestNoiseLargePrizeAccepted:
@@ -189,36 +170,24 @@ def test_alternative_seedings_pass_the_audit():
         assert report.interior_ok, report.notes
 
 
-def _player_args(key):
-    """(player, stage, pairing) addressing one report key's choice problem."""
-    if key.startswith("semifinal"):
-        return 2 * int(key[9]) + int(key[-1]), 1, None
-    pairing = key.split("_")[1]
-    return (1 if key.endswith("dove") else 0), 2, pairing
-
-
 @pytest.mark.parametrize("spec", [
     RATIO_SPEC,
     NOISE_SPEC,
     dataclasses.replace(RATIO_SPEC, bracket=(("H", "D"), ("H", "H"))),
 ], ids=["ratio", "noise", "ratio-HD-HH"])
 def test_per_player_functions_match_the_report_exactly(spec):
+    # the report searches each distinct problem once; a search of every
+    # problem on its own must give the same numbers
     sol = solve_tournament(spec)
     report = verify_solution(sol, grid=128)
-    assert foc_residuals(sol) == report.foc_residuals
-    assert soc_check(sol) == report.soc_values
-    corners = {}
-    for key, gain in report.oracle_gains.items():
-        player, stage, pairing = _player_args(key)
-        result = best_response_oracle(player, sol, grid=128, stage=stage,
-                                      pairing=pairing)
-        assert result.gain == gain
+    t = _table(sol)
+    assert foc_residuals(spec, t) == report.foc_residuals
+    assert soc_check(spec, t) == report.soc_values
+    for row, key in enumerate(t.keys):
+        (result,) = _oracle(spec, t.take([row]), 128)
+        assert result.gain == report.oracle_gains[key]
         assert (result.best_x, result.best_s) == report.oracle_argmax[key]
         assert result.best_payoff - result.baseline == result.gain
-        if key in report.corner_gains:
-            corners[key] = corner_deviation_gain(player, sol, stage=stage,
-                                                 pairing=pairing)
-    assert corners == report.corner_gains
 
 
 @pytest.mark.parametrize("spec, prizes, oracle_only", [
@@ -321,9 +290,10 @@ def test_probe_stops_at_its_first_failing_layer(where, monkeypatch):
             return result
         return wrapped
 
-    for name, notes in zip(_CHEAP, (_corner_notes, _foc_notes, _soc_notes)):
-        monkeypatch.setattr(verification, "_" + name, spy(
-            getattr(verification, "_" + name), lambda args, name=name: name,
+    for name, attr, notes in zip(_CHEAP, ("_corner", "foc_residuals", "soc_check"),
+                                 (_corner_notes, _foc_notes, _soc_notes)):
+        monkeypatch.setattr(verification, attr, spy(
+            getattr(verification, attr), lambda args, name=name: name,
             lambda result, notes=notes: bool(notes(result))))
     monkeypatch.setattr(verification, "_coarse", spy(
         verification._coarse,

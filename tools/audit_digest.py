@@ -39,9 +39,9 @@ SEEDS = (1, 2, 3)
 GRIDS = (50, 128, 400)
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except Exception as exc:  # an op's failure is part of what is hashed
         return f"{type(exc).__name__}: {exc}"
 
@@ -67,7 +67,7 @@ def _scenario_reports():
         spec, _ = tourney.parse_scenario(dirs[where] / name)
         solution = tourney.solve_tournament(spec)
         for grid in GRIDS:
-            yield _outcome(tourney.verify_solution, solution, spec, grid)
+            yield _outcome(tourney.verify_solution, solution, grid=grid)
 
 
 SECTIONS = (("certify-sweep gate and audit", _certify_sweep),
