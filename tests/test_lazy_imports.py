@@ -139,7 +139,6 @@ print(json.dumps([early, err.getvalue(), loaded_early, codes, calls]))
 def test_public_api_is_the_pipeline():
     assert len(PUBLIC) == len(set(PUBLIC)) == 28
     assert sorted(tourney.__all__) == sorted(PUBLIC)
-    assert len(tourney.__all__) == 28
     deferred = {name for names in tourney._DEFERRED.values() for name in names}
     assert deferred <= set(PUBLIC)
 
