@@ -53,9 +53,6 @@ def test_tullock_edge_probabilities():
     assert csf.win_prob(0.0, 0.0) == 0.5
     assert csf.win_prob(1.0, 0.0) == 1.0
     assert csf.win_prob(0.0, 1.0) == 0.0
-    unit = TullockCsf()
-    assert unit.win_prob(3.0, 1.0) == pytest.approx(0.75)
-    assert unit.win_prob_partials(1.0, 1.0) == pytest.approx((0.25, -0.25))
 
 
 @given(csf=tullock_csfs, b=safe_efforts, lift=st.floats(0.01, 2.0))
@@ -144,6 +141,14 @@ def test_cost_frozen_values():
     assert cost.marginal(2.0) == pytest.approx(1.0, rel=1e-15)
     assert cost.marginal_inverse(1.0) == pytest.approx(2.0, rel=1e-15)
     assert cost.curvature(2.0) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_unit_ratio_csf_methods():
+    csf = TullockCsf()
+    assert csf.win_prob(3.0, 1.0) == pytest.approx(0.75)
+    d_own, d_rival = csf.win_prob_partials(1.0, 1.0)
+    assert d_own == pytest.approx(0.25)
+    assert d_rival == pytest.approx(-0.25)
 
 
 def test_scalar_in_scalar_out_array_in_array_out():

@@ -10,7 +10,8 @@ import pytest
 from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SimConfig,
                      TournamentSpec, TullockCsf, simulate_tournament,
                      solve_tournament)
-from tourney.simulate import CHUNK, MAX_TRIALS, _scores_into
+from tourney.simulate import (CHUNK, MAX_TRIALS, _chunk_rng, _race_efforts,
+                              _scores_into)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -137,6 +138,72 @@ class TestStructuralMode:
         assert not _scores_into(TullockCsf(r=1.0), 0.0, u, out).any()
         assert (_scores_into(TullockCsf(r=1.0), 1.0, u, out) > 0.0).all()
 
+    def test_tied_scores_fall_back_to_a_fair_coin(self, ratio_solution):
+        # zero efforts tie every semifinal race; the coins decide them, so
+        # each slot takes a quarter of the titles
+        tied = ratio_solution
+        for k in (0, 1):
+            tied = _with_semifinal(tied, k, effective=(0.0, 0.0))
+        n = 40_000
+        result = simulate_tournament(tied, SimConfig(trials=n, seed=0,
+                                                     mode="structural"))
+        for freq in result.freq:
+            assert abs(freq - 0.25) <= three_sigma(0.25, n)
+
+
+def _with_semifinal(solution, k, effective=None, win_probs=None):
+    """The solution with semifinal k's effective efforts or win
+    probabilities replaced."""
+    changes = {}
+    if effective is not None:
+        changes["effective"] = effective
+    if win_probs is not None:
+        changes["win_probs"] = win_probs
+    matches = list(solution.matches)
+    matches[k] = dataclasses.replace(matches[k], **changes)
+    return dataclasses.replace(solution, matches=tuple(matches))
+
+
+def _first_semifinal_share(result):
+    """Slot 0's share of the titles the first semifinal's winner took, and
+    the count of those titles."""
+    n = result.wins[0] + result.wins[1]
+    return result.wins[0] / n, n
+
+
+class TestMatchSampler:
+    # one semifinal of the tournament run on its own: the title goes to the
+    # first semifinal's winner half the time, and slot 0 is that winner in
+    # the share its win probability gives
+    def test_direct_frequency(self, ratio_solution):
+        p = TullockCsf(r=1.0).win_prob(3.0, 1.0)
+        solution = _with_semifinal(ratio_solution, 0, win_probs=(p, 1.0 - p))
+        result = simulate_tournament(solution, SimConfig(trials=40_000, seed=42))
+        share, n = _first_semifinal_share(result)
+        assert abs(share - p) <= three_sigma(p, n)
+
+    @staticmethod
+    def _structural_share_agrees(solution, b_i, b_j):
+        expected = solution.spec.csf.win_prob(b_i, b_j)
+        solution = _with_semifinal(solution, 0, effective=(b_i, b_j))
+        result = simulate_tournament(solution, SimConfig(trials=40_000, seed=42,
+                                                         mode="structural"))
+        share, n = _first_semifinal_share(result)
+        assert abs(share - expected) <= three_sigma(expected, n)
+
+    def test_structural_probit_frequency(self, noise_solution):
+        self._structural_share_agrees(noise_solution, 4.0, 1.0)
+
+    def test_structural_ratio_frequency(self, ratio_solution):
+        self._structural_share_agrees(ratio_solution, 3.0, 1.0)
+
+    def test_each_chunk_draws_from_its_own_generator(self):
+        # a chunk's stream depends on the seed and the chunk index alone
+        first = _chunk_rng(7, 0).random(8)
+        assert first.tobytes() == _chunk_rng(7, 0).random(8).tobytes()
+        assert not np.array_equal(first, _chunk_rng(7, 1).random(8))
+        assert not np.array_equal(first, _chunk_rng(8, 0).random(8))
+
 
 class TestConfigValidation:
     def test_rejects_bad_trials(self):
@@ -190,3 +257,26 @@ class TestHugeRaceEfforts:
             got = simulate_tournament(solution, config)
         # r = 1: scaling every effort by one power of two is the same race
         assert got.wins == simulate_tournament(_scaled(solution, -64), config).wins
+
+    def test_single_match_scores_stay_finite(self):
+        csf = TullockCsf(r=1.0)
+        u = np.random.default_rng(3).random((300, 2))
+        u[0] = 5e-324, 1.0 - 2.0 ** -53
+        y_a, y_b = np.empty(300), np.empty(300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b_a, b_b = _race_efforts(csf, 1e308, 5e307)
+            _scores_into(csf, b_a, u[:, 0], y_a)
+            _scores_into(csf, b_b, u[:, 1], y_b)
+        assert np.isfinite(y_a).all() and np.isfinite(y_b).all()
+        # the scaled race has the winners of the race it stands for, where
+        # that race's scores are finite
+        assert (b_a, b_b) == (math.ldexp(1e308, -64), math.ldexp(5e307, -64))
+        with np.errstate(over="ignore"):
+            raw_a = 1e308 * (-1.0 / np.log(u[:, 0]))
+            raw_b = 5e307 * (-1.0 / np.log(u[:, 1]))
+        finite = np.isfinite(raw_a) & np.isfinite(raw_b)
+        assert not finite[0]
+        assert ((y_a > y_b) == (raw_a > raw_b))[finite].all()
+        # small efforts are left as they are
+        assert _race_efforts(csf, 4.13, 4.73) == (4.13, 4.73)

@@ -152,6 +152,17 @@ def test_scores_into_equals_the_expressions(name, b):
     assert out.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(SOLUTIONS))
+@pytest.mark.parametrize("b_i, b_j", [(4.13, 4.73), (0.0, 1.0), (0.0, 0.0)])
+def test_structural_matches_use_the_same_scores(name, b_i, b_j):
+    # both semifinals at the given efforts: each match is decided by the
+    # scores of the reference expressions, ties by the reference coins
+    solution = _with_efforts(SOLUTIONS[name], (b_i, b_j), (b_j, b_i))
+    config = SimConfig(trials=300, seed=5, mode="structural")
+    assert simulate_tournament(solution, config).wins == _reference_wins(
+        solution, config)
+
+
 # ----------------------------------------------------------------------
 # Chunks spread over the usable CPUs: the same wins for any CPU count.
 # ----------------------------------------------------------------------

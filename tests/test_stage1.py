@@ -1,5 +1,6 @@
 """Semifinal solvers and full tournament backward induction."""
 
+import dataclasses
 import math
 
 import pytest
@@ -16,6 +17,13 @@ from tourney.stage1 import (_brent, _continuation_values, _noise_root,
 from tourney.stage2 import solve_stage2
 
 RATIO_MENU = solve_stage2(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0).menu
+
+# one seeding of each shape: both semifinals mixed, one mixed (hawk or
+# dove slot first) against either pure pool, none mixed
+SEEDINGS = [(("H", "D"), ("H", "D")), (("H", "D"), ("H", "H")),
+            (("D", "H"), ("D", "D")), (("H", "H"), ("H", "D")),
+            (("H", "H"), ("D", "D"))]
+SEEDING_IDS = ["-".join(a + b for a, b in bracket) for bracket in SEEDINGS]
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -109,6 +117,14 @@ class TestContinuationValues:
             hawk, dove = _continuation_values(RATIO_MENU, p, ("H", "D"))
             assert hawk == pytest.approx(58.0 / 3.0 - 2.0 * p, abs=1e-12)
             assert dove == pytest.approx(20.0 - 2.0 * p, abs=1e-12)
+
+    def test_menu_value_lookup(self):
+        # a mixed pool at its ends reads one column of the menu exactly
+        menu = RATIO_MENU
+        assert _continuation_values(menu, 1.0, ("H", "D")) == (
+            menu.hawk_vs_hawk, menu.dove_vs_hawk)
+        assert _continuation_values(menu, 0.0, ("D", "H")) == (
+            menu.hawk_vs_dove, menu.dove_vs_dove)
 
 
 class TestMixedSemifinalSolvers:
@@ -250,6 +266,15 @@ class TestBracketArithmetic:
     def test_degenerate_semifinals(self):
         assert _title_probs((1.0, 0.0, 0.0, 1.0)) == (0.5, 0.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("bracket", SEEDINGS, ids=SEEDING_IDS)
+    def test_title_probabilities_add_up(self, bracket):
+        sol = solve_tournament(dataclasses.replace(RATIO_SPEC, bracket=bracket))
+        assert sol.win_probs == _title_probs(sol.semifinal_win_probs)
+        for match in sol.matches:
+            assert sum(match.win_probs) == 1.0
+        assert sum(sol.win_probs) == pytest.approx(1.0, abs=1e-15)
+        assert sum(sol.type_win_probs.values()) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestSpecValidation:
     def test_rejects_nonpositive_prize(self):
@@ -331,6 +356,44 @@ def test_solutions_are_bit_identical_to_pinned_values(prize, csf, cost, bracket,
     match = sol.matches[0]
     assert (match.hawk_advance_prob, match.effective, match.efforts[0].s,
             sol.win_probs[0]) == pinned
+
+
+@pytest.mark.parametrize("bracket", SEEDINGS, ids=SEEDING_IDS)
+def test_match_values_are_the_continuation_values(bracket):
+    # each semifinal is played for the final-stage values its parallel
+    # pool sends up; both mixed, the parallel hawk wins with the match's
+    # own probability
+    sol = solve_tournament(dataclasses.replace(RATIO_SPEC, bracket=bracket))
+    menu = sol.stage2.menu
+    for i, match in enumerate(sol.matches):
+        hawk, dove = _continuation_values(
+            menu, sol.matches[1 - i].hawk_advance_prob, sol.spec.bracket[1 - i])
+        assert match.values == tuple(hawk if t == "H" else dove
+                                     for t in match.types)
+
+
+@pytest.mark.parametrize("spec", [
+    RATIO_SPEC,
+    NOISE_SPEC_LARGE,
+    dataclasses.replace(RATIO_SPEC, bracket=(("H", "D"), ("H", "H"))),
+    dataclasses.replace(NOISE_SPEC_LARGE, bracket=(("H", "D"), ("D", "D"))),
+], ids=["ratio", "noise", "ratio-HD-HH", "noise-HD-DD"])
+def test_two_callback_solvers_match_the_tournament_exactly(spec):
+    # the roots called with the continuation values as their callback give
+    # the tournament's mixed semifinal to the bit
+    sol = solve_tournament(spec)
+    menu = sol.stage2.menu
+    pool = spec.bracket[1]
+
+    def values(p):
+        return _continuation_values(menu, p, pool)
+
+    if isinstance(spec.csf, TullockCsf):
+        got = _ratio_root(values, spec.cost, spec.csf.r, spec.solver)
+    else:
+        got = _noise_root(values, spec.cost, spec.csf, spec.solver)
+    match = sol.matches[0]
+    assert got == (*match.effective, match.hawk_advance_prob, match.efforts[0].s)
 
 
 def test_underflowing_noise_efforts_are_a_solver_error():

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from tourney import (Effort, InteriorityError, ParameterError, PowerCost,
                      ProbitUniformCsf, SolverError, SolverSettings,
                      TournamentSpec, TullockCsf, existence_gate,
-                     solve_tournament, verify_solution)
+                     parse_scenario, solve_tournament, verify_solution)
 from tourney import verification
 from tourney.stage2 import stage2_sabotage
-from tourney.verification import (_candidate_ok, _corner_notes, _foc_notes,
-                                  _local_notes, _oracle, _oracle_notes,
-                                  _soc_notes, _table, foc_residuals, soc_check)
+from tourney.verification import (_baseline, _candidate_ok, _corner,
+                                  _corner_notes, _foc_notes, _local_notes,
+                                  _oracle, _oracle_notes, _soc_notes, _table,
+                                  foc_residuals, soc_check)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -93,6 +95,25 @@ class TestNoiseScenarioRejected:
 
 
 class TestCornerGains:
+    @pytest.mark.parametrize("spec", [RATIO_SPEC, NOISE_SPEC_LARGE],
+                             ids=["ratio", "noise"])
+    def test_matches_report(self, spec):
+        sol = solve_tournament(spec)
+        report = verify_solution(sol)
+        t = _table(sol)
+        assert _corner(spec, t, _baseline(spec.csf, spec.cost, t)) == report.corner_gains
+        # wipe out the rival's outlay: a sure win under the ratio CSF, a
+        # coin flip under bounded noise, for the rival's whole outlay
+        match = sol.matches[0]
+        p_corner = 1.0 if isinstance(spec.csf, TullockCsf) else 0.5
+        bound = p_corner * match.values[0] - spec.cost.cost(match.efforts[1].x)
+        assert report.corner_gains["semifinal0_player0"] == pytest.approx(
+            bound - match.payoffs[0], rel=1e-12)
+
+    def test_final_stage_corner(self, ratio_report):
+        assert ratio_report.corner_gains["final_HH"] < 0.0
+        assert ratio_report.corner_gains["final_HD_hawk"] < 0.0
+
     def test_only_defined_for_hawks(self, ratio_report):
         assert set(ratio_report.corner_gains) == {
             "semifinal0_player0", "semifinal1_player0", "final_HD_hawk", "final_HH"}
@@ -107,16 +128,27 @@ class TestOracle:
         assert result.best_payoff - result.baseline == result.gain
 
     @pytest.mark.parametrize("grid", [1, True, 10, 49, 128.9, 128.0, "128"])
-    @pytest.mark.parametrize("entry", ["verify_solution", "existence_gate"])
-    def test_grid_override_follows_the_settings_rule(self, entry, grid):
+    @pytest.mark.parametrize("entry", ["verify_solution", "existence_gate",
+                                       "scenario_file"])
+    def test_grid_override_follows_the_settings_rule(self, entry, grid, tmp_path):
         # the rule SolverSettings.oracle_grid applies: an int, not a bool,
         # of at least 50
         sol = solve_tournament(RATIO_SPEC)
+
+        def scenario(g):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({
+                "prize": 80.0, "csf": {"type": "tullock", "r": 1.0},
+                "cost": {"exponent": 3.0, "divisor": 12.0},
+                "solver": {"oracle_grid": g}}))
+            return parse_scenario(path)
+
         calls = {
             "verify_solution": lambda g: verify_solution(sol, grid=g),
             "existence_gate": lambda g: existence_gate(RATIO_SPEC, grid=g),
+            "scenario_file": scenario,
         }
-        with pytest.raises(ParameterError, match="oracle grid"):
+        with pytest.raises(ParameterError, match="oracle.grid"):
             calls[entry](grid)
         with pytest.raises(ParameterError):
             SolverSettings(oracle_grid=grid)
