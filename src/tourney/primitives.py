@@ -241,10 +241,13 @@ class PowerCost:
         return _match_input(self._marginal_inverse(ya), y)
 
     def curvature(self, s):
-        """Second derivative of the cost, used by second-order checks."""
-        sa = np.asarray(s, dtype=float)
+        """Second derivative of the cost, +inf at s = 0 when the exponent is
+        below 2.  The audit measures curvature by finite differences and
+        does not call it."""
+        (sa,) = _checked("sabotage must be nonnegative", s)
         a = self.exponent
-        return _match_input(a * (a - 1.0) * sa ** (a - 2.0) / self.divisor, s)
+        with np.errstate(divide="ignore"):
+            return _match_input(a * (a - 1.0) * sa ** (a - 2.0) / self.divisor, s)
 
     def _cost(self, s):
         """Unchecked kernel of cost: nonnegative floats or arrays in."""

@@ -66,26 +66,31 @@ def _may_overflow(base: float, exponent: float) -> bool:
     return base > 1.0 and exponent * math.log(base) > _LOG_FLOAT_MAX - 1.0
 
 
+def _out_of_range(what: str, cost: PowerCost) -> SolverError:
+    return SolverError(f"final-stage {what} overflows the float range at "
+                       f"exponent={cost.exponent:g}, divisor={cost.divisor:g}")
+
+
 def _finite_or_fail(compute, what: str, cost: PowerCost) -> float:
     with np.errstate(over="ignore"):
         value = compute()
     if not math.isfinite(value):
-        raise SolverError(
-            f"final-stage {what} overflows the float range at "
-            f"exponent={cost.exponent:g}, divisor={cost.divisor:g}")
+        raise _out_of_range(what, cost)
     return value
 
 
-def _sabotage_level(cost: PowerCost, y: float,
-                    near_range=PowerCost.marginal_inverse) -> float:
+def _sabotage_level(cost: PowerCost, y: float) -> float:
     """cost.marginal_inverse(y) on a positive Python float, bit for bit.
     The kernel's last step is then Python's float ** float, which is libm
-    pow, as the method's np.float64 ** float is.  Near the float range,
-    where Python's ** raises OverflowError and numpy's returns inf,
-    near_range(cost, y) runs instead: by default the checked method."""
-    if _may_overflow(cost.divisor * y / cost.exponent, 1.0 / (cost.exponent - 1.0)):
-        return near_range(cost, y)
-    return cost._marginal_inverse(y)
+    pow, as the method's np.float64 ** float is.  Where numpy's returns
+    inf, Python's raises OverflowError, and the solve fails.  A solve asks
+    for y = 1 in the final and y = A/B <= 1 in the semifinals, so the
+    final's level is the one that overflows."""
+    try:
+        return cost._marginal_inverse(y)
+    except OverflowError:
+        raise _out_of_range("sabotage (divisor/exponent)^(1/(exponent-1))",
+                            cost) from None
 
 
 def _cost_value(cost: PowerCost, s: float) -> float:
@@ -95,14 +100,9 @@ def _cost_value(cost: PowerCost, s: float) -> float:
     return float(cost._cost(np.asarray(s, dtype=float)))
 
 
-def _finite_sabotage_level(cost: PowerCost, y: float) -> float:
-    return _finite_or_fail(lambda: cost.marginal_inverse(y),
-                           "sabotage (divisor/exponent)^(1/(exponent-1))", cost)
-
-
 def stage2_sabotage(cost: PowerCost) -> float:
     """Final-stage sabotage: marginal cost equals one, prize-independent."""
-    return _sabotage_level(cost, 1.0, near_range=_finite_sabotage_level)
+    return _sabotage_level(cost, 1.0)
 
 
 def _sabotage_cost(cost: PowerCost, s: float) -> float:

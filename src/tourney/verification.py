@@ -16,13 +16,18 @@ sit four layers:
 * a closed-form bound for the full-sabotage corner,
 * a brute-force grid oracle with local refinement.
 
-The oracle's coarse grids are its bulk.  Each is computed in two buffers
-that every problem of a search reuses, by an in-place kernel that gives the
-primitive's payoff bit for bit; its ratio-CSF tie fix writes one
-prefix-by-suffix slice.  Outlays whose payoff bound max(value, 0) - x is
-below a payoff the grid attains are skipped, since they cannot hold the
-argmax; one vectorised count finds how many are kept, and every reported
-number is the one the full grid gives.
+The oracle runs one search per distinct problem: a coarse grid of outlays
+crossed with sabotage levels, then two refinements around the best cell.  A
+hawk against a positive rival outlay crosses n outlays with n sabotage
+levels and refines on 21 x 21 cells.  A dove, or a hawk whose rival spends
+nothing, crosses 40 n + 1 outlays with one zero-sabotage column, which is
+never refined, and refines on 201 outlays.  The coarse grids are the bulk.
+Each is computed in two buffers that every problem of a search reuses, by
+an in-place kernel that gives the primitive's payoff bit for bit; its
+ratio-CSF tie fix writes one prefix-by-suffix slice.  Outlays whose payoff
+bound max(value, 0) - x is below a payoff the grid attains are skipped,
+since they cannot hold the argmax; one vectorised count finds how many are
+kept, and every reported number is the one the full grid gives.
 
 A candidate is accepted only when every layer comes back clean.  The
 existence gate then maps out the smallest prize for which that happens,
@@ -353,37 +358,50 @@ def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
     return np.array(flat), np.array(top)
 
 
-def _search_2d(csf, cost, t: _Table, prize: float, n: int, need=None):
-    """Hawks against a positive rival outlay: an n x n grid of productive
+def _search(csf, cost, t: _Table, prize: float, n: int, two_d: bool, need=None):
+    """Every row's best deviation as (payoff, x, s) arrays.  With two_d
+    (hawks against a positive rival outlay): an n x n grid of productive
     effort on [0, prize] crossed with sabotage on [0, x_rival], then two
-    21 x 21 refinements around the incumbent best cell.  With need (the rows'
-    baselines), it returns None as soon as a row's running best _gains."""
+    21 x 21 refinements around the incumbent best cell.  Otherwise (doves,
+    and hawks whose rival spends nothing): 40 n + 1 outlays against one
+    zero-sabotage column, which is never refined, then two 201-point
+    refinements.  With need (the rows' baselines), it returns None as soon
+    as a row's running best _gains."""
     k = len(t.keys)
     at = np.arange(k)
     frozen = t.frozen(at, 2)
-    xs = np.linspace(0.0, prize, n)
-    ss = _linspace_rows(np.zeros(k), t.x_rival, n)
-    cell_x, cell_s = xs[1] - xs[0], ss[:, 1] - ss[:, 0]
+    if two_d:
+        xs = np.linspace(0.0, prize, n)
+        ss = _linspace_rows(np.zeros(k), t.x_rival, n)
+        cell_s = ss[:, 1] - ss[:, 0]
+        points = _HAWK_REFINE
+    else:
+        xs = np.linspace(0.0, prize, 40 * n + 1)
+        ss = np.zeros((k, 1))
+        points = _DOVE_REFINE
+    cell_x = xs[1] - xs[0]
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
     best_s = np.zeros(k)
     for step in range(3):
         if step == 0:
-            # one problem at a time, so that memory holds one n x n grid
+            # one problem at a time, so that memory holds one coarse grid
             # (and its scratch) and not k of them
             coarse = _coarse(csf, cost, t, xs, ss, need)
             if coarse is None:
                 return None
             flat, top = coarse
-            i, j = np.divmod(flat, n)
+            i, j = np.divmod(flat, ss.shape[1])
             x_at, s_at = xs[i], ss[at, j]
         else:
-            xs = _around(x_at, cell_x, prize, _HAWK_REFINE)
-            ss = _around(s_at, cell_s, t.x_rival, _HAWK_REFINE)
-            cell_x, cell_s = xs[:, 1] - xs[:, 0], ss[:, 1] - ss[:, 0]
+            xs = _around(x_at, cell_x, prize, points)
+            cell_x = xs[:, 1] - xs[:, 0]
+            if two_d:
+                ss = _around(s_at, cell_s, t.x_rival, points)
+                cell_s = ss[:, 1] - ss[:, 0]
             flat, top = _argmax_rows(_payoff(csf, cost, frozen,
                                              xs[:, :, None], ss[:, None, :]))
-            i, j = np.divmod(flat, _HAWK_REFINE)
+            i, j = np.divmod(flat, ss.shape[1])
             x_at, s_at = xs[at, i], ss[at, j]
         better = top > best
         best = np.where(better, top, best)
@@ -392,75 +410,6 @@ def _search_2d(csf, cost, t: _Table, prize: float, n: int, need=None):
         if need is not None and any(map(_gains, best.tolist(), need)):
             return None
     return best, best_x, best_s
-
-
-def _search_1d(csf, cost, t: _Table, prize: float, n: int, need=None):
-    """Doves, and hawks whose rival spends nothing: productive effort alone
-    on 40 n + 1 points over [0, prize], then two 201-point refinements.
-    With need (the rows' baselines), it returns None as soon as a row's
-    running best _gains."""
-    k = len(t.keys)
-    at = np.arange(k)
-    frozen = t.frozen(at, 1)
-    xs = np.linspace(0.0, prize, 40 * n + 1)
-    cell = xs[1] - xs[0]
-    best = np.full(k, -np.inf)
-    best_x = np.zeros(k)
-    for step in range(3):
-        if step == 0:
-            coarse = _coarse(csf, cost, t, xs, np.zeros((k, 1)), need)
-            if coarse is None:
-                return None
-            i, top = coarse
-            x_at = xs[i]
-        else:
-            xs = _around(x_at, cell, prize, _DOVE_REFINE)
-            cell = xs[:, 1] - xs[:, 0]
-            i, top = _argmax_rows(_payoff(csf, cost, frozen, xs, 0.0))
-            x_at = xs[at, i]
-        better = top > best
-        best = np.where(better, top, best)
-        best_x = np.where(better, x_at, best_x)
-        if need is not None and any(map(_gains, best.tolist(), need)):
-            return None
-    return best, best_x, np.zeros(k)
-
-
-def _oracle(spec: TournamentSpec, t: _Table, n: int, *,
-            reject_early: bool = False, base: np.ndarray | None = None,
-            ) -> list[OracleResult] | bool | None:
-    """Grid-search every row's deviation space; one OracleResult per row.
-    base holds the rows' baselines, computed here when the caller has none.
-
-    With reject_early the call gives only a verdict.  The searches are
-    handed the baselines, and the call returns None as soon as one row's
-    running best gains more than GAIN_TOLERANCE, which the finished search
-    would report too, and True when no row does.  The dove's line, the
-    cheapest search and the likeliest to find a gain, runs first.
-    """
-    if base is None:
-        base = _baseline(spec.csf, spec.cost, t)
-    two_d = t.hawk & (t.x_rival > 0.0)
-    found = []
-    # a huge outlay's cost overflows to inf, a payoff the gain tests read
-    with np.errstate(over="ignore"):
-        for rows, search in ((np.flatnonzero(~two_d), _search_1d),
-                             (np.flatnonzero(two_d), _search_2d)):
-            if rows.size:
-                result = search(spec.csf, spec.cost, t.take(rows), spec.prize, n,
-                                base[rows].tolist() if reject_early else None)
-                if result is None:
-                    return None
-                found.append((rows, result))
-    if reject_early:
-        return True
-    best = np.empty(len(t.keys))
-    best_x = np.empty(len(t.keys))
-    best_s = np.empty(len(t.keys))
-    for rows, result in found:
-        best[rows], best_x[rows], best_s[rows] = result
-    return [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
-        best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
 
 
 def _distinct(t: _Table) -> tuple[list[int], list[int]]:
@@ -479,13 +428,38 @@ def _distinct(t: _Table) -> tuple[list[int], list[int]]:
     return unique, of
 
 
-def _oracle_report(spec: TournamentSpec, t: _Table, n: int, base: np.ndarray,
-                   ) -> tuple[dict[str, float], dict[str, tuple[float, float]]]:
+def _oracle(spec: TournamentSpec, t: _Table, n: int, *,
+            reject_early: bool = False, base: np.ndarray | None = None,
+            ) -> list[OracleResult] | None:
+    """Grid-search every row's deviation space; one OracleResult per row.
+    Rows with identical problems share one search and one result.  base
+    holds the rows' baselines, computed here when the caller has none.
+
+    With reject_early the searches are handed the baselines, and the call
+    returns None as soon as one row's running best gains more than
+    GAIN_TOLERANCE, which the finished search would report too.  The
+    doves' lines, the cheapest search and the likeliest to find a gain,
+    run first.
+    """
+    if base is None:
+        base = _baseline(spec.csf, spec.cost, t)
     unique, of = _distinct(t)
-    found = _oracle(spec, t.take(unique), n, base=base[unique])
-    results = [found[i] for i in of]
-    return ({key: r.gain for key, r in zip(t.keys, results)},
-            {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)})
+    t, base = t.take(unique), base[unique]
+    two_d = t.hawk & (t.x_rival > 0.0)
+    best, best_x, best_s = (np.empty(len(unique)) for _ in range(3))
+    # a huge outlay's cost overflows to inf, a payoff the gain tests read
+    with np.errstate(over="ignore"):
+        for hawks in (False, True):
+            rows = np.flatnonzero(two_d == hawks)
+            if rows.size:
+                found = _search(spec.csf, spec.cost, t.take(rows), spec.prize, n,
+                                hawks, base[rows].tolist() if reject_early else None)
+                if found is None:
+                    return None
+                best[rows], best_x[rows], best_s[rows] = found
+    results = [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
+        best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
+    return [results[i] for i in of]
 
 
 # ----------------------------------------------------------------------
@@ -522,10 +496,6 @@ def _corner_notes(corner) -> list[str]:
             for key, value in corner.items() if not value <= GAIN_TOLERANCE]
 
 
-def _local_notes(foc, soc, corner) -> list[str]:
-    return _foc_notes(foc) + _soc_notes(soc) + _corner_notes(corner)
-
-
 def _oracle_notes(gains, argmax) -> list[str]:
     return [f"oracle deviation {key} gains {value:.6g} at "
             f"x={argmax[key][0]:.6g}, s={argmax[key][1]:.6g}"
@@ -560,8 +530,10 @@ def verify_solution(solution: SpeSolution, *, grid: int | None = None,
     soc = soc_check(spec, t)
     base = _baseline(spec.csf, spec.cost, t)
     corner = _corner(spec, t, base)
-    oracle_gains, oracle_argmax = _oracle_report(spec, t, n, base)
-    notes = (_local_notes(foc, soc, corner)
+    results = _oracle(spec, t, n, base=base)
+    oracle_gains = {key: r.gain for key, r in zip(t.keys, results)}
+    oracle_argmax = {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)}
+    notes = (_foc_notes(foc) + _soc_notes(soc) + _corner_notes(corner)
              + _oracle_notes(oracle_gains, oracle_argmax)
              + _stage_notes(solution))
     return VerificationReport(
@@ -606,9 +578,7 @@ def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
             or _foc_notes(foc_residuals(spec, t))
             or _soc_notes(soc_check(spec, t))):
         return False
-    unique = _distinct(t)[0]
-    return _oracle(spec, t.take(unique), n, reject_early=True,
-                   base=base[unique]) is not None
+    return _oracle(spec, t, n, reject_early=True, base=base) is not None
 
 
 def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:

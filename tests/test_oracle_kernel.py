@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tourney import PowerCost, ProbitUniformCsf, TournamentSpec, TullockCsf
+from tourney import (PowerCost, ProbitUniformCsf, TournamentSpec, TullockCsf,
+                     verification)
 from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, GAIN_TOLERANCE,
                                   OracleResult, _argmax_rows, _around,
                                   _baseline, _grid_payoff, _kept_rows,
@@ -173,15 +174,34 @@ def test_pruned_oracle_equals_the_full_grid_search(problem):
                   (True, -math.inf, 5.0, 1.0, 6.7, 1.9)]), 50))
 def test_early_rejection_agrees_with_the_finished_search(problem):
     # the gate's oracle stops at the first row whose running best gains;
-    # it must reject exactly the tables the finished search rejects, and
-    # pass (True) every other table
+    # it must reject (None) exactly the tables the finished search rejects
     spec, t, n = problem
     with np.errstate(invalid="ignore"):
         full = _oracle(spec, t, n)
     gains = any(not r.gain <= GAIN_TOLERANCE for r in full)
     with np.errstate(invalid="ignore"):
         early = _oracle(spec, t, n, reject_early=True)
-    assert early is (None if gains else True)
+    assert (early is None) == gains
+
+
+@pytest.mark.parametrize("csf", [RATIO, NOISE], ids=["ratio", "noise"])
+def test_duplicate_problems_share_one_search(csf, monkeypatch):
+    spec = TournamentSpec(prize=80.0, csf=csf, cost=COST)
+    hawk = (True, 18.35, 4.6, 1.9, 4.6, 1.9)
+    dove = (False, 19.0, 6.7, 0.0, 4.6, 1.9)
+    t = _table([hawk, dove, hawk, dove, dove])
+    grids = []
+
+    def spy(csf, cost, frozen, *args):
+        grids.append(frozen)
+        return _grid_payoff(csf, cost, frozen, *args)
+
+    monkeypatch.setattr(verification, "_grid_payoff", spy)
+    got = _oracle(spec, t, 50)
+    # one coarse grid per distinct problem, the dove's line first
+    assert grids == [(19.0, 4.6, 1.9), (18.35, 4.6, 1.9)]
+    assert got[0] == got[2] and got[1] == got[3] == got[4]
+    assert got[:2] == _oracle(spec, t.take([0, 1]), 50)
 
 
 @pytest.mark.parametrize("points", [50, 128, 400, 5121])

@@ -143,6 +143,24 @@ def test_cost_frozen_values():
     assert cost.curvature(2.0) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_curvature_rejects_negative_sabotage():
+    cost = PowerCost(1.5, 1.0)
+    with pytest.raises(ParameterError, match="sabotage must be nonnegative"):
+        cost.curvature(-1.0)
+    with pytest.raises(ParameterError):
+        cost.curvature(np.array([1.0, -1e-300]))
+
+
+def test_curvature_is_infinite_at_zero_below_exponent_two():
+    # pytest turns numpy's divide-by-zero RuntimeWarning into an error
+    cost = PowerCost(1.5, 1.0)
+    assert cost.curvature(0.0) == np.inf
+    np.testing.assert_array_equal(cost.curvature(np.array([0.0, 1.0])),
+                                  [np.inf, 0.75])
+    assert PowerCost(2.0, 4.0).curvature(0.0) == 0.5
+    assert PowerCost(3.0, 4.0).curvature(0.0) == 0.0
+
+
 def test_unit_ratio_csf_methods():
     csf = TullockCsf()
     assert csf.win_prob(3.0, 1.0) == pytest.approx(0.75)

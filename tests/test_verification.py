@@ -16,8 +16,8 @@ from tourney import (Effort, InteriorityError, ParameterError, PowerCost,
 from tourney import verification
 from tourney.stage2 import stage2_sabotage
 from tourney.verification import (_baseline, _candidate_ok, _corner,
-                                  _corner_notes, _foc_notes, _local_notes,
-                                  _oracle, _oracle_notes, _soc_notes, _table,
+                                  _corner_notes, _foc_notes, _oracle,
+                                  _oracle_notes, _soc_notes, _table,
                                   foc_residuals, soc_check)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
@@ -403,5 +403,7 @@ def test_nan_effort_is_never_accepted(where):
 
 def test_nan_values_fail_every_layer():
     nan = math.nan
-    assert len(_local_notes({"a_effort": nan}, {"a_effort": nan}, {"a": nan})) == 3
+    assert len(_foc_notes({"a_effort": nan})) == 1
+    assert len(_soc_notes({"a_effort": nan})) == 1
+    assert len(_corner_notes({"a": nan})) == 1
     assert len(_oracle_notes({"a": nan}, {"a": (0.0, 0.0)})) == 1

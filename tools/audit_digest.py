@@ -1,6 +1,7 @@
 """One SHA-256 over everything the solver, the audit and the gate report.
 
 Run:  python tools/audit_digest.py
+      (CI adds -W error::RuntimeWarning, so a leaked numpy warning fails it)
 
 It hashes the repr of, in this order:
 
@@ -42,6 +43,9 @@ GRIDS = (50, 128, 400)
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except Warning:
+        # under -W error a leaked numpy warning fails the run, not one op
+        raise
     except Exception as exc:  # an op's failure is part of what is hashed
         return f"{type(exc).__name__}: {exc}"
 
