@@ -5,6 +5,15 @@ equilibrium candidate, verify it against the global deviation checks,
 simulate it, and replicate the two reference scenarios against their
 published figures.
 
+A scenario file's blocks are the input records' own fields: the csf block
+holds a `type` ('tullock' or 'probit_uniform') and that CSF's fields, and
+the cost, solver and sim blocks hold the fields of `PowerCost`,
+`SolverSettings` and `SimConfig`.  A field without a default is required,
+any other key is an error, and each value is read by its field's declared
+type (float, int or str) before the record validates it.  The JSON views
+written by `--json` are the records' `asdict` with the same CSF `type`
+tag, so a solution's `spec` block reads back as the scenario it came from.
+
 Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
 flags), 3 when no equilibrium candidate exists for the parameters or on a
@@ -26,7 +35,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, replace
 from importlib import resources
 
 from .errors import InteriorityError, ParameterError, SolverError
@@ -39,8 +48,7 @@ CSV_HEADER = ("player", "type", "stage1_x", "stage1_s", "stage1_b",
               "stage1_p", "win_prob", "payoff")
 
 _TOP_KEYS = {"prize", "csf", "cost", "bracket", "solver", "sim"}
-_SOLVER_KEYS = {"tolerance", "oracle_grid"}
-_SIM_KEYS = {"trials", "seed", "mode"}
+_CSF_TYPES = {"tullock": TullockCsf, "probit_uniform": ProbitUniformCsf}
 
 
 def __getattr__(name):
@@ -84,60 +92,51 @@ def _integer(obj, key: str, where: str) -> int:
     return value
 
 
+def _string(obj, key: str, where: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        _fail(where, f"{key} must be a string, got {value!r}")
+    return value
+
+
+# the reader of each field type an input record declares
+_READERS = {"float": _number, "int": _integer, "str": _string}
+
+
+def _arguments(cls, obj, where: str, extra: frozenset = frozenset()) -> dict:
+    """The keyword arguments for cls given in the JSON object obj.  The
+    record's fields are the allowed keys (with extra), those without a
+    default are required, and each value goes through its type's reader."""
+    record = fields(cls)
+    required = {f.name for f in record
+                if f.default is MISSING and f.default_factory is MISSING}
+    _check_keys(obj, {f.name for f in record} | extra, required, where)
+    return {f.name: _READERS[f.type](obj, f.name, where)
+            for f in record if f.name in obj}
+
+
 def _parse_csf(obj):
-    where = "csf"
     if not isinstance(obj, dict) or "type" not in obj:
-        _fail(where, "expected an object with a 'type' key")
+        _fail("csf", "expected an object with a 'type' key")
     kind = obj["type"]
-    if kind == "tullock":
-        _check_keys(obj, {"type", "r"}, {"type"}, where)
-        return TullockCsf(r=_number(obj, "r", where) if "r" in obj else 1.0)
-    if kind == "probit_uniform":
-        _check_keys(obj, {"type", "half_width", "f_exponent"},
-                    {"type", "half_width", "f_exponent"}, where)
-        return ProbitUniformCsf(half_width=_number(obj, "half_width", where),
-                                f_exponent=_number(obj, "f_exponent", where))
-    _fail(where, f"unknown CSF type {kind!r} (expected 'tullock' or 'probit_uniform')")
+    # an unhashable type ([] or {}) must not reach the dict lookup
+    if not isinstance(kind, str) or kind not in _CSF_TYPES:
+        _fail("csf", f"unknown CSF type {kind!r} (expected 'tullock' or 'probit_uniform')")
+    cls = _CSF_TYPES[kind]
+    return cls(**_arguments(cls, obj, "csf", frozenset({"type"})))
 
 
 def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
+    # the checks run in a fixed order, so a file with several faults always
+    # reports the same first one
     _check_keys(data, _TOP_KEYS, {"prize", "csf", "cost"}, origin)
     csf = _parse_csf(data["csf"])
-    _check_keys(data["cost"], {"exponent", "divisor"}, {"exponent", "divisor"}, "cost")
-    cost = PowerCost(exponent=_number(data["cost"], "exponent", "cost"),
-                     divisor=_number(data["cost"], "divisor", "cost"))
-
-    solver_kwargs = {}
-    if "solver" in data:
-        _check_keys(data["solver"], _SOLVER_KEYS, set(), "solver")
-        block = data["solver"]
-        if "tolerance" in block:
-            solver_kwargs["tolerance"] = _number(block, "tolerance", "solver")
-        if "oracle_grid" in block:
-            solver_kwargs["oracle_grid"] = _integer(block, "oracle_grid", "solver")
-
-    sim_kwargs = {}
-    if "sim" in data:
-        _check_keys(data["sim"], _SIM_KEYS, set(), "sim")
-        block = data["sim"]
-        if "trials" in block:
-            sim_kwargs["trials"] = _integer(block, "trials", "sim")
-        if "seed" in block:
-            sim_kwargs["seed"] = _integer(block, "seed", "sim")
-        if "mode" in block:
-            mode = block["mode"]
-            if not isinstance(mode, str):
-                _fail("sim", f"mode must be a string, got {mode!r}")
-            sim_kwargs["mode"] = mode
-
-    sim = SimConfig(**sim_kwargs)
-    spec = TournamentSpec(
-        prize=_number(data, "prize", origin),
-        csf=csf,
-        cost=cost,
-        bracket=data.get("bracket", (("H", "D"), ("H", "D"))),
-        solver=SolverSettings(**solver_kwargs),
-    )
+    cost = PowerCost(**_arguments(PowerCost, data["cost"], "cost"))
+    solver = _arguments(SolverSettings, data.get("solver", {}), "solver")
+    sim = SimConfig(**_arguments(SimConfig, data.get("sim", {}), "sim"))
+    bracket = {"bracket": data["bracket"]} if "bracket" in data else {}
+    spec = TournamentSpec(prize=_number(data, "prize", origin), csf=csf,
+                          cost=cost, solver=SolverSettings(**solver), **bracket)
     return spec, sim
 
 
@@ -171,52 +170,22 @@ def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
 # Serialization helpers.
 # ----------------------------------------------------------------------
 
-def _csf_to_dict(csf):
-    if isinstance(csf, TullockCsf):
-        return {"type": "tullock", "r": csf.r}
-    return {"type": "probit_uniform", "half_width": csf.half_width,
-            "f_exponent": csf.f_exponent}
-
-
 def _spec_to_dict(spec: TournamentSpec):
-    return {
-        "prize": spec.prize,
-        "csf": _csf_to_dict(spec.csf),
-        "cost": {"exponent": spec.cost.exponent, "divisor": spec.cost.divisor},
-        "bracket": [list(m) for m in spec.bracket],
-        "solver": asdict(spec.solver),
-    }
+    """The spec as a scenario file's blocks; the CSF block names its type."""
+    view = asdict(spec)
+    kind = next(k for k, cls in _CSF_TYPES.items() if isinstance(spec.csf, cls))
+    view["csf"] = {"type": kind, **view["csf"]}
+    return view
 
 
 def solution_to_dict(solution: SpeSolution):
     """JSON-ready view of a solved tournament."""
-    stage2 = solution.stage2
-    return {
-        "spec": _spec_to_dict(solution.spec),
-        "stage2": {
-            "base_effort": stage2.base_effort,
-            "sabotage": stage2.sabotage,
-            "menu": asdict(stage2.menu),
-            "profiles": {pairing: [asdict(e) for e in efforts]
-                         for pairing, efforts in stage2.profiles.items()},
-        },
-        "matches": [
-            {
-                "types": list(match.types),
-                "efforts": [asdict(e) for e in match.efforts],
-                "effective": list(match.effective),
-                "win_probs": list(match.win_probs),
-                "values": list(match.values),
-                "payoffs": list(match.payoffs),
-                "hawk_advance_prob": match.hawk_advance_prob,
-            }
-            for match in solution.matches
-        ],
-        "semifinal_win_probs": list(solution.semifinal_win_probs),
-        "win_probs": list(solution.win_probs),
-        "payoffs": list(solution.payoffs),
-        "type_win_probs": solution.type_win_probs,
-    }
+    view = asdict(solution)
+    view.update(spec=_spec_to_dict(solution.spec),
+                semifinal_win_probs=solution.semifinal_win_probs,
+                payoffs=solution.payoffs,
+                type_win_probs=solution.type_win_probs)
+    return view
 
 
 def _finite(value):
@@ -237,25 +206,28 @@ def _write_json(path: str, payload) -> None:
         json.dump(_finite(payload), handle, indent=2, sort_keys=True,
                   allow_nan=False)
         handle.write("\n")
+    print(f"wrote {path}")
+
+
+def _players(solution: SpeSolution):
+    """One row per player in CSV_HEADER's order: player, type, then six
+    floats."""
+    for player in range(4):
+        match = solution.matches[player // 2]
+        slot = player % 2
+        effort = match.efforts[slot]
+        yield (player, match.types[slot], effort.x, effort.s,
+               match.effective[slot], match.win_probs[slot],
+               solution.win_probs[player], match.payoffs[slot])
 
 
 def _write_csv(path: str, solution: SpeSolution) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for player in range(4):
-            match = solution.matches[player // 2]
-            slot = player % 2
-            writer.writerow([
-                player,
-                match.types[slot],
-                repr(match.efforts[slot].x),
-                repr(match.efforts[slot].s),
-                repr(match.effective[slot]),
-                repr(match.win_probs[slot]),
-                repr(solution.win_probs[player]),
-                repr(match.payoffs[slot]),
-            ])
+        for player, kind, *values in _players(solution):
+            writer.writerow([player, kind, *map(repr, values)])
+    print(f"wrote {path}")
 
 
 def _print_solution(solution: SpeSolution) -> None:
@@ -266,13 +238,8 @@ def _print_solution(solution: SpeSolution) -> None:
           f"D vs H {menu.dove_vs_hawk:.12g} | HH {menu.hawk_vs_hawk:.12g}")
     print(f"{'player':>6} {'type':>4} {'x':>14} {'s':>14} {'b':>14} "
           f"{'semifinal p':>14} {'win prob':>14} {'payoff':>14}")
-    for player in range(4):
-        match = solution.matches[player // 2]
-        slot = player % 2
-        print(f"{player:>6} {match.types[slot]:>4} {match.efforts[slot].x:>14.8g} "
-              f"{match.efforts[slot].s:>14.8g} {match.effective[slot]:>14.8g} "
-              f"{match.win_probs[slot]:>14.8g} {solution.win_probs[player]:>14.8g} "
-              f"{match.payoffs[slot]:>14.8g}")
+    for player, kind, *values in _players(solution):
+        print(f"{player:>6} {kind:>4} " + " ".join(f"{v:>14.8g}" for v in values))
     tw = solution.type_win_probs
     print(f"type win probabilities: dove {tw['D']:.12g}, hawk {tw['H']:.12g}")
 
@@ -287,10 +254,8 @@ def _cmd_solve(args) -> int:
     _print_solution(solution)
     if args.json:
         _write_json(args.json, solution_to_dict(solution))
-        print(f"wrote {args.json}")
     if args.csv:
         _write_csv(args.csv, solution)
-        print(f"wrote {args.csv}")
     return 0
 
 
@@ -315,21 +280,13 @@ def _cmd_verify(args) -> int:
         payload = asdict(report)
         payload["solution"] = solution_to_dict(solution)
         _write_json(args.json, payload)
-        print(f"wrote {args.json}")
     return 0 if report.interior_ok else 1
 
 
 def _cmd_simulate(args) -> int:
     spec, sim = parse_scenario(args.scenario)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if overrides:
-        sim = SimConfig(**{**asdict(sim), **overrides})
+    sim = replace(sim, **{key: getattr(args, key) for key in ("trials", "seed", "mode")
+                          if getattr(args, key) is not None})
     solution = solve_tournament(spec)
     result = simulate_tournament(solution, sim)
     print(f"{result.trials} trials, mode {result.mode}, seed {result.seed}")
@@ -349,10 +306,8 @@ def _cmd_simulate(args) -> int:
     print(f"all players within 99% bands: {'yes' if covered else 'no'}")
     if args.json:
         _write_json(args.json, asdict(result))
-        print(f"wrote {args.json}")
     if args.csv:
         _write_csv(args.csv, solution)
-        print(f"wrote {args.csv}")
     return 0
 
 
@@ -445,7 +400,6 @@ def _cmd_replicate(args) -> int:
             "ratio_scenario": {"rows": rows1, "asserted_rows_match": ok1},
             "noise_scenario": {"rows": rows2, "asserted_rows_match": ok2},
         })
-        print(f"wrote {args.json}")
     return 0 if all_ok else 1
 
 
