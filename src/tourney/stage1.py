@@ -51,12 +51,16 @@ from .stage2 import (Effort, PayoffMenu, Stage2Solution, _cost_value, _record,
 
 Bracket = tuple[tuple[str, str], tuple[str, str]]
 DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
+# the largest oracle grid a spec or an audit accepts: the hawk search holds
+# two n x n float64 arrays, 16 * n**2 bytes, which is 256 MiB at this size
+MAX_ORACLE_GRID = 4096
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Largest semifinal residual a solution may certify with (the roots
-    themselves converge to machine precision), and the grid oracle size."""
+    themselves converge to machine precision), and the grid oracle size,
+    an integer from 50 to MAX_ORACLE_GRID."""
 
     tolerance: float = 1e-10
     oracle_grid: int = 400
@@ -65,9 +69,10 @@ class SolverSettings:
         if not (_finite_real(self.tolerance) and self.tolerance > 0):
             raise ParameterError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}")
-        if type(self.oracle_grid) is not int or self.oracle_grid < 50:
-            raise ParameterError(
-                f"oracle_grid must be an integer of at least 50, got {self.oracle_grid!r}")
+        grid = self.oracle_grid
+        if type(grid) is not int or not 50 <= grid <= MAX_ORACLE_GRID:
+            raise ParameterError(f"oracle_grid must be an integer from 50 to "
+                                 f"{MAX_ORACLE_GRID}, got {grid!r}")
 
 
 def _normalize_bracket(bracket) -> Bracket:

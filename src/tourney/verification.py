@@ -50,8 +50,8 @@ from .errors import InteriorityError, ParameterError, SolverError
 # effective_effort is unused here, but perfbench's tracer patches it by
 # this module's name
 from .primitives import HAWK, TullockCsf, effective_effort  # noqa: F401
-from .stage1 import (_REACHABLE_PAIRINGS, SpeSolution, TournamentSpec,
-                     solve_tournament)
+from .stage1 import (_REACHABLE_PAIRINGS, MAX_ORACLE_GRID, SpeSolution,
+                     TournamentSpec, solve_tournament)
 from .stage2 import _record
 
 FOC_TOLERANCE = 1e-8
@@ -146,10 +146,12 @@ def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict
 
 def _grid_size(spec: TournamentSpec, grid) -> int:
     """The oracle grid: the spec's setting, or an override held to the rule
-    SolverSettings.oracle_grid applies (an int, not a bool, at least 50)."""
+    SolverSettings.oracle_grid applies (an int, not a bool, from 50 to
+    MAX_ORACLE_GRID)."""
     n = spec.solver.oracle_grid if grid is None else grid
-    if type(n) is not int or n < 50:
-        raise ParameterError(f"oracle grid must be an integer of at least 50, got {n!r}")
+    if type(n) is not int or not 50 <= n <= MAX_ORACLE_GRID:
+        raise ParameterError(f"oracle grid must be an integer from 50 to "
+                             f"{MAX_ORACLE_GRID}, got {n!r}")
     return n
 
 

@@ -209,6 +209,20 @@ class TestVerify:
         assert proc.returncode == 1
         assert "REJECTED" in proc.stdout
 
+    @pytest.mark.parametrize("grid", [2 ** 70, 10 ** 400])
+    def test_huge_oracle_grid_exits_two_with_one_error_line(self, tmp_path,
+                                                            grid):
+        # refused before the search allocates its n x n arrays
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(RATIO_SCENARIO,
+                                        solver={"oracle_grid": grid})))
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: oracle_grid must be an integer "
+                                      "from 50 to 4096")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_effort_below_an_ulp_of_sabotage_is_rejected(self, tmp_path):
         # the dove's effort is far below one ulp of its padded outlay, so the
         # audit's effective effort is 0.0 and its partial is not finite

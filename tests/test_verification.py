@@ -14,6 +14,7 @@ from tourney import (Effort, InteriorityError, ParameterError, PowerCost,
                      TournamentSpec, TullockCsf, existence_gate,
                      parse_scenario, solve_tournament, verify_solution)
 from tourney import verification
+from tourney.stage1 import MAX_ORACLE_GRID
 from tourney.stage2 import stage2_sabotage
 from tourney.verification import (_baseline, _candidate_ok, _corner,
                                   _corner_notes, _foc_notes, _oracle,
@@ -127,12 +128,13 @@ class TestOracle:
                                                 abs=1e-9)
         assert result.best_payoff - result.baseline == result.gain
 
-    @pytest.mark.parametrize("grid", [1, True, 10, 49, 128.9, 128.0, "128"])
+    @pytest.mark.parametrize("grid", [1, True, 10, 49, 128.9, 128.0, "128",
+                                      MAX_ORACLE_GRID + 1, 2 ** 70, 10 ** 400])
     @pytest.mark.parametrize("entry", ["verify_solution", "existence_gate",
                                        "scenario_file"])
     def test_grid_override_follows_the_settings_rule(self, entry, grid, tmp_path):
         # the rule SolverSettings.oracle_grid applies: an int, not a bool,
-        # of at least 50
+        # from 50 to MAX_ORACLE_GRID
         sol = solve_tournament(RATIO_SPEC)
 
         def scenario(g):
@@ -152,6 +154,11 @@ class TestOracle:
             calls[entry](grid)
         with pytest.raises(ParameterError):
             SolverSettings(oracle_grid=grid)
+
+    def test_grid_cap_is_admitted(self):
+        # settings only: an audit at the cap would fill 256 MiB
+        assert MAX_ORACLE_GRID == 4096
+        assert SolverSettings(oracle_grid=MAX_ORACLE_GRID).oracle_grid == 4096
 
     def test_dove_search_is_one_dimensional(self, ratio_report):
         for key, (_, best_s) in ratio_report.oracle_argmax.items():
