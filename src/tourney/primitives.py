@@ -214,7 +214,8 @@ class PowerCost:
     """Sabotage cost c(s) = s**exponent / divisor with exponent > 1.
 
     Strict convexity makes the marginal cost invertible, which is what the
-    closed-form sabotage levels rely on.
+    closed-form sabotage levels rely on.  Past the float range the validated
+    methods return inf without a warning.
     """
 
     exponent: float
@@ -230,15 +231,18 @@ class PowerCost:
 
     def cost(self, s):
         (sa,) = _checked("sabotage must be nonnegative", s)
-        return _match_input(self._cost(sa), s)
+        with np.errstate(over="ignore"):
+            return _match_input(self._cost(sa), s)
 
     def marginal(self, s):
         (sa,) = _checked("sabotage must be nonnegative", s)
-        return _match_input(self._marginal(sa), s)
+        with np.errstate(over="ignore"):
+            return _match_input(self._marginal(sa), s)
 
     def marginal_inverse(self, y):
         (ya,) = _checked("marginal cost level must be nonnegative", y)
-        return _match_input(self._marginal_inverse(ya), y)
+        with np.errstate(over="ignore"):
+            return _match_input(self._marginal_inverse(ya), y)
 
     def curvature(self, s):
         """Second derivative of the cost, +inf at s = 0 when the exponent is
@@ -246,7 +250,7 @@ class PowerCost:
         does not call it."""
         (sa,) = _checked("sabotage must be nonnegative", s)
         a = self.exponent
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return _match_input(a * (a - 1.0) * sa ** (a - 2.0) / self.divisor, s)
 
     def _cost(self, s):

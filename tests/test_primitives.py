@@ -1,5 +1,7 @@
 """Contest success functions, effective effort and the power cost."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,23 @@ def test_float_density_equals_the_array_density(a):
         assert got == want or (np.isnan(got) and np.isnan(want))
         assert np.signbit(got) == np.signbit(want)
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PowerCost(3.0, 1.0).cost(1e200),
+    lambda: PowerCost(3.0, 1.0).marginal(1e200),
+    lambda: PowerCost(3.0, 1.0).curvature(1e308),
+    lambda: PowerCost(1.01, 1.0).marginal_inverse(1e10),
+], ids=["cost", "marginal", "curvature", "marginal_inverse"])
+def test_power_cost_overflow_is_inf_without_a_warning(call):
+    # pytest turns a RuntimeWarning into an error, so a leaked overflow
+    # warning fails here
+    assert call() == math.inf
+
+
+def test_power_cost_overflow_keeps_the_finite_entries_of_an_array():
+    np.testing.assert_array_equal(
+        PowerCost(3.0, 1.0).cost(np.array([2.0, 1e200])), [8.0, np.inf])
 
 
 def test_power_cost_rejects_bad_parameters():
