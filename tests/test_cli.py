@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from tourney import ParameterError, cli, parse_scenario, simulate
+from tourney import (ParameterError, SimConfig, SolverSettings, cli,
+                     parse_scenario, simulate)
 
 RATIO_SCENARIO = {
     "prize": 80.0,
@@ -181,13 +182,17 @@ class TestSolve:
         assert "semifinal hawk effort" in proc.stderr
         assert "overflows" in proc.stderr
 
-    def test_unknown_csf_type_exits_two(self, tmp_path):
-        bad = dict(RATIO_SCENARIO, csf={"type": "logit"})
+    @pytest.mark.parametrize("kind", ["logit", [], {}],
+                             ids=["unknown-name", "list", "object"])
+    def test_unknown_csf_type_exits_two(self, tmp_path, kind):
+        # a list or an object is unhashable: it must not reach a dict lookup
+        bad = dict(RATIO_SCENARIO, csf={"type": kind})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         proc = run_cli("solve", str(path))
         assert proc.returncode == 2
-        assert "logit" in proc.stderr
+        assert proc.stderr.startswith(f"error: csf: unknown CSF type {kind!r}")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestVerify:
@@ -427,6 +432,56 @@ class TestScenarioParsing:
                                             solver={key: value})))
             with pytest.raises(ParameterError, match=key):
                 parse_scenario(path)
+
+    @pytest.mark.parametrize("csf", [
+        {"type": "tullock", "r": 0.5},
+        {"type": "probit_uniform", "half_width": 5.0, "f_exponent": 0.5},
+    ], ids=["tullock", "probit_uniform"])
+    def test_solution_spec_reads_back_as_the_scenario(self, tmp_path, csf):
+        # every field of the five input records away from its default
+        scenario = {
+            "prize": 40.0, "csf": csf,
+            "cost": {"exponent": 2.5, "divisor": 20.0},
+            "bracket": [["D", "H"], ["H", "H"]],
+            "solver": {"tolerance": 1e-9, "oracle_grid": 60},
+            "sim": {"trials": 5000, "seed": 3, "mode": "structural"},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "solution.json"
+        assert cli.run(["solve", str(path), "--json", str(out)]) == 0
+        written = json.loads(out.read_text())["spec"]
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(dict(written, sim=scenario["sim"])))
+        assert parse_scenario(again) == parse_scenario(path)
+        spec, sim = parse_scenario(path)
+        assert spec.solver != SolverSettings() and sim != SimConfig()
+
+    @pytest.mark.parametrize("block, value, named", [
+        ("csf", {"type": "probit_uniform", "f_exponent": 0.5}, "half_width"),
+        ("csf", {"type": "probit_uniform", "half_width": 5.0}, "f_exponent"),
+        ("csf", {"type": "tullock", "half_width": 5.0}, "half_width"),
+        ("csf", {"type": "probit_uniform", "half_width": 5.0,
+                 "f_exponent": 0.5, "r": 1.0}, "'r'"),
+        ("cost", {"divisor": 12.0}, "exponent"),
+        ("cost", {"exponent": 3.0}, "divisor"),
+        ("cost", {"exponent": 3.0, "divisor": 12.0, "scale": 1.0}, "scale"),
+        ("solver", {"tolerance": 1e-9, "grid": 60}, "grid"),
+        ("sim", {"trials": 10, "runs": 2}, "runs"),
+    ], ids=["probit-missing-half-width", "probit-missing-f-exponent",
+            "tullock-unknown", "probit-unknown", "cost-missing-exponent",
+            "cost-missing-divisor", "cost-unknown", "solver-unknown",
+            "sim-unknown"])
+    def test_missing_or_unknown_key_is_named(self, tmp_path, block, value,
+                                             named):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(RATIO_SCENARIO, **{block: value})))
+        with pytest.raises(ParameterError) as info:
+            parse_scenario(path)
+        message = str(info.value)
+        assert message.startswith(f"{block}: ")
+        assert ("missing key(s)" in message) != ("unknown key(s)" in message)
+        assert named in message
 
     def test_rejects_boolean_prize(self, tmp_path):
         path = tmp_path / "s.json"
