@@ -103,14 +103,14 @@ def _string(obj, key: str, where: str) -> str:
 _READERS = {"float": _number, "int": _integer, "str": _string}
 
 
-def _arguments(cls, obj, where: str, extra: frozenset = frozenset()) -> dict:
+def _arguments(cls, obj, where: str) -> dict:
     """The keyword arguments for cls given in the JSON object obj.  The
-    record's fields are the allowed keys (with extra), those without a
-    default are required, and each value goes through its type's reader."""
+    record's fields are the allowed keys, those without a default are
+    required, and each value goes through its type's reader."""
     record = fields(cls)
     required = {f.name for f in record
                 if f.default is MISSING and f.default_factory is MISSING}
-    _check_keys(obj, {f.name for f in record} | extra, required, where)
+    _check_keys(obj, {f.name for f in record}, required, where)
     return {f.name: _READERS[f.type](obj, f.name, where)
             for f in record if f.name in obj}
 
@@ -123,7 +123,8 @@ def _parse_csf(obj):
     if not isinstance(kind, str) or kind not in _CSF_TYPES:
         _fail("csf", f"unknown CSF type {kind!r} (expected 'tullock' or 'probit_uniform')")
     cls = _CSF_TYPES[kind]
-    return cls(**_arguments(cls, obj, "csf", frozenset({"type"})))
+    fields_only = {key: value for key, value in obj.items() if key != "type"}
+    return cls(**_arguments(cls, fields_only, "csf"))
 
 
 def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
