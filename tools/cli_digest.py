@@ -104,7 +104,9 @@ def _mutate(data, path, value):
 
 
 def _command(path) -> str:
-    return {"solver": "verify", "sim": "simulate"}.get(path[:1] and path[0], "solve")
+    """The subcommand that reads the block at path."""
+    block = path[0] if path else None
+    return {"solver": "verify", "sim": "simulate"}.get(block, "solve")
 
 
 class Corpus:
