@@ -10,9 +10,12 @@ holds a `type` ('tullock' or 'probit_uniform') and that CSF's fields, and
 the cost, solver and sim blocks hold the fields of `PowerCost`,
 `SolverSettings` and `SimConfig`.  A field without a default is required,
 any other key is an error, and each value is read by its field's declared
-type (float, int or str) before the record validates it.  The JSON views
-written by `--json` are the records' `asdict` with the same CSF `type`
-tag, so a solution's `spec` block reads back as the scenario it came from.
+type (float, int or str) before the record validates it.  An error names
+its block (`csf:`, `cost:`, `solver:`, `sim:`), whether a reader or the
+record found it; one from the spec itself (prize, bracket) names the file.
+The JSON views written by `--json` are the records' `asdict` with the same
+CSF `type` tag, so a solution's `spec` block reads back as the scenario it
+came from.
 
 Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
@@ -115,6 +118,15 @@ def _arguments(cls, obj, where: str) -> dict:
             for f in record if f.name in obj}
 
 
+def _validated(cls, where: str, **arguments):
+    """cls(**arguments), with a ParameterError from the record's own
+    validation prefixed by where, as the readers prefix theirs."""
+    try:
+        return cls(**arguments)
+    except ParameterError as exc:
+        _fail(where, str(exc))
+
+
 def _parse_csf(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         _fail("csf", "expected an object with a 'type' key")
@@ -124,7 +136,7 @@ def _parse_csf(obj):
         _fail("csf", f"unknown CSF type {kind!r} (expected 'tullock' or 'probit_uniform')")
     cls = _CSF_TYPES[kind]
     fields_only = {key: value for key, value in obj.items() if key != "type"}
-    return cls(**_arguments(cls, fields_only, "csf"))
+    return _validated(cls, "csf", **_arguments(cls, fields_only, "csf"))
 
 
 def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
@@ -132,12 +144,14 @@ def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
     # reports the same first one
     _check_keys(data, _TOP_KEYS, {"prize", "csf", "cost"}, origin)
     csf = _parse_csf(data["csf"])
-    cost = PowerCost(**_arguments(PowerCost, data["cost"], "cost"))
+    cost = _validated(PowerCost, "cost", **_arguments(PowerCost, data["cost"], "cost"))
     solver = _arguments(SolverSettings, data.get("solver", {}), "solver")
-    sim = SimConfig(**_arguments(SimConfig, data.get("sim", {}), "sim"))
+    sim = _validated(SimConfig, "sim", **_arguments(SimConfig, data.get("sim", {}), "sim"))
+    prize = _number(data, "prize", origin)
+    solver = _validated(SolverSettings, "solver", **solver)
     bracket = {"bracket": data["bracket"]} if "bracket" in data else {}
-    spec = TournamentSpec(prize=_number(data, "prize", origin), csf=csf,
-                          cost=cost, solver=SolverSettings(**solver), **bracket)
+    spec = _validated(TournamentSpec, origin, prize=prize, csf=csf, cost=cost,
+                      solver=solver, **bracket)
     return spec, sim
 
 

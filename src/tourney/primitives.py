@@ -18,6 +18,23 @@ from one `marginal` per audit for the hawks' sabotage, and the solver calls
 `_cost` and `_marginal_inverse` on its own nonnegative floats.
 The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
 on one Python float, for the semifinal root's inner loop.
+
+The noise CSF's win probability is one formula, the CDF of the difference
+of two uniform draws on [-a, a] at the performance gap t:
+
+    q = (2a - min(|t|, 2a))**2 / (8a**2),    cdf(t) = |[t > 0] - q|,
+
+which is 1 - q where t > 0 and q elsewhere.  Only the chosen side is
+squared, and its square stays below 8a**2, which construction keeps
+finite, so no evaluation overflows.  It is evaluated three ways with the
+same operations in the same order: `_cdf` on arrays and 0-d inputs,
+`_cdf_float` on one Python float, and `_cdf_into` in place on the audit's
+grids.  The square is the one step that can round differently: an array
+squares through np.square (`_cdf`'s `** 2` and `_cdf_into`), while a 0-d
+input and a Python float square through libm pow.  The two disagree in the
+last bit at about 4 of 10 000 points, so the solver's float CDF and the
+audit's array CDF can differ by an ulp or two; the values and sign bits
+are otherwise identical.
 """
 
 from __future__ import annotations
@@ -170,19 +187,25 @@ class ProbitUniformCsf:
 
     def _cdf(self, t):
         a = self.half_width
-        tc = np.clip(t, -2.0 * a, 2.0 * a)
-        low = (2.0 * a + tc) ** 2 / (8.0 * a * a)
-        high = 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
-        return np.where(tc <= 0.0, low, high)
+        q = (2.0 * a - np.minimum(np.abs(t), 2.0 * a)) ** 2 / (8.0 * a * a)
+        return np.abs((t > 0.0) - q)
 
     def _cdf_float(self, t: float) -> float:
-        """_cdf on one Python float, with the same operations and bits.  The
-        squares stay below 8a^2, which construction keeps finite."""
+        """_cdf on one Python float, with the same operations, and the bits
+        _cdf gives a 0-d input: both square through libm pow."""
         a = self.half_width
-        tc = min(max(t, -2.0 * a), 2.0 * a)
-        if tc <= 0.0:
-            return (2.0 * a + tc) ** 2 / (8.0 * a * a)
-        return 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
+        q = (2.0 * a - min(abs(t), 2.0 * a)) ** 2 / (8.0 * a * a)
+        return abs((t > 0.0) - q)
+
+    def _cdf_into(self, t: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Overwrite the array t with _cdf(t), bit for bit, using tmp (t's
+        shape) as scratch, so that a grid needs no temporary of its size."""
+        a = self.half_width
+        np.minimum(np.absolute(t, out=tmp), 2.0 * a, out=tmp)
+        np.square(np.subtract(2.0 * a, tmp, out=tmp), out=tmp)
+        np.divide(tmp, 8.0 * a * a, out=tmp)
+        np.subtract(np.greater(t, 0.0, out=t), tmp, out=t)
+        return np.absolute(t, out=t)
 
     def _density(self, t):
         a = self.half_width

@@ -23,16 +23,19 @@ levels and refines on 21 x 21 cells.  A dove, or a hawk whose rival spends
 nothing, crosses 40 n + 1 outlays with one zero-sabotage column, which is
 never refined, and refines on 201 outlays.  The coarse grids are the bulk.
 Each is computed in two buffers that every problem of a search reuses, by
-an in-place kernel that gives the primitive's payoff bit for bit; its
-ratio-CSF tie fix writes one prefix-by-suffix slice.  Outlays whose payoff
-bound max(value, 0) - x is below a payoff the grid attains are skipped,
-since they cannot hold the argmax; one vectorised count finds how many are
-kept, and every reported number is the one the full grid gives.
+an in-place kernel that gives the primitive's payoff bit for bit: the ratio
+CSF's ufuncs with a tie fix that writes one prefix-by-suffix slice, or the
+noise CSF's own in-place CDF, so this module holds no CDF arithmetic.
+Outlays whose payoff bound max(value, 0) - x is below a payoff the grid
+attains are skipped, since they cannot hold the argmax; one vectorised
+count finds how many are kept, and every reported number is the one the
+full grid gives.
 
-A candidate is accepted only when every layer comes back clean.  The
-existence gate then maps out the smallest prize for which that happens,
-which is genuinely useful under the noise CSF: bounded noise lets weak
-players free-ride on luck, so admissibility can vanish even where the
+A candidate is accepted only when every layer comes back clean, and one
+gain test, _gains, decides for the corner bound, the oracle and the gate.
+The existence gate then maps out the smallest prize for which that
+happens, which is genuinely useful under the noise CSF: bounded noise lets
+weak players free-ride on luck, so admissibility can vanish even where the
 interior formulas still produce numbers.  The gate needs only the verdict,
 so each of its probes stops at the first failing layer, cheapest first,
 and its oracle stops at the first problem whose running best already gains
@@ -50,8 +53,8 @@ from .errors import InteriorityError, ParameterError, SolverError
 # effective_effort is unused here, but perfbench's tracer patches it by
 # this module's name
 from .primitives import HAWK, TullockCsf, effective_effort  # noqa: F401
-from .stage1 import (_REACHABLE_PAIRINGS, MAX_ORACLE_GRID, SpeSolution,
-                     TournamentSpec, solve_tournament)
+from .stage1 import (_REACHABLE_PAIRINGS, SpeSolution, TournamentSpec,
+                     solve_tournament)
 from .stage2 import _record
 
 FOC_TOLERANCE = 1e-8
@@ -145,14 +148,11 @@ def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict
 
 
 def _grid_size(spec: TournamentSpec, grid) -> int:
-    """The oracle grid: the spec's setting, or an override held to the rule
-    SolverSettings.oracle_grid applies (an int, not a bool, from 50 to
-    MAX_ORACLE_GRID)."""
-    n = spec.solver.oracle_grid if grid is None else grid
-    if type(n) is not int or not 50 <= n <= MAX_ORACLE_GRID:
-        raise ParameterError(f"oracle grid must be an integer from 50 to "
-                             f"{MAX_ORACLE_GRID}, got {n!r}")
-    return n
+    """The oracle grid: the spec's setting, or an override that
+    SolverSettings accepts as its oracle_grid."""
+    if grid is None:
+        return spec.solver.oracle_grid
+    return replace(spec.solver, oracle_grid=grid).oracle_grid
 
 
 # ----------------------------------------------------------------------
@@ -260,28 +260,13 @@ def _argmax_rows(pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, flat[np.arange(len(flat)), idx]
 
 
-def _noise_cdf(csf, t: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Overwrite t with csf._cdf(t), bit for bit, using tmp (t's shape) as
-    scratch.  One branch: q = (2a - min(|t|, 2a))^2 / (8a^2), then
-    |[t > 0] - q|, which is 1 - q where t > 0 and q elsewhere."""
-    a = csf.half_width
-    np.absolute(t, out=tmp)
-    np.minimum(tmp, 2.0 * a, out=tmp)
-    np.subtract(2.0 * a, tmp, out=tmp)
-    np.square(tmp, out=tmp)
-    np.divide(tmp, 8.0 * a * a, out=tmp)
-    np.greater(t, 0.0, out=t)
-    np.subtract(t, tmp, out=t)
-    return np.absolute(t, out=t)
-
-
 def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
     """_payoff(csf, cost, frozen, x, s) for an ascending outlay column x
     (K x 1) and an ascending sabotage row s, written into out (K x len(s))
     with tmp as scratch, with no temporary of the grid's size.  The ratio
     CSF runs _win_prob's ufuncs on the same operands in the same order and
-    the noise CSF takes _noise_cdf, so every cell is bit-identical to
-    _payoff's."""
+    the noise CSF overwrites the gaps with its _cdf_into, so every cell is
+    bit-identical to _payoff's."""
     value, x_rival, s_rival = frozen
     bo = np.maximum(0.0, x - s_rival)
     br = np.maximum(0.0, x_rival - s)
@@ -299,7 +284,7 @@ def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
             pr.size - np.count_nonzero(pr == 0.0):] = 0.5
     else:
         np.subtract(csf._performance(bo), csf._performance(br), out=out)
-        _noise_cdf(csf, out, tmp)
+        csf._cdf_into(out, tmp)
     np.multiply(out, value, out=out)
     np.subtract(out, cost._cost(s), out=out)
     return np.subtract(out, x, out=out)
@@ -313,12 +298,13 @@ def _kept_rows(top: float, xs: np.ndarray, floor: float) -> int:
     return int(np.count_nonzero(~(top - xs < floor)))
 
 
-def _gains(best: float, base: float) -> bool:
-    """Whether a row's running best gains more than GAIN_TOLERANCE over its
-    baseline (a NaN gain does, as in _oracle_notes).  A running best never
-    falls and fl(best - base) is monotone in best, so a row that gains here
-    gains in the finished search as well."""
-    return not best - base <= GAIN_TOLERANCE
+def _gains(gain: float) -> bool:
+    """Whether a deviation gains more than GAIN_TOLERANCE (a NaN gain does):
+    the one gain test of the corner and oracle notes and of the gate's
+    running bests.  A running best never falls and fl(best - base) is
+    monotone in best, so once a running best gains, the finished search
+    reports a gain as well."""
+    return not gain <= GAIN_TOLERANCE
 
 
 def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
@@ -355,7 +341,7 @@ def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
             # the running best the search makes of the top: a NaN never
             # replaces the initial -inf
             running = top[-1] if top[-1] > -math.inf else -math.inf
-            if _gains(running, need[row]):
+            if _gains(running - need[row]):
                 return None
     return np.array(flat), np.array(top)
 
@@ -409,7 +395,8 @@ def _search(csf, cost, t: _Table, prize: float, n: int, two_d: bool, need=None):
         best = np.where(better, top, best)
         best_x = np.where(better, x_at, best_x)
         best_s = np.where(better, s_at, best_s)
-        if need is not None and any(map(_gains, best.tolist(), need)):
+        if need is not None and any(_gains(run - b) for run, b
+                                    in zip(best.tolist(), need)):
             return None
     return best, best_x, best_s
 
@@ -495,13 +482,13 @@ def _soc_notes(soc) -> list[str]:
 
 def _corner_notes(corner) -> list[str]:
     return [f"corner deviation {key} gains {value:.6g}"
-            for key, value in corner.items() if not value <= GAIN_TOLERANCE]
+            for key, value in corner.items() if _gains(value)]
 
 
 def _oracle_notes(gains, argmax) -> list[str]:
     return [f"oracle deviation {key} gains {value:.6g} at "
             f"x={argmax[key][0]:.6g}, s={argmax[key][1]:.6g}"
-            for key, value in gains.items() if not value <= GAIN_TOLERANCE]
+            for key, value in gains.items() if _gains(value)]
 
 
 def _stage_notes(solution: SpeSolution) -> list[str]:

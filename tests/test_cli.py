@@ -223,8 +223,8 @@ class TestVerify:
                                         solver={"oracle_grid": grid})))
         proc = run_cli("verify", str(path))
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: oracle_grid must be an integer "
-                                      "from 50 to 4096")
+        assert proc.stderr.startswith("error: solver: oracle_grid must be an "
+                                      "integer from 50 to 4096")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
@@ -322,12 +322,13 @@ class TestSimulate:
         path = tmp_path / "long.json"
         path.write_text(json.dumps(dict(RATIO_SCENARIO,
                                         sim={"trials": 10 ** 30})))
-        for args in (("simulate", str(path)),
-                     ("simulate", str(scenario_path), "--trials",
-                      str(simulate.MAX_TRIALS + 1))):
+        # the file's sim block is named, the flag is not
+        for args, prefix in ((("simulate", str(path)), "error: sim: trials"),
+                             (("simulate", str(scenario_path), "--trials",
+                               str(simulate.MAX_TRIALS + 1)), "error: trials")):
             proc = run_cli(*args)
             assert proc.returncode == 2
-            assert proc.stderr.startswith("error: trials")
+            assert proc.stderr.startswith(prefix)
             assert proc.stderr.count("\n") == 1
 
 
@@ -488,3 +489,27 @@ class TestScenarioParsing:
         path.write_text(json.dumps(dict(RATIO_SCENARIO, prize=True)))
         with pytest.raises(ParameterError):
             parse_scenario(path)
+
+    @pytest.mark.parametrize("change, prefix, message", [
+        ({"csf": {"type": "tullock", "r": 2.0}}, "csf", "decisiveness exponent"),
+        ({"csf": {"type": "probit_uniform", "half_width": -1.0,
+                  "f_exponent": 0.5}}, "csf", "noise half width"),
+        ({"cost": {"exponent": 1.0, "divisor": 12.0}}, "cost", "cost exponent"),
+        ({"solver": {"oracle_grid": 10}}, "solver", "oracle_grid must be"),
+        ({"solver": {"tolerance": -1.0}}, "solver", "tolerance must be"),
+        ({"sim": {"trials": 0}}, "sim", "trials must be"),
+        ({"sim": {"mode": "fast"}}, "sim", "mode must be"),
+        ({"prize": -1.0}, None, "prize must be"),
+        ({"bracket": [["H", "X"], ["H", "D"]]}, None, "player types must be"),
+    ], ids=["tullock", "probit", "cost", "solver-grid", "solver-tolerance",
+            "sim-trials", "sim-mode", "prize", "bracket"])
+    def test_a_record_error_names_its_block(self, tmp_path, change, prefix,
+                                            message):
+        # the record's own validation is prefixed as the readers' errors
+        # are: a block by its name, the spec itself by the file
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(RATIO_SCENARIO, **change)))
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {prefix or path}: {message}")
+        assert proc.stderr.count("\n") == 1

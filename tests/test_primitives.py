@@ -1,6 +1,7 @@
 """Contest success functions, effective effort and the power cost."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from tourney import (InteriorityError, ParameterError, PowerCost,
                      ProbitUniformCsf, TullockCsf)
 from tourney.primitives import effective_effort
-from tourney.verification import _noise_cdf
 
 tullock_csfs = st.floats(0.05, 1.0).map(TullockCsf)
 probit_csfs = st.builds(ProbitUniformCsf,
@@ -204,34 +204,92 @@ def test_probit_rejects_a_half_width_whose_cdf_scale_overflows():
             ProbitUniformCsf(half_width=width, f_exponent=0.5)
 
 
+def _two_branch_cdf(a, t):
+    """The noise CDF as first written, the reference for the one-branch
+    kernels: both sides squared, one chosen.  Near the width bound the
+    unused side overflows, so it runs with overflow ignored."""
+    with np.errstate(over="ignore"):
+        tc = np.clip(t, -2.0 * a, 2.0 * a)
+        low = (2.0 * a + tc) ** 2 / (8.0 * a * a)
+        high = 1.0 - (2.0 * a - tc) ** 2 / (8.0 * a * a)
+        return np.where(tc <= 0.0, low, high)
+
+
+def _cdf_edges(a) -> list[float]:
+    """The support's edges, their neighbours, the infinities and the
+    smallest subnormals."""
+    return [0.0, -0.0, 2.0 * a, -2.0 * a, 3.0 * a, -3.0 * a, np.inf, -np.inf,
+            np.nextafter(2.0 * a, 0.0), np.nextafter(-2.0 * a, 0.0),
+            np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0)]
+
+
+def _cdf_points(a) -> np.ndarray:
+    """The edges, then a regular and a random grid reaching past 2a."""
+    rng = np.random.default_rng(6)
+    return np.concatenate([_cdf_edges(a), np.linspace(-2.5 * a, 2.5 * a, 4001),
+                           rng.uniform(-2.2 * a, 2.2 * a, 4000)])
+
+
+def _same_bits(got, want) -> bool:
+    return bool(np.all(got == want) and np.all(np.signbit(got) == np.signbit(want)))
+
+
+CDF_WIDTHS = [1e-150, 1e-3, 0.3, 1.0, 5.0, 30.0, 1e150, 4e153]
+
+
+@pytest.mark.parametrize("a", CDF_WIDTHS)
+def test_cdf_kernels_match_the_two_branch_reference(a):
+    csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
+    grid = _cdf_points(a)
+    # an array squares through np.square in both forms
+    want = _two_branch_cdf(a, grid)
+    assert _same_bits(csf._cdf(grid), want)
+    assert _same_bits(csf._cdf_into(grid.copy(), np.empty_like(grid)), want)
+    # a 0-d input and a Python float square through libm pow in both.  The
+    # two squares differ at about 4 of 10 000 points; the quarter of the
+    # grids taken here holds 3 of them over all widths
+    for t in _cdf_edges(a) + grid[::4].tolist():
+        want = _two_branch_cdf(a, t)
+        assert _same_bits(csf._cdf(np.asarray(t)), want), t
+        assert _same_bits(csf._cdf_float(t), want), t
+    nan = np.array([np.nan])
+    assert np.isnan(csf._cdf(nan)).all() and np.isnan(csf._cdf_float(np.nan))
+    assert np.isnan(csf._cdf_into(nan.copy(), np.empty(1))).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda csf: csf.noise_diff_cdf(7e153),
+    lambda csf: csf.noise_diff_cdf(-7e153),
+    lambda csf: csf.noise_diff_cdf(np.array([-7.9e153, -7e153, 7e153, 7.9e153])),
+    lambda csf: csf.win_prob(6e307, 0.0),
+    lambda csf: csf.win_prob(0.0, 6e307),
+], ids=["above", "below", "array", "win", "lose"])
+def test_noise_cdf_at_the_width_bound_raises_no_warning(call):
+    # |t| near 2a at the widest admitted half width: only the chosen side
+    # is squared, and its square stays below 8a^2
+    csf = ProbitUniformCsf(half_width=4e153, f_exponent=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = call(csf)
+    assert np.all((0.0 < p) & (p < 1.0))
+
+
 @pytest.mark.parametrize("a", [1e-3, 0.3, 1.0, 5.0, 30.0, 1e150, 4e153])
 def test_float_cdf_is_bit_identical_to_the_array_cdf(a):
     csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
-    edges = [0.0, -0.0, 2.0 * a, -2.0 * a, 3.0 * a, -3.0 * a, np.inf, -np.inf,
-             np.nextafter(2.0 * a, 0.0), np.nextafter(-2.0 * a, 0.0),
-             np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0)]
-    rng = np.random.default_rng(6)
-    grid = np.concatenate([edges, np.linspace(-2.5 * a, 2.5 * a, 4001),
-                           rng.uniform(-2.2 * a, 2.2 * a, 4000)])
+    grid = _cdf_points(a)
     for t in grid.tolist():
-        # the array CDF squares both branches; near the width bound the
-        # unused one overflows and warns, the chosen one stays finite
-        with np.errstate(over="ignore"):
-            want = csf.noise_diff_cdf(t)
+        want = csf.noise_diff_cdf(t)
         got = csf._cdf_float(t)
         assert type(got) is float
         assert (got, np.signbit(got)) == (want, np.signbit(want)), t
     assert np.isnan(csf._cdf_float(np.nan)) and np.isnan(csf.noise_diff_cdf(np.nan))
-    # the oracle's in-place one-branch kernel against the CDF of the whole
-    # grid as one array, which is how the oracle evaluates it (a 0-d input
-    # squares through libm pow, an array through np.square: they can differ
-    # in the last bit)
-    with np.errstate(over="ignore"):
-        want = csf.noise_diff_cdf(grid)
-    got = _noise_cdf(csf, grid.copy(), np.empty_like(grid))
-    assert (got == want).all()
-    assert (np.signbit(got) == np.signbit(want)).all()
-    assert np.isnan(_noise_cdf(csf, np.array([np.nan]), np.empty(1))).all()
+    # the oracle's in-place kernel against the CDF of the whole grid as one
+    # array, which is how the oracle evaluates it (a 0-d input squares
+    # through libm pow, an array through np.square: they can differ in the
+    # last bit)
+    want = csf.noise_diff_cdf(grid)
+    assert _same_bits(csf._cdf_into(grid.copy(), np.empty_like(grid)), want)
 
 
 @pytest.mark.parametrize("a", [5.0, 0.3, 1e-150, 1e150])
