@@ -16,7 +16,14 @@ sit four layers:
 * a closed-form bound for the full-sabotage corner,
 * a brute-force grid oracle with local refinement.
 
-The oracle runs one search per distinct problem: a coarse grid of outlays
+Identical players face identical problems: both players of a same-type
+semifinal, both semifinals of a symmetric seeding, both roles of a
+symmetric final.  The table of problems holds each distinct problem once
+and maps every player's key to its row, so every layer measures each
+problem once, and one expansion step keys the results per player for the
+report.
+
+The oracle runs one search per problem: a coarse grid of outlays
 crossed with sabotage levels, then two refinements around the best cell.  A
 hawk against a positive rival outlay crosses n outlays with n sabotage
 levels and refines on 21 x 21 cells.  A dove, or a hawk whose rival spends
@@ -66,22 +73,20 @@ _DOVE_REFINE = 201
 
 @_record
 class _Table:
-    """Every player's unilateral choice problem at the candidate, one row
+    """Every distinct unilateral choice problem at the candidate, one row
     each: pick an outlay x and (hawks only) a sabotage level s against the
-    frozen rival outlay (x_rival, s_rival) and collect p * value - c(s) - x."""
+    frozen rival outlay (x_rival, s_rival) and collect p * value - c(s) - x.
+    keys are the report's keys in order, and of[i] is the row of keys[i]'s
+    problem: players with identical data share one row."""
 
     keys: tuple[str, ...]
+    of: tuple[int, ...]
     hawk: np.ndarray
     value: np.ndarray
     x: np.ndarray
     s: np.ndarray
     x_rival: np.ndarray
     s_rival: np.ndarray
-
-    def take(self, rows) -> _Table:
-        return _Table(tuple(self.keys[i] for i in rows), self.hawk[rows],
-                      self.value[rows], self.x[rows], self.s[rows],
-                      self.x_rival[rows], self.s_rival[rows])
 
     def frozen(self, rows, dims: int) -> tuple[np.ndarray, ...]:
         """(value, x_rival, s_rival) of the rows, shaped to broadcast over
@@ -92,6 +97,8 @@ class _Table:
 
 
 def _table(solution: SpeSolution) -> _Table:
+    """The candidate's choice problems, one row per distinct
+    (hawk, value, x, s, x_rival, s_rival), first occurrence first."""
     rows = []
     for mi, match in enumerate(solution.matches):
         for slot in (0, 1):
@@ -110,15 +117,18 @@ def _table(solution: SpeSolution) -> _Table:
             own, rival = efforts[role], efforts[1 - role]
             rows.append((key, pairing[role], solution.spec.prize,
                          own.x, own.s, rival.x, rival.s))
-    cols = np.array([row[2:] for row in rows], dtype=float).T
+    index: dict[tuple, int] = {}
+    of = tuple(index.setdefault((row[1] == HAWK, *row[2:]), len(index))
+               for row in rows)
+    cols = np.array([problem[1:] for problem in index], dtype=float).T
     bad = ~(np.isfinite(cols).all(axis=0) & (cols[1:] >= 0).all(axis=0))
     if bad.any():
-        row = rows[int(np.argmax(bad))]
+        row = rows[of.index(int(np.argmax(bad)))]
         raise ParameterError(
             f"choice problem {row[0]} needs a finite value and finite, "
             f"nonnegative efforts, got {row[2:]}")
-    return _Table(tuple(row[0] for row in rows),
-                  np.array([row[1] == HAWK for row in rows]), *cols)
+    return _Table(tuple(row[0] for row in rows), of,
+                  np.array([problem[0] for problem in index]), *cols)
 
 
 def _payoff(csf, cost, frozen, x, s):
@@ -135,15 +145,23 @@ def _baseline(csf, cost, t: _Table) -> np.ndarray:
         return _payoff(csf, cost, t.frozen(slice(None), 0), t.x, t.s)
 
 
+def _expand(t: _Table, values: list, rows=None) -> dict:
+    """Per-problem values keyed by the report's keys in order: values[i]
+    belongs to problem rows[i] (to problem i when rows is None), and a key
+    whose problem has no value is left out."""
+    entry = dict(zip(range(len(values)) if rows is None else rows, values))
+    return {key: entry[p] for key, p in zip(t.keys, t.of) if p in entry}
+
+
 def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict[str, float]:
-    """Entries keyed in report order: each problem's effort, then its
-    sabotage when it is a hawk (`sabotage` holds the hawk rows only)."""
+    """Entries keyed in report order: each key's effort, then its sabotage
+    when it is a hawk (`sabotage` holds the hawk problems only)."""
+    sabotage = _expand(t, sabotage.tolist(), np.flatnonzero(t.hawk).tolist())
     out = {}
-    hawk_values = iter(sabotage.tolist())
-    for key, hawk, value in zip(t.keys, t.hawk.tolist(), effort.tolist()):
+    for key, value in _expand(t, effort.tolist()).items():
         out[key + "_effort"] = value
-        if hawk:
-            out[key + "_sabotage"] = next(hawk_values)
+        if key in sabotage:
+            out[key + "_sabotage"] = sabotage[key]
     return out
 
 
@@ -161,7 +179,7 @@ def _grid_size(spec: TournamentSpec, grid) -> int:
 
 def foc_residuals(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     """Analytic stationarity residuals for every choice variable of the
-    table.
+    table, keyed per player.
 
     Each productive entry is d(win prob)/d(own effort) * value - 1, each
     sabotage entry is the marginal win-probability gain from weakening the
@@ -181,7 +199,7 @@ def foc_residuals(spec: TournamentSpec, t: _Table) -> dict[str, float]:
 
 def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     """Finite-difference own-second-partials of every payoff of the table
-    at the candidate.
+    at the candidate, keyed per player.
 
     Negative values mean the stationary point is a local maximum along that
     coordinate.  The step is absolute-floored so that curvature is measured
@@ -189,9 +207,9 @@ def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     """
     # one three-point stencil per coordinate: productive effort for every
     # row, then sabotage for the hawk rows, all evaluated in one call
-    hawks = np.flatnonzero(t.hawk)
-    rows = np.concatenate([np.arange(len(t.keys)), hawks])
-    on_x = np.arange(len(rows)) < len(t.keys)
+    k = t.hawk.size
+    rows = np.concatenate([np.arange(k), np.flatnonzero(t.hawk)])
+    on_x = np.arange(rows.size) < k
     z = np.where(on_x, t.x[rows], t.s[rows])
     h = np.maximum(_SOC_STEP * np.abs(z), _SOC_STEP)
     # one-sided stencil for coordinates too close to the boundary
@@ -214,8 +232,8 @@ def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
 # ----------------------------------------------------------------------
 
 def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, float]:
-    """Every hawk row's corner gain over its baseline; base holds the
-    baselines of all rows."""
+    """Every hawk's corner gain over its baseline, keyed per player; base
+    holds the baselines of all problems."""
     # wiping out the rival's entire outlay and entering with token effort
     # wins outright under the ratio CSF and a coin flip under bounded noise
     rows = np.flatnonzero(t.hawk)
@@ -223,18 +241,7 @@ def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, floa
     with np.errstate(over="ignore"):
         bound = p_corner * t.value[rows] - spec.cost._cost(t.x_rival[rows])
         gain = bound - base[rows]
-    return dict(zip((t.keys[i] for i in rows.tolist()), gain.tolist()))
-
-
-@_record
-class OracleResult:
-    """Outcome of a brute-force search of one player's deviation space."""
-
-    gain: float
-    best_x: float
-    best_s: float
-    best_payoff: float
-    baseline: float
+    return _expand(t, gain.tolist(), rows.tolist())
 
 
 def _linspace_rows(lo: np.ndarray, hi, points: int) -> np.ndarray:
@@ -307,31 +314,32 @@ def _gains(gain: float) -> bool:
     return not gain <= GAIN_TOLERANCE
 
 
-def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
-    """Each row's first flat argmax over the grid xs x ss[row] and the
-    payoff there, computed in two buffers that every row reuses.  With need
-    (the rows' baselines), it returns None as soon as a row _gains.
+def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
+            ss: np.ndarray, need=None):
+    """Each problem's first flat argmax over the grid xs x ss[i], for the
+    i-th of the table's rows, and the payoff there, computed in two buffers
+    that every problem reuses.  With need (their baselines), it returns
+    None as soon as a problem _gains.
 
     Only outlays that can hold the argmax are evaluated.  The grid row
     nearest each candidate's own outlay goes first, through _payoff: its
     maximum is a floor the grid attains.  Every payoff has p <= 1 and
     c(s) >= 0, and rounding is monotone, so a payoff at outlay x is at most
-    fl(max(value, 0) - x).  A row whose bound is below the floor lies
+    fl(max(value, 0) - x).  A grid row whose bound is below the floor lies
     strictly below the grid maximum and can neither be nor tie the first
-    argmax.  The bound falls as x grows, so those rows are a suffix of the
-    grid: _kept_rows counts the rest in one vectorised pass, and the suffix
-    is skipped.
+    argmax.  The bound falls as x grows, so those grid rows are a suffix:
+    _kept_rows counts the rest in one vectorised pass, and the suffix is
+    skipped.
     """
-    nearest = np.minimum(np.searchsorted(xs, t.x), xs.size - 1)
-    floor = _payoff(csf, cost, t.frozen(slice(None), 1), xs[nearest, None],
+    nearest = np.minimum(np.searchsorted(xs, t.x[rows]), xs.size - 1)
+    floor = _payoff(csf, cost, t.frozen(rows, 1), xs[nearest, None],
                     ss).max(axis=1).tolist()
     out = np.empty((xs.size, ss.shape[1]))
     tmp = np.empty_like(out)
     col = xs[:, None]
     flat, top = [], []
-    for row, (frozen, s, low) in enumerate(zip(
-            zip(t.value.tolist(), t.x_rival.tolist(), t.s_rival.tolist()),
-            ss, floor)):
+    for i, (frozen, s, low) in enumerate(zip(
+            zip(*(c.tolist() for c in t.frozen(rows, 0))), ss, floor)):
         kept = _kept_rows(max(frozen[0], 0.0), xs, low)
         pay = _grid_payoff(csf, cost, frozen, col[:kept], s,
                            out[:kept], tmp[:kept]).reshape(-1)
@@ -341,26 +349,28 @@ def _coarse(csf, cost, t: _Table, xs: np.ndarray, ss: np.ndarray, need=None):
             # the running best the search makes of the top: a NaN never
             # replaces the initial -inf
             running = top[-1] if top[-1] > -math.inf else -math.inf
-            if _gains(running - need[row]):
+            if _gains(running - need[i]):
                 return None
     return np.array(flat), np.array(top)
 
 
-def _search(csf, cost, t: _Table, prize: float, n: int, two_d: bool, need=None):
-    """Every row's best deviation as (payoff, x, s) arrays.  With two_d
-    (hawks against a positive rival outlay): an n x n grid of productive
-    effort on [0, prize] crossed with sabotage on [0, x_rival], then two
-    21 x 21 refinements around the incumbent best cell.  Otherwise (doves,
-    and hawks whose rival spends nothing): 40 n + 1 outlays against one
-    zero-sabotage column, which is never refined, then two 201-point
-    refinements.  With need (the rows' baselines), it returns None as soon
-    as a row's running best _gains."""
-    k = len(t.keys)
+def _search(csf, cost, t: _Table, rows: np.ndarray, prize: float, n: int,
+            two_d: bool, need=None):
+    """The best deviation of each problem in the table's rows as (payoff, x,
+    s) arrays.  With two_d (hawks against a positive rival outlay): an n x n
+    grid of productive effort on [0, prize] crossed with sabotage on
+    [0, x_rival], then two 21 x 21 refinements around the incumbent best
+    cell.  Otherwise (doves, and hawks whose rival spends nothing): 40 n + 1
+    outlays against one zero-sabotage column, which is never refined, then
+    two 201-point refinements.  With need (their baselines), it returns
+    None as soon as a problem's running best _gains."""
+    k = rows.size
     at = np.arange(k)
-    frozen = t.frozen(at, 2)
+    frozen = t.frozen(rows, 2)
+    x_rival = t.x_rival[rows]
     if two_d:
         xs = np.linspace(0.0, prize, n)
-        ss = _linspace_rows(np.zeros(k), t.x_rival, n)
+        ss = _linspace_rows(np.zeros(k), x_rival, n)
         cell_s = ss[:, 1] - ss[:, 0]
         points = _HAWK_REFINE
     else:
@@ -375,7 +385,7 @@ def _search(csf, cost, t: _Table, prize: float, n: int, two_d: bool, need=None):
         if step == 0:
             # one problem at a time, so that memory holds one coarse grid
             # (and its scratch) and not k of them
-            coarse = _coarse(csf, cost, t, xs, ss, need)
+            coarse = _coarse(csf, cost, t, rows, xs, ss, need)
             if coarse is None:
                 return None
             flat, top = coarse
@@ -385,7 +395,7 @@ def _search(csf, cost, t: _Table, prize: float, n: int, two_d: bool, need=None):
             xs = _around(x_at, cell_x, prize, points)
             cell_x = xs[:, 1] - xs[:, 0]
             if two_d:
-                ss = _around(s_at, cell_s, t.x_rival, points)
+                ss = _around(s_at, cell_s, x_rival, points)
                 cell_s = ss[:, 1] - ss[:, 0]
             flat, top = _argmax_rows(_payoff(csf, cost, frozen,
                                              xs[:, :, None], ss[:, None, :]))
@@ -401,54 +411,28 @@ def _search(csf, cost, t: _Table, prize: float, n: int, two_d: bool, need=None):
     return best, best_x, best_s
 
 
-def _distinct(t: _Table) -> tuple[list[int], list[int]]:
-    """The rows of the table's distinct problems, first occurrence first,
-    and for every row the index of its problem among them: problems with
-    identical data share one search."""
-    index: dict[tuple, int] = {}
-    unique, of = [], []
-    for row, sig in enumerate(zip(t.hawk.tolist(), t.value.tolist(), t.x.tolist(),
-                                  t.s.tolist(), t.x_rival.tolist(),
-                                  t.s_rival.tolist())):
-        if sig not in index:
-            index[sig] = len(unique)
-            unique.append(row)
-        of.append(index[sig])
-    return unique, of
+def _oracle(spec: TournamentSpec, t: _Table, n: int, need: np.ndarray | None = None):
+    """Grid-search every problem's deviation space once: the best payoff
+    and its (x, s), as (best, best_x, best_s) arrays over the problems.
 
-
-def _oracle(spec: TournamentSpec, t: _Table, n: int, *,
-            reject_early: bool = False, base: np.ndarray | None = None,
-            ) -> list[OracleResult] | None:
-    """Grid-search every row's deviation space; one OracleResult per row.
-    Rows with identical problems share one search and one result.  base
-    holds the rows' baselines, computed here when the caller has none.
-
-    With reject_early the searches are handed the baselines, and the call
-    returns None as soon as one row's running best gains more than
-    GAIN_TOLERANCE, which the finished search would report too.  The
-    doves' lines, the cheapest search and the likeliest to find a gain,
-    run first.
+    With need (the problems' baselines) the call returns None as soon as
+    one problem's running best gains more than GAIN_TOLERANCE, which the
+    finished search would report too.  The doves' lines, the cheapest
+    search and the likeliest to find a gain, run first.
     """
-    if base is None:
-        base = _baseline(spec.csf, spec.cost, t)
-    unique, of = _distinct(t)
-    t, base = t.take(unique), base[unique]
     two_d = t.hawk & (t.x_rival > 0.0)
-    best, best_x, best_s = (np.empty(len(unique)) for _ in range(3))
+    best, best_x, best_s = (np.empty(two_d.size) for _ in range(3))
     # a huge outlay's cost overflows to inf, a payoff the gain tests read
     with np.errstate(over="ignore"):
         for hawks in (False, True):
             rows = np.flatnonzero(two_d == hawks)
             if rows.size:
-                found = _search(spec.csf, spec.cost, t.take(rows), spec.prize, n,
-                                hawks, base[rows].tolist() if reject_early else None)
+                found = _search(spec.csf, spec.cost, t, rows, spec.prize, n, hawks,
+                                None if need is None else need[rows].tolist())
                 if found is None:
                     return None
                 best[rows], best_x[rows], best_s[rows] = found
-    results = [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
-        best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
-    return [results[i] for i in of]
+    return best, best_x, best_s
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +503,9 @@ def verify_solution(solution: SpeSolution, *, grid: int | None = None,
     soc = soc_check(spec, t)
     base = _baseline(spec.csf, spec.cost, t)
     corner = _corner(spec, t, base)
-    results = _oracle(spec, t, n, base=base)
-    oracle_gains = {key: r.gain for key, r in zip(t.keys, results)}
-    oracle_argmax = {key: (r.best_x, r.best_s) for key, r in zip(t.keys, results)}
+    best, best_x, best_s = _oracle(spec, t, n)
+    oracle_gains = _expand(t, [pay - b for pay, b in zip(best.tolist(), base.tolist())])
+    oracle_argmax = _expand(t, list(zip(best_x.tolist(), best_s.tolist())))
     notes = (_foc_notes(foc) + _soc_notes(soc) + _corner_notes(corner)
              + _oracle_notes(oracle_gains, oracle_argmax)
              + _stage_notes(solution))
@@ -567,7 +551,7 @@ def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
             or _foc_notes(foc_residuals(spec, t))
             or _soc_notes(soc_check(spec, t))):
         return False
-    return _oracle(spec, t, n, reject_early=True, base=base) is not None
+    return _oracle(spec, t, n, need=base) is not None
 
 
 def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:

@@ -10,33 +10,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourney import (PowerCost, ProbitUniformCsf, TournamentSpec, TullockCsf,
-                     verification)
+                     solve_tournament, verification)
 from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, GAIN_TOLERANCE,
-                                  OracleResult, _argmax_rows, _around,
-                                  _baseline, _grid_payoff, _kept_rows,
-                                  _linspace_rows, _oracle, _payoff, _Table)
+                                  _argmax_rows, _around, _baseline,
+                                  _grid_payoff, _kept_rows, _linspace_rows,
+                                  _oracle, _payoff, _Table)
 
 
-def _reference_2d(csf, cost, t, prize, n):
+def _reference_2d(csf, cost, t, rows, prize, n):
     """Every hawk's full n x n coarse grid from _payoff, one problem at a
     time, then two 21 x 21 refinements around the incumbent best cell."""
-    k = len(t.keys)
+    k = rows.size
     at = np.arange(k)
+    x_rival = t.x_rival[rows]
     xs = np.broadcast_to(np.linspace(0.0, prize, n), (k, n))
-    ss = np.array([np.linspace(0.0, top, n) for top in t.x_rival])
+    ss = np.array([np.linspace(0.0, top, n) for top in x_rival])
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
     best_s = np.zeros(k)
     for step in range(3):
         if step == 0:
-            cells = [_argmax_rows(_payoff(csf, cost, t.frozen([r], 2),
+            cells = [_argmax_rows(_payoff(csf, cost, t.frozen(rows[[r]], 2),
                                           xs[r, None, :, None], ss[r, None, None, :]))
                      for r in range(k)]
             flat, top = (np.concatenate(c) for c in zip(*cells))
         else:
             xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _HAWK_REFINE)
-            ss = _around(s_at, ss[:, 1] - ss[:, 0], t.x_rival, _HAWK_REFINE)
-            flat, top = _argmax_rows(_payoff(csf, cost, t.frozen(at, 2),
+            ss = _around(s_at, ss[:, 1] - ss[:, 0], x_rival, _HAWK_REFINE)
+            flat, top = _argmax_rows(_payoff(csf, cost, t.frozen(rows, 2),
                                              xs[:, :, None], ss[:, None, :]))
         i, j = np.divmod(flat, ss.shape[1])
         x_at, s_at = xs[at, i], ss[at, j]
@@ -47,12 +48,12 @@ def _reference_2d(csf, cost, t, prize, n):
     return best, best_x, best_s
 
 
-def _reference_1d(csf, cost, t, prize, n):
+def _reference_1d(csf, cost, t, rows, prize, n):
     """Every problem's full 40 n + 1 point line from _payoff, stacked, then
     two 201-point refinements."""
-    k = len(t.keys)
+    k = rows.size
     at = np.arange(k)
-    frozen = t.frozen(at, 1)
+    frozen = t.frozen(rows, 1)
     xs = np.broadcast_to(np.linspace(0.0, prize, 40 * n + 1), (k, 40 * n + 1))
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
@@ -68,37 +69,36 @@ def _reference_1d(csf, cost, t, prize, n):
 
 
 def _reference_oracle(spec, t, n):
-    best = np.empty(len(t.keys))
-    best_x = np.empty(len(t.keys))
-    best_s = np.empty(len(t.keys))
+    """(best, best_x, best_s) over the table's problems."""
+    found = tuple(np.empty(t.hawk.size) for _ in range(3))
     two_d = t.hawk & (t.x_rival > 0.0)
     for rows, search in ((np.flatnonzero(two_d), _reference_2d),
                          (np.flatnonzero(~two_d), _reference_1d)):
         if rows.size:
-            best[rows], best_x[rows], best_s[rows] = search(
-                spec.csf, spec.cost, t.take(rows), spec.prize, n)
-    base = _baseline(spec.csf, spec.cost, t)
-    return [OracleResult(pay - b, x, s, pay, b) for pay, b, x, s in zip(
-        best.tolist(), base.tolist(), best_x.tolist(), best_s.tolist())]
+            for column, value in zip(found, search(spec.csf, spec.cost, t, rows,
+                                                   spec.prize, n)):
+                column[rows] = value
+    return found
 
 
 def _table(rows):
-    """rows of (hawk, value, x, s, x_rival, s_rival)."""
+    """A table of the problems rows, each (hawk, value, x, s, x_rival,
+    s_rival), every problem one key's."""
     cols = np.array([row[1:] for row in rows], dtype=float).T
     return _Table(tuple(f"problem{i}" for i in range(len(rows))),
-                  np.array([row[0] for row in rows]), *cols)
+                  tuple(range(len(rows))), np.array([row[0] for row in rows]),
+                  *cols)
 
 
 def _assert_matches_reference(spec, t, n):
     got = _oracle(spec, t, n)
     want = _reference_oracle(spec, t, n)
-    for g, w in zip(got, want):
-        assert (g.gain, g.best_x, g.best_s) == (w.gain, w.best_x, w.best_s)
-        assert (g.best_payoff, g.baseline) == (w.best_payoff, w.baseline)
+    for g, w in zip(got, want, strict=True):
+        assert g.tolist() == w.tolist()
     # every cell of every coarse grid, not only the argmax
     xs = np.linspace(0.0, spec.prize, n)
     out = np.empty((n, n))
-    for r in range(len(t.keys)):
+    for r in range(t.hawk.size):
         frozen = (t.value[r], t.x_rival[r], t.s_rival[r])
         ss = np.linspace(0.0, t.x_rival[r], n)
         want = _payoff(spec.csf, spec.cost, frozen, xs[:, None], ss)
@@ -177,19 +177,24 @@ def test_early_rejection_agrees_with_the_finished_search(problem):
     # it must reject (None) exactly the tables the finished search rejects
     spec, t, n = problem
     with np.errstate(invalid="ignore"):
-        full = _oracle(spec, t, n)
-    gains = any(not r.gain <= GAIN_TOLERANCE for r in full)
-    with np.errstate(invalid="ignore"):
-        early = _oracle(spec, t, n, reject_early=True)
+        best, _, _ = _oracle(spec, t, n)
+        base = _baseline(spec.csf, spec.cost, t)
+        early = _oracle(spec, t, n, need=base)
+    gains = any(not pay - b <= GAIN_TOLERANCE
+                for pay, b in zip(best.tolist(), base.tolist()))
     assert (early is None) == gains
 
 
 @pytest.mark.parametrize("csf", [RATIO, NOISE], ids=["ratio", "noise"])
 def test_duplicate_problems_share_one_search(csf, monkeypatch):
-    spec = TournamentSpec(prize=80.0, csf=csf, cost=COST)
-    hawk = (True, 18.35, 4.6, 1.9, 4.6, 1.9)
-    dove = (False, 19.0, 6.7, 0.0, 4.6, 1.9)
-    t = _table([hawk, dove, hawk, dove, dove])
+    # in the symmetric H-D / H-D seeding both semifinals pose the same two
+    # problems: eight players' keys, six problems
+    spec = TournamentSpec(prize=80.0, csf=csf, cost=COST,
+                          bracket=(("H", "D"), ("H", "D")))
+    sol = solve_tournament(spec)
+    t = verification._table(sol)
+    assert (len(t.keys), t.hawk.size) == (8, 6)
+    assert t.of[:4] == (0, 1, 0, 1)
     grids = []
 
     def spy(csf, cost, frozen, *args):
@@ -197,11 +202,14 @@ def test_duplicate_problems_share_one_search(csf, monkeypatch):
         return _grid_payoff(csf, cost, frozen, *args)
 
     monkeypatch.setattr(verification, "_grid_payoff", spy)
-    got = _oracle(spec, t, 50)
-    # one coarse grid per distinct problem, the dove's line first
-    assert grids == [(19.0, 4.6, 1.9), (18.35, 4.6, 1.9)]
-    assert got[0] == got[2] and got[1] == got[3] == got[4]
-    assert got[:2] == _oracle(spec, t.take([0, 1]), 50)
+    report = verification.verify_solution(sol, grid=50)
+    # one coarse grid per distinct problem, the doves' lines first
+    two_d = (t.hawk & (t.x_rival > 0.0)).tolist()
+    order = [p for p in range(6) if not two_d[p]] + [p for p in range(6) if two_d[p]]
+    assert grids == [(t.value[p], t.x_rival[p], t.s_rival[p]) for p in order]
+    for entries in (report.oracle_gains, report.oracle_argmax):
+        assert entries["semifinal0_player0"] == entries["semifinal1_player0"]
+        assert entries["semifinal0_player1"] == entries["semifinal1_player1"]
 
 
 @pytest.mark.parametrize("points", [50, 128, 400, 5121])

@@ -21,8 +21,8 @@ from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SolverSettings
 
 RECORDS = (stage2.Effort, stage2.PayoffMenu, stage2.Stage2Solution,
            stage1.MatchSolution, stage1.SpeSolution,
-           verification._Table, verification.OracleResult,
-           verification.VerificationReport, verification.GateResult)
+           verification._Table, verification.VerificationReport,
+           verification.GateResult)
 
 
 def _make_twin(cls):

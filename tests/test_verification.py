@@ -2,9 +2,11 @@
 
 import collections
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from tourney.stage1 import MAX_ORACLE_GRID
 from tourney.stage2 import stage2_sabotage
 from tourney.verification import (_baseline, _candidate_ok, _corner,
                                   _corner_notes, _foc_notes, _oracle,
-                                  _oracle_notes, _soc_notes, _table,
+                                  _oracle_notes, _soc_notes, _Table, _table,
                                   foc_residuals, soc_check)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
@@ -123,10 +125,14 @@ class TestCornerGains:
 class TestOracle:
     def test_baseline_matches_candidate_payoff(self):
         sol = solve_tournament(RATIO_SPEC)
-        result = _oracle(RATIO_SPEC, _table(sol), 100)[0]
-        assert result.baseline == pytest.approx(sol.matches[0].payoffs[0],
-                                                abs=1e-9)
-        assert result.best_payoff - result.baseline == result.gain
+        t = _table(sol)
+        row = t.of[t.keys.index("semifinal0_player0")]
+        base = _baseline(RATIO_SPEC.csf, RATIO_SPEC.cost, t)
+        assert base[row] == pytest.approx(sol.matches[0].payoffs[0], abs=1e-9)
+        best, best_x, best_s = _oracle(RATIO_SPEC, t, 100)
+        report = verify_solution(sol, grid=100)
+        assert report.oracle_gains["semifinal0_player0"] == best[row] - base[row]
+        assert report.oracle_argmax["semifinal0_player0"] == (best_x[row], best_s[row])
 
     @pytest.mark.parametrize("grid", [1, True, 10, 49, 128.9, 128.0, "128",
                                       MAX_ORACLE_GRID + 1, 2 ** 70, 10 ** 400])
@@ -209,24 +215,139 @@ def test_alternative_seedings_pass_the_audit():
         assert report.interior_ok, report.notes
 
 
+def _player_problem(sol, key):
+    """(hawk, value, x, s, x_rival, s_rival) of one report key, read from
+    the solution."""
+    if key.startswith("semifinal"):
+        match = sol.matches[int(key[len("semifinal")])]
+        slot = int(key[-1])
+        own, rival = match.efforts[slot], match.efforts[1 - slot]
+        kind, value = match.types[slot], match.values[slot]
+    else:
+        pairing = key.split("_")[1]
+        role = 1 if key.endswith("_dove") else 0
+        efforts = sol.stage2.profiles[pairing]
+        own, rival = efforts[role], efforts[1 - role]
+        kind, value = pairing[role], sol.spec.prize
+    return (kind == "H", value, own.x, own.s, rival.x, rival.s)
+
+
+def _per_key_table(sol, keys):
+    """A table with one row for each of the keys, read from the solution
+    without _table's sharing."""
+    rows = [_player_problem(sol, key) for key in keys]
+    cols = np.array([row[1:] for row in rows], dtype=float).T
+    return _Table(tuple(keys), tuple(range(len(keys))),
+                  np.array([row[0] for row in rows]), *cols)
+
+
+def _report_of(spec, t, n):
+    """The report's five per-key dicts, computed from the table t, as
+    lists of items, so that the order of the keys is compared too."""
+    base = _baseline(spec.csf, spec.cost, t)
+    best, best_x, best_s = _oracle(spec, t, n)
+    gains, argmax = {}, {}
+    for key, p in zip(t.keys, t.of):
+        gains[key] = best.tolist()[p] - base.tolist()[p]
+        argmax[key] = (best_x.tolist()[p], best_s.tolist()[p])
+    return [list(d.items()) for d in (foc_residuals(spec, t), soc_check(spec, t),
+                                       _corner(spec, t, base), gains, argmax)]
+
+
+def _assert_per_player(sol, report, n):
+    """The report, a table with one row per player, and every player's
+    problem on its own give the same numbers under the same keys."""
+    spec = sol.spec
+    t = _table(sol)
+    layers = [list(d.items()) for d in (
+        report.foc_residuals, report.soc_values, report.corner_gains,
+        report.oracle_gains, report.oracle_argmax)]
+    assert _report_of(spec, t, n) == layers
+    assert _report_of(spec, _per_key_table(sol, t.keys), n) == layers
+    for key in t.keys:
+        own = [[(k, v) for k, v in items if k == key or k.startswith(key + "_")]
+               for items in layers]
+        assert _report_of(spec, _per_key_table(sol, [key]), n) == own, key
+
+
+def _assert_one_row_per_problem(sol):
+    """Every key's row is its own problem, no two rows are alike, and every
+    row is some key's."""
+    t = _table(sol)
+    rows = list(zip(*(col.tolist() for col in (t.hawk, t.value, t.x, t.s,
+                                                t.x_rival, t.s_rival))))
+    assert [rows[p] for p in t.of] == [_player_problem(sol, key) for key in t.keys]
+    assert len(set(rows)) == len(rows) == len(set(t.of))
+    return t
+
+
 @pytest.mark.parametrize("spec", [
     RATIO_SPEC,
     NOISE_SPEC,
     dataclasses.replace(RATIO_SPEC, bracket=(("H", "D"), ("H", "H"))),
-], ids=["ratio", "noise", "ratio-HD-HH"])
+    dataclasses.replace(RATIO_SPEC, bracket=(("H", "H"), ("H", "H"))),
+], ids=["ratio", "noise", "ratio-HD-HH", "ratio-HH-HH"])
 def test_per_player_functions_match_the_report_exactly(spec):
-    # the report searches each distinct problem once; a search of every
-    # problem on its own must give the same numbers
+    # the report measures each distinct problem once
     sol = solve_tournament(spec)
-    report = verify_solution(sol, grid=128)
-    t = _table(sol)
-    assert foc_residuals(spec, t) == report.foc_residuals
-    assert soc_check(spec, t) == report.soc_values
-    for row, key in enumerate(t.keys):
-        (result,) = _oracle(spec, t.take([row]), 128)
-        assert result.gain == report.oracle_gains[key]
-        assert (result.best_x, result.best_s) == report.oracle_argmax[key]
-        assert result.best_payoff - result.baseline == result.gain
+    _assert_per_player(sol, verify_solution(sol, grid=128), 128)
+
+
+def _perturbed(where):
+    """The ratio H-D / H-D solution with its second semifinal changed so
+    that two players' problems differ in one field only."""
+    sol = solve_tournament(dataclasses.replace(RATIO_SPEC,
+                                               bracket=(("H", "D"), ("H", "D"))))
+    first, second = sol.matches
+    hawk, dove = second.efforts
+    if where == "s_rival":
+        # the second semifinal's dove differs from the first's only in the
+        # sabotage its rival chose
+        second = dataclasses.replace(second, efforts=(Effort(hawk.x, 2.0 * hawk.s), dove))
+    else:
+        # a hawk that does not sabotage, against a dove of its own value
+        # and outlay: the two differ only in the hawk flag
+        second = dataclasses.replace(second, values=(second.values[1],) * 2,
+                                     efforts=(Effort(dove.x, 0.0),) * 2)
+    return dataclasses.replace(sol, matches=(first, second))
+
+
+@pytest.mark.parametrize("where", ["s_rival", "hawk"])
+def test_problems_differing_in_one_field_stay_apart(where):
+    sol = _perturbed(where)
+    t = _assert_one_row_per_problem(sol)
+    # the unperturbed seeding's 8 keys pose 6 problems; here the second
+    # semifinal's two are its own
+    assert (len(t.keys), t.hawk.size) == (8, 8)
+    _assert_per_player(sol, verify_solution(sol, grid=50), 50)
+
+
+_BRACKETS = [((a, b), (c, d)) for a, b, c, d in itertools.product("HD", repeat=4)]
+
+
+@pytest.mark.parametrize("spec", [RATIO_SPEC, NOISE_SPEC_LARGE], ids=["ratio", "noise"])
+def test_one_row_per_distinct_problem_in_every_bracket(spec):
+    keys = problems = 0
+    for bracket in _BRACKETS:
+        sol = solve_tournament(dataclasses.replace(spec, bracket=bracket))
+        t = _assert_one_row_per_problem(sol)
+        keys += len(t.keys)
+        problems += t.hawk.size
+        # keys that share a problem get identical entries in every dict
+        report = verify_solution(sol, grid=50)
+        for a, b in itertools.combinations(range(len(t.keys)), 2):
+            if t.of[a] != t.of[b]:
+                continue
+            for entries in (report.foc_residuals, report.soc_values):
+                for coordinate in ("_effort", "_sabotage"):
+                    assert (entries.get(t.keys[a] + coordinate)
+                            == entries.get(t.keys[b] + coordinate)), bracket
+            for entries in (report.corner_gains, report.oracle_gains,
+                            report.oracle_argmax):
+                assert entries.get(t.keys[a]) == entries.get(t.keys[b]), bracket
+        if bracket in ((("H", "H"), ("H", "H")), (("D", "D"), ("D", "D"))):
+            assert (len(t.keys), t.hawk.size) == (5, 2)
+    assert (keys, problems) == (110, 84)
 
 
 @pytest.mark.parametrize("spec, prizes, oracle_only", [
@@ -336,7 +457,7 @@ def test_probe_stops_at_its_first_failing_layer(where, monkeypatch):
             lambda result, notes=notes: bool(notes(result))))
     monkeypatch.setattr(verification, "_coarse", spy(
         verification._coarse,
-        lambda args: "coarse-1d" if args[4].shape[1] == 1 else "coarse-2d",
+        lambda args: "coarse-1d" if args[5].shape[1] == 1 else "coarse-2d",
         lambda result: result is None))
     monkeypatch.setattr(verification, "_oracle", spy(
         verification._oracle, lambda args: "oracle", lambda result: result is None))
