@@ -26,7 +26,9 @@ of two uniform draws on [-a, a] at the performance gap t:
 
 which is 1 - q where t > 0 and q elsewhere.  Only the chosen side is
 squared, and its square stays below 8a**2, which construction keeps
-finite, so no evaluation overflows.  It is evaluated three ways with the
+finite, so no evaluation overflows.  Construction also keeps 4a**2 (the
+density's denominator) a normal float, so neither denominator underflows
+to 0.  It is evaluated three ways with the
 same operations in the same order: `_cdf` on arrays and 0-d inputs,
 `_cdf_float` on one Python float, and `_cdf_into` in place on the audit's
 grids.  The square is the one step that can round differently: an array
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +152,10 @@ class ProbitUniformCsf:
             raise ParameterError(
                 f"noise half width must keep 8 * half_width**2 finite, "
                 f"got {self.half_width!r}")
+        if not 4.0 * self.half_width * self.half_width >= sys.float_info.min:
+            raise ParameterError(
+                f"noise half width must keep 4 * half_width**2 a normal float "
+                f"(at least {sys.float_info.min!r}), got {self.half_width!r}")
         if not (_finite_real(self.f_exponent) and 0.0 < self.f_exponent < 1.0):
             raise ParameterError(
                 f"performance exponent must be in (0, 1), got {self.f_exponent!r}")

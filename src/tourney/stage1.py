@@ -54,13 +54,17 @@ DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
 # the largest oracle grid a spec or an audit accepts: the hawk search holds
 # two n x n float64 arrays, 16 * n**2 bytes, which is 256 MiB at this size
 MAX_ORACLE_GRID = 4096
+# rounding leaves a certification residual of a few ulps of 1 (at most
+# 8.9e-16 over the 2880 mixed semifinals of perfbench's solve-sweep pools,
+# seeds 1-10), so a smaller tolerance could never certify
+_MIN_TOLERANCE = 1e-14
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Largest semifinal residual a solution may certify with (the roots
-    themselves converge to machine precision), and the grid oracle size,
-    an integer from 50 to MAX_ORACLE_GRID."""
+    """Largest semifinal residual a solution may certify with, at least
+    1e-14 (the roots themselves converge to machine precision), and the
+    grid oracle size, an integer from 50 to MAX_ORACLE_GRID."""
 
     tolerance: float = 1e-10
     oracle_grid: int = 400
@@ -69,6 +73,10 @@ class SolverSettings:
         if not (_finite_real(self.tolerance) and self.tolerance > 0):
             raise ParameterError(
                 f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if not self.tolerance >= _MIN_TOLERANCE:
+            raise ParameterError(
+                f"tolerance must be at least {_MIN_TOLERANCE:g}, as rounding leaves "
+                f"semifinal residuals near 1e-15, got {self.tolerance!r}")
         grid = self.oracle_grid
         if type(grid) is not int or not 50 <= grid <= MAX_ORACLE_GRID:
             raise ParameterError(f"oracle_grid must be an integer from 50 to "

@@ -497,12 +497,16 @@ class TestScenarioParsing:
         ({"cost": {"exponent": 1.0, "divisor": 12.0}}, "cost", "cost exponent"),
         ({"solver": {"oracle_grid": 10}}, "solver", "oracle_grid must be"),
         ({"solver": {"tolerance": -1.0}}, "solver", "tolerance must be"),
+        ({"solver": {"tolerance": 1e-16}}, "solver", "tolerance must be at least"),
+        ({"csf": {"type": "probit_uniform", "half_width": 5e-324,
+                  "f_exponent": 0.5}}, "csf", "noise half width must keep 4"),
         ({"sim": {"trials": 0}}, "sim", "trials must be"),
         ({"sim": {"mode": "fast"}}, "sim", "mode must be"),
         ({"prize": -1.0}, None, "prize must be"),
         ({"bracket": [["H", "X"], ["H", "D"]]}, None, "player types must be"),
     ], ids=["tullock", "probit", "cost", "solver-grid", "solver-tolerance",
-            "sim-trials", "sim-mode", "prize", "bracket"])
+            "solver-tolerance-floor", "probit-width-floor", "sim-trials",
+            "sim-mode", "prize", "bracket"])
     def test_a_record_error_names_its_block(self, tmp_path, change, prefix,
                                             message):
         # the record's own validation is prefixed as the readers' errors

@@ -1,6 +1,7 @@
 """Contest success functions, effective effort and the power cost."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -202,6 +203,56 @@ def test_probit_rejects_a_half_width_whose_cdf_scale_overflows():
     for width in (5e153, 1e200, 1.7e308):
         with pytest.raises(ParameterError, match="8 \\* half_width"):
             ProbitUniformCsf(half_width=width, f_exponent=0.5)
+
+
+def _smallest_half_width():
+    """The smallest half width ProbitUniformCsf accepts, found by stepping
+    one float at a time from sqrt(tiny / 4)."""
+    def accepted(a):
+        try:
+            ProbitUniformCsf(half_width=a, f_exponent=0.5)
+        except ParameterError:
+            return False
+        return True
+
+    a = math.sqrt(sys.float_info.min / 4.0)
+    while accepted(math.nextafter(a, 0.0)):
+        a = math.nextafter(a, 0.0)
+    while not accepted(a):
+        a = math.nextafter(a, 1.0)
+    return a
+
+
+@pytest.mark.parametrize("width", [1e-200, 5.6e-163, 7.4e-155, 5e-324])
+def test_probit_rejects_a_half_width_whose_scale_underflows(width):
+    # below about 5.6e-163 8 a^2 underflows to 0 and the CDF divides by it;
+    # the bound keeps 4 a^2, the density's denominator, a normal float
+    with pytest.raises(ParameterError, match="4 \\* half_width") as caught:
+        ProbitUniformCsf(half_width=width, f_exponent=0.5)
+    assert str(caught.value).endswith(f"got {width!r}")
+
+
+def test_noise_kernels_at_the_smallest_width_are_finite_without_warning():
+    a = _smallest_half_width()
+    assert 7.4e-155 < a < 7.5e-155
+    csf = ProbitUniformCsf(half_width=a, f_exponent=0.5)
+    t = np.array([-3.0, -2.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 2.0, 3.0]) * a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cdf = csf.noise_diff_cdf(t)
+        density = csf.noise_diff_density(t)
+        into = csf._cdf_into(t.copy(), np.empty_like(t))
+        floats = [(csf._cdf_float(v), csf._density_float(v)) for v in t.tolist()]
+        win = csf.win_prob(np.array([0.0, a * a, 1.0]), 1.0)
+    assert np.isfinite(density).all() and np.isfinite(win).all()
+    # 4 a^2 is normal, so the CDF keeps its relative precision
+    half = (2.0 - 1e-9) ** 2 / 8.0
+    np.testing.assert_allclose(cdf, [0.0, 0.0, 0.125, half, 0.5, 1.0 - half,
+                                     0.875, 1.0, 1.0], rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(into, cdf)
+    assert [f for f, _ in floats] == cdf.tolist()
+    assert [d for _, d in floats] == density.tolist()
+    assert density[4] == 0.5 / a
 
 
 def _two_branch_cdf(a, t):

@@ -304,6 +304,12 @@ class TestSpecValidation:
         for bad in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="finite"):
                 SolverSettings(tolerance=bad)
+        # below the floor no semifinal could certify
+        for bad in (9.9e-15, 1e-16, 5e-324):
+            with pytest.raises(ParameterError, match="at least 1e-14") as caught:
+                SolverSettings(tolerance=bad)
+            assert str(caught.value).endswith(f"got {bad!r}")
+        assert SolverSettings(tolerance=1e-14).tolerance == 1e-14
         for bad in (math.nan, 400.0, True):
             with pytest.raises(ParameterError, match="integer"):
                 SolverSettings(oracle_grid=bad)
