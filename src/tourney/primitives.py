@@ -15,7 +15,8 @@ kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`, `_marginal_inverse`), where the formula lives.  The
 audit calls the kernels directly on arrays it has validated once, apart
 from one `marginal` per audit for the hawks' sabotage, and the solver calls
-`_cost` and `_marginal_inverse` on its own nonnegative floats.
+`_cost` and `_marginal_inverse` on its own nonnegative Python floats, where
+each power is libm pow and raises OverflowError past the float range.
 The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
 on one Python float, for the semifinal root's inner loop.
 
@@ -283,7 +284,9 @@ class PowerCost:
             return _match_input(a * (a - 1.0) * sa ** (a - 2.0) / self.divisor, s)
 
     def _cost(self, s):
-        """Unchecked kernel of cost: nonnegative floats or arrays in."""
+        """Unchecked kernel of cost: nonnegative floats or arrays in.  On a
+        Python float the power is Python's, which raises OverflowError
+        where numpy's would return inf."""
         return s ** self.exponent / self.divisor
 
     def _marginal(self, s):

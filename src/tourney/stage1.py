@@ -18,6 +18,10 @@ hawk's advance probability p on [0, 1], solved by a bracketed Brent root.
 In the seeded identical case (two mixed semifinals) symmetry ties q to p.
 Any other seeding has at most one mixed match and q is constant per match,
 so the mixed match is solved first and the same-type match after it.
+Each root returns the efforts, p and the continuation values (A, B) it
+certified at p, and the mixed match derives the hawk's sabotage
+c'(s1) = A/B, its cost and both payoffs from them once.  The whole solve
+runs on Python floats, so it does not depend on numpy's SIMD dispatch.
 
 The solver always reports the interior candidate.  Whether that candidate
 survives global scrutiny (corner deviations, dropout free-riding, local
@@ -46,8 +50,8 @@ from dataclasses import dataclass, field
 from .errors import InteriorityError, ParameterError, SolverError
 from .primitives import (DOVE, HAWK, Csf, PowerCost, ProbitUniformCsf, TullockCsf,
                          _finite_real)
-from .stage2 import (Effort, PayoffMenu, Stage2Solution, _cost_value, _record,
-                     _sabotage_cost, _sabotage_level, base_effort, solve_stage2)
+from .stage2 import (Effort, PayoffMenu, Stage2Solution, _record, _sabotage_cost,
+                     _sabotage_level, base_effort, solve_stage2)
 
 Bracket = tuple[tuple[str, str], tuple[str, str]]
 DEFAULT_BRACKET: Bracket = ((HAWK, DOVE), (HAWK, DOVE))
@@ -197,11 +201,12 @@ def _certify(residual: float, settings: SolverSettings) -> None:
             f"exceeds {settings.tolerance:.3g}")
 
 
-def _ratio_root(values, cost: PowerCost, r: float, settings: SolverSettings,
-                ) -> tuple[float, float, float, float]:
+def _ratio_root(values, r: float, settings: SolverSettings,
+                ) -> tuple[float, float, float, float, float]:
     """Mixed semifinal under the ratio CSF; values(p) -> (hawk value, dove
     value).  At p = A^r / (A^r + B^r) the asymmetric-prize ratio contest
-    has efforts r*A*p*(1-p) and r*B*p*(1-p), so only p needs a root."""
+    has efforts r*A*p*(1-p) and r*B*p*(1-p), so only p needs a root.
+    Returns the efforts (hawk, dove), p and the values (A, B) at p."""
 
     def phi(p: float) -> float:
         a_val, b_val = _positive_values(values, p)
@@ -211,11 +216,11 @@ def _ratio_root(values, cost: PowerCost, r: float, settings: SolverSettings,
     _certify(abs(phi(p) - p), settings)
     a_val, b_val = values(p)
     spread = r * p * (1.0 - p)
-    return spread * a_val, spread * b_val, p, _sabotage_level(cost, a_val / b_val)
+    return spread * a_val, spread * b_val, p, a_val, b_val
 
 
-def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
-                settings: SolverSettings) -> tuple[float, float, float, float]:
+def _noise_root(values, csf: ProbitUniformCsf, settings: SolverSettings,
+                ) -> tuple[float, float, float, float, float]:
     """Mixed semifinal under the noise CSF; values(p) -> (hawk value, dove
     value).  At fixed p the FOC ratio pins the hawk's effort at
     kappa = (A/B)^(1/(1-beta)) times the dove's, so both FOCs reduce to one
@@ -225,6 +230,7 @@ def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
     The outer root then matches p to the noise CDF at the resulting gap.
     The inner root depends on p only through (A, B), so each value pair is
     solved once: a constant pair (one mixed match) needs one inner root.
+    Returns the efforts (hawk, dove), p and the values (A, B) at p.
     """
     a, beta = csf.half_width, csf.f_exponent
     roots: dict[tuple[float, float], tuple[float, float]] = {}
@@ -269,16 +275,7 @@ def _noise_root(values, cost: PowerCost, csf: ProbitUniformCsf,
     dens = csf._density_float(gap)
     _certify(max(abs(dens * beta * slope_h * a_val - 1.0),
                  abs(dens * beta * slope_d * b_val - 1.0)), settings)
-    return bh, bd, p, _sabotage_level(cost, a_val / b_val)
-
-
-def _payoffs(p_hawk: float, a_val: float, b_val: float, b_hawk: float,
-             b_dove: float, s1: float, c1: float) -> tuple[float, float]:
-    """Expected semifinal payoffs (hawk, dove) at an interior candidate.
-    The hawk's outlay is its effective effort (nobody sabotages a hawk in a
-    mixed match) plus the sabotage bill c1 = c(s1); the dove pays its
-    padded productive effort b_dove + s1 outright."""
-    return p_hawk * a_val - c1 - b_hawk, (1.0 - p_hawk) * b_val - (b_dove + s1)
+    return bh, bd, p, a_val, b_val
 
 
 @_record
@@ -366,16 +363,19 @@ def _check_reachable_menu(menu: PayoffMenu, bracket: Bracket) -> None:
 def _mixed_matches(spec: TournamentSpec, values, pools) -> tuple[MatchSolution, ...]:
     """Solve the mixed semifinal whose (hawk, dove) continuation values are
     values(p) at hawk win probability p, once per pool in that pool's slot
-    order."""
+    order.  The hawk sabotages at c'(s1) = A/B, and the dove pads its
+    productive effort by s1.  The hawk's outlay is its effective effort
+    (nobody sabotages a hawk in a mixed match) plus the bill c(s1); the
+    dove pays its padded effort b_dove + s1 outright."""
     if isinstance(spec.csf, TullockCsf):
-        b_hawk, b_dove, p_hawk, s1 = _ratio_root(values, spec.cost, spec.csf.r, spec.solver)
+        b_hawk, b_dove, p_hawk, a_val, b_val = _ratio_root(values, spec.csf.r, spec.solver)
     else:
-        b_hawk, b_dove, p_hawk, s1 = _noise_root(values, spec.cost, spec.csf, spec.solver)
-    a_val, b_val = values(p_hawk)
-    pay_hawk, pay_dove = _payoffs(p_hawk, a_val, b_val, b_hawk, b_dove, s1,
-                                  _cost_value(spec.cost, s1))
-    hawk = (HAWK, Effort(b_hawk, s1), b_hawk, p_hawk, a_val, pay_hawk)
-    dove = (DOVE, Effort(b_dove + s1, 0.0), b_dove, 1.0 - p_hawk, b_val, pay_dove)
+        b_hawk, b_dove, p_hawk, a_val, b_val = _noise_root(values, spec.csf, spec.solver)
+    s1 = _sabotage_level(spec.cost, a_val / b_val)
+    hawk = (HAWK, Effort(b_hawk, s1), b_hawk, p_hawk, a_val,
+            p_hawk * a_val - _sabotage_cost(spec.cost, s1) - b_hawk)
+    dove = (DOVE, Effort(b_dove + s1, 0.0), b_dove, 1.0 - p_hawk, b_val,
+            (1.0 - p_hawk) * b_val - (b_dove + s1))
     # pools in the same slot order share one record
     by_pool = {}
     for pool in pools:

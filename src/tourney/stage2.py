@@ -13,6 +13,10 @@ is a fair coin flip and the whole stage collapses to three closed forms:
 Sabotage here depends only on the cost function, never on the prize or
 the success function.
 
+Each closed form is computed once, on Python floats, so every power is
+libm pow whatever numpy's SIMD dispatch.  A power past the float range
+raises OverflowError there, which the solve reports as a SolverError.
+
 The results are frozen records (`Effort`, `PayoffMenu`, `Stage2Solution`
 here, the semifinal and tournament records in `stage1`, the audit's in
 `verification`), declared with `_record`: a frozen dataclass whose
@@ -27,11 +31,7 @@ their `__post_init__` checks.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import MISSING, dataclass, fields
-
-import numpy as np
 
 from .errors import ParameterError, SolverError
 from .primitives import Csf, PowerCost, ProbitUniformCsf, TullockCsf
@@ -56,48 +56,22 @@ def base_effort(csf: Csf, v: float) -> float:
     raise ParameterError(f"unknown success function {csf!r}")
 
 
-# natural log of the largest float: a power whose log stays a margin below
-# it cannot overflow, so only powers near the float range pay for silencing
-# numpy's overflow warning
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _may_overflow(base: float, exponent: float) -> bool:
-    return base > 1.0 and exponent * math.log(base) > _LOG_FLOAT_MAX - 1.0
-
-
 def _out_of_range(what: str, cost: PowerCost) -> SolverError:
     return SolverError(f"final-stage {what} overflows the float range at "
                        f"exponent={cost.exponent:g}, divisor={cost.divisor:g}")
 
 
-def _finite_or_fail(compute, what: str, cost: PowerCost) -> float:
-    with np.errstate(over="ignore"):
-        value = compute()
-    if not math.isfinite(value):
-        raise _out_of_range(what, cost)
-    return value
-
-
 def _sabotage_level(cost: PowerCost, y: float) -> float:
-    """cost.marginal_inverse(y) on a positive Python float, bit for bit.
-    The kernel's last step is then Python's float ** float, which is libm
-    pow, as the method's np.float64 ** float is.  Where numpy's returns
-    inf, Python's raises OverflowError, and the solve fails.  A solve asks
-    for y = 1 in the final and y = A/B <= 1 in the semifinals, so the
-    final's level is the one that overflows."""
+    """cost.marginal_inverse(y) on a positive Python float, whose last step
+    is Python's float ** float, libm pow.  Where numpy's power returns inf,
+    Python's raises OverflowError, and the solve fails.  A solve asks for
+    y = 1 in the final and y = A/B <= 1 in the semifinals, so the final's
+    level is the one that overflows."""
     try:
         return cost._marginal_inverse(y)
     except OverflowError:
         raise _out_of_range("sabotage (divisor/exponent)^(1/(exponent-1))",
                             cost) from None
-
-
-def _cost_value(cost: PowerCost, s: float) -> float:
-    """cost.cost(s) on a nonnegative Python float, without validation.  It
-    runs the 0-d kernel, never Python's **: numpy's array power and libm's
-    pow differ in the last bit for about one input in twenty."""
-    return float(cost._cost(np.asarray(s, dtype=float)))
 
 
 def stage2_sabotage(cost: PowerCost) -> float:
@@ -106,11 +80,14 @@ def stage2_sabotage(cost: PowerCost) -> float:
 
 
 def _sabotage_cost(cost: PowerCost, s: float) -> float:
-    """c(s) of the final-stage sabotage, which must stay in the float range."""
-    if _may_overflow(s, cost.exponent):
-        return _finite_or_fail(lambda: _cost_value(cost, s),
-                               "sabotage cost s**exponent/divisor", cost)
-    return _cost_value(cost, s)
+    """cost.cost(s) on a sabotage level s the solve computed, a Python
+    float, failing as _sabotage_level does where the power overflows.  At
+    s = s* the cost is s*/exponent, so the division cannot overflow where
+    the power did not, and a semifinal level lies below s*."""
+    try:
+        return cost._cost(s)
+    except OverflowError:
+        raise _out_of_range("sabotage cost s**exponent/divisor", cost) from None
 
 
 def _record(cls):

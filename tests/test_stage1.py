@@ -14,7 +14,7 @@ from tourney import (InteriorityError, ParameterError, PowerCost,
 from tourney import stage1
 from tourney.stage1 import (_brent, _continuation_values, _noise_root,
                             _ratio_root, _title_probs)
-from tourney.stage2 import solve_stage2
+from tourney.stage2 import _sabotage_level, solve_stage2
 
 RATIO_MENU = solve_stage2(TullockCsf(r=1.0), PowerCost(3.0, 12.0), 80.0).menu
 
@@ -130,16 +130,15 @@ class TestContinuationValues:
 class TestMixedSemifinalSolvers:
     def test_constant_values_have_analytic_fixed_point(self):
         a0, b0 = 52.0 / 3.0, 18.0
-        _, _, p, _ = _ratio_root(lambda _p: (a0, b0), PowerCost(3.0, 12.0), 1.0,
-                                 SolverSettings())
+        _, _, p, a_val, b_val = _ratio_root(lambda _p: (a0, b0), 1.0, SolverSettings())
         assert p == pytest.approx(a0 / (a0 + b0), abs=1e-11)
+        assert (a_val, b_val) == (a0, b0)
 
     def test_effort_ratio_equals_value_ratio(self):
         # holds for every decisiveness level, not just the linear case
         for r in (0.25, 0.5, 0.75, 1.0):
             a0, b0 = 15.0, 19.0
-            bh, bd, p, _ = _ratio_root(lambda _p: (a0, b0), PowerCost(3.0, 12.0),
-                                       r, SolverSettings())
+            bh, bd, p, *_ = _ratio_root(lambda _p: (a0, b0), r, SolverSettings())
             assert bh / bd == pytest.approx(a0 / b0, rel=1e-10)
             assert p == pytest.approx(a0 ** r / (a0 ** r + b0 ** r), abs=1e-10)
 
@@ -386,7 +385,8 @@ def test_match_values_are_the_continuation_values(bracket):
 ], ids=["ratio", "noise", "ratio-HD-HH", "noise-HD-DD"])
 def test_two_callback_solvers_match_the_tournament_exactly(spec):
     # the roots called with the continuation values as their callback give
-    # the tournament's mixed semifinal to the bit
+    # the tournament's mixed semifinal to the bit, and the values they
+    # certified give its hawk's sabotage
     sol = solve_tournament(spec)
     menu = sol.stage2.menu
     pool = spec.bracket[1]
@@ -395,11 +395,12 @@ def test_two_callback_solvers_match_the_tournament_exactly(spec):
         return _continuation_values(menu, p, pool)
 
     if isinstance(spec.csf, TullockCsf):
-        got = _ratio_root(values, spec.cost, spec.csf.r, spec.solver)
+        got = _ratio_root(values, spec.csf.r, spec.solver)
     else:
-        got = _noise_root(values, spec.cost, spec.csf, spec.solver)
+        got = _noise_root(values, spec.csf, spec.solver)
     match = sol.matches[0]
-    assert got == (*match.effective, match.hawk_advance_prob, match.efforts[0].s)
+    assert got == (*match.effective, match.hawk_advance_prob, *match.values)
+    assert _sabotage_level(spec.cost, got[3] / got[4]) == match.efforts[0].s
 
 
 def test_underflowing_noise_efforts_are_a_solver_error():
@@ -436,10 +437,9 @@ def test_one_mixed_noise_bracket_runs_two_brent_roots(monkeypatch, bracket):
 
 def test_semifinal_roots_refuse_nonpositive_values():
     with pytest.raises(InteriorityError, match="prize too small"):
-        _ratio_root(lambda p: (-1.0, 2.0), RATIO_SPEC.cost, 1.0, RATIO_SPEC.solver)
+        _ratio_root(lambda p: (-1.0, 2.0), 1.0, RATIO_SPEC.solver)
     with pytest.raises(InteriorityError, match="prize too small"):
-        _noise_root(lambda p: (2.0, -1.0), NOISE_SPEC.cost, NOISE_SPEC.csf,
-                    NOISE_SPEC.solver)
+        _noise_root(lambda p: (2.0, -1.0), NOISE_SPEC.csf, NOISE_SPEC.solver)
 
 
 def test_overflowing_noise_marginal_is_a_solver_error():
