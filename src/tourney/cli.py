@@ -465,7 +465,7 @@ def run(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except InteriorityError as exc:
-        print(f"error: existence gate failed: {exc}", file=sys.stderr)
+        print(f"error: no interior candidate: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)

@@ -113,6 +113,12 @@ class TournamentSpec:
     def __post_init__(self):
         if not (_finite_real(self.prize) and self.prize > 0):
             raise ParameterError(f"prize must be positive and finite, got {self.prize!r}")
+        for name, kind, what in (("csf", Csf, "a TullockCsf or ProbitUniformCsf"),
+                                 ("cost", PowerCost, "a PowerCost"),
+                                 ("solver", SolverSettings, "a SolverSettings")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ParameterError(f"{name} must be {what}, got {value!r}")
         object.__setattr__(self, "bracket", _normalize_bracket(self.bracket))
 
     @property
@@ -350,14 +356,22 @@ _MENU_FLOORS = {
 }
 
 
-def _check_reachable_menu(menu: PayoffMenu, bracket: Bracket) -> None:
-    for pairing in _REACHABLE_PAIRINGS[bracket]:
+def _check_reachable_menu(spec: TournamentSpec, stage2: Stage2Solution) -> None:
+    """Refuse a bracket whose reachable final pays a finalist nothing, and
+    name the side of the prize.  A final payoff is v/2 - b(v) - k with
+    k >= 0 fixed, so it falls in v, and the prize is too large, where
+    b'(v) > 1/2: never under the ratio CSF, where b'(v) = r/4, and where
+    b(v) > (1-beta) v/2 under the noise CSF, where b'(v) = b(v)/((1-beta) v)."""
+    for pairing in _REACHABLE_PAIRINGS[spec.bracket]:
         for label, attr in _MENU_FLOORS[pairing]:
-            value = getattr(menu, attr)
+            value = getattr(stage2.menu, attr)
             if value <= 0:
+                falls = (isinstance(spec.csf, ProbitUniformCsf) and stage2.base_effort
+                         > (1.0 - spec.csf.f_exponent) * spec.prize / 2.0)
                 raise InteriorityError(
-                    f"prize too small: expected final payoff {label} is "
-                    f"{value:.6g}, so finalists would rather drop out")
+                    f"prize too {'large' if falls else 'small'}: expected final "
+                    f"payoff {label} is {value:.6g}, so finalists would rather "
+                    f"drop out")
 
 
 def _mixed_matches(spec: TournamentSpec, values, pools) -> tuple[MatchSolution, ...]:
@@ -398,13 +412,14 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
     """Backward-induct the full tournament to its interior candidate.
 
     Raises InteriorityError when the prize cannot support positive
-    continuation values on the reachable part of the bracket, SolverError
-    when a semifinal root fails to certify.  Global optimality of the
-    returned candidate is checked separately by the verification module.
+    continuation values on the reachable part of the bracket, naming
+    whether it is too small or too large, SolverError when a semifinal
+    root fails to certify.  Global optimality of the returned candidate is
+    checked separately by the verification module.
     """
     stage2 = solve_stage2(spec.csf, spec.cost, spec.prize)
     menu = stage2.menu
-    _check_reachable_menu(menu, spec.bracket)
+    _check_reachable_menu(spec, stage2)
 
     pools = spec.bracket
     mixed = [set(pool) == {HAWK, DOVE} for pool in pools]

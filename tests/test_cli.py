@@ -75,7 +75,21 @@ class TestSolve:
         path.write_text(json.dumps(bad))
         proc = run_cli("solve", str(path))
         assert proc.returncode == 3
-        assert "existence gate failed" in proc.stderr
+        # solve runs no existence gate, so the label names what failed
+        assert proc.stderr.startswith("error: no interior candidate: prize too small:")
+
+    def test_noise_prize_above_the_window_is_too_large(self, tmp_path):
+        # b(v) = (beta v / 2a)^2 = 40000 outgrows v/2 = 200, so the dove
+        # against dove payoff falls in v and is 200 - 40000 = -39800
+        big = dict(RATIO_SCENARIO, prize=400.0,
+                   csf={"type": "probit_uniform", "half_width": 0.5, "f_exponent": 0.5})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(big))
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: no interior candidate: prize too large: "
+                               "expected final payoff dove against dove is -39800, "
+                               "so finalists would rather drop out\n")
 
     def test_unknown_key_exits_two(self, tmp_path):
         bad = dict(RATIO_SCENARIO, budget=10)

@@ -295,6 +295,27 @@ class TestSpecValidation:
         assert spec.bracket == (("H", "D"), ("D", "D"))
         assert spec.types == ("H", "D", "D", "D")
 
+    # a field of the wrong type is refused with its repr when the spec is
+    # built, not left to fail inside the solve
+    def test_rejects_a_csf_of_the_wrong_type(self):
+        for bad in ("x", None, PowerCost(3.0, 12.0)):
+            with pytest.raises(ParameterError, match="csf must be") as caught:
+                TournamentSpec(prize=80.0, csf=bad, cost=PowerCost(3.0, 12.0))
+            assert str(caught.value).endswith(f"got {bad!r}")
+
+    def test_rejects_a_cost_of_the_wrong_type(self):
+        for bad in ("x", None, TullockCsf()):
+            with pytest.raises(ParameterError, match="cost must be") as caught:
+                TournamentSpec(prize=80.0, csf=TullockCsf(), cost=bad)
+            assert str(caught.value).endswith(f"got {bad!r}")
+
+    def test_rejects_solver_settings_of_the_wrong_type(self):
+        for bad in (None, 1e-10, {"tolerance": 1e-10}):
+            with pytest.raises(ParameterError, match="solver must be") as caught:
+                TournamentSpec(prize=80.0, csf=TullockCsf(), cost=PowerCost(3.0, 12.0),
+                               solver=bad)
+            assert str(caught.value).endswith(f"got {bad!r}")
+
     def test_solver_settings_validation(self):
         with pytest.raises(ParameterError):
             SolverSettings(tolerance=0.0)
@@ -319,6 +340,20 @@ def test_small_prize_fails_the_existence_gate():
                           cost=PowerCost(3.0, 12.0))
     with pytest.raises(InteriorityError, match="prize too small"):
         solve_tournament(spec)
+
+
+@pytest.mark.parametrize("prize", [0.25, 0.5, 0.99, 1.01, 1.5, 2.0, 400.0])
+def test_refused_prize_names_the_side_its_payoff_moves_to(prize):
+    # b(v) = v**2 / 4 at a = beta = 1/2, so a final payoff v/2 - b(v) - k
+    # peaks at v = 1; with c(s*) = 1 hawk against dove pays at most -0.75
+    # (dove against dove is 0 at v = 2), and the message says which way the
+    # prize must move to raise the failing payoff
+    csf, cost = ProbitUniformCsf(half_width=0.5, f_exponent=0.5), PowerCost(3.0, 27.0)
+    menus = [solve_stage2(csf, cost, v).menu for v in (prize, prize * 1.001)]
+    side = "small" if menus[1].hawk_vs_dove > menus[0].hawk_vs_dove else "large"
+    assert side == ("small" if prize < 1.0 else "large")
+    with pytest.raises(InteriorityError, match=f"prize too {side}: "):
+        solve_tournament(TournamentSpec(prize=prize, csf=csf, cost=cost))
 
 
 def test_symmetric_seedings_share_one_solution():
