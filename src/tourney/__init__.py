@@ -15,7 +15,10 @@ and `stage1`.  The audit (`verification`), the Monte Carlo engine
 (`simulate`) and the command line (`cli`) load on first access, as
 submodules or through any name they export here, so a caller that only
 solves never compiles them.  A loaded name is stored in the package, and
-later lookups find it there.
+later lookups find it there.  numpy loads on first use, not on import:
+the solve runs on Python floats and never imports it, and the audit, the
+Monte Carlo engine and the validated primitive methods load it when they
+are first called.
 
 The package exports the pipeline and nothing else: the inputs, the solver
 and its result records, the audit and the existence gate with their

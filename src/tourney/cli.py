@@ -27,7 +27,9 @@ import `tourney.verification`.  Its entry point stays a module attribute,
 `verify_solution`, which a caller may replace; `verify` calls whatever the
 attribute holds when it runs, like every other layer this module calls.
 The Monte Carlo engine loads with the module, because `parse_scenario`
-returns a `SimConfig` for every subcommand.
+returns a `SimConfig` for every subcommand, but numpy does not: `solve`
+and `replicate` never import it, and `verify` and `simulate` load it on
+their first array.
 """
 
 from __future__ import annotations

@@ -18,7 +18,11 @@ from one `marginal` per audit for the hawks' sabotage, and the solver calls
 `_cost` and `_marginal_inverse` on its own nonnegative Python floats, where
 each power is libm pow and raises OverflowError past the float range.
 The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
-on one Python float, for the semifinal root's inner loop.
+on one Python float, for the semifinal root's inner loop.  So a solve needs
+no numpy, and the module does not import it: its global `np` is the
+stand-in from `_lazy_numpy`, which imports numpy on the first attribute
+lookup and puts the real module in its place.  `simulate` uses the same
+stand-in.
 
 The noise CSF's win probability is one formula, the CDF of the difference
 of two uniform draws on [-a, a] at the performance gap t:
@@ -46,9 +50,25 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InteriorityError, ParameterError
+
+
+def _lazy_numpy(module_globals: dict):
+    """A stand-in for numpy as the module global `np` of the module whose
+    globals are given.  Its first attribute access imports numpy and rebinds
+    that global to the real module, so later calls look numpy up directly.
+    Importing is thread-safe, and a second rebinding stores the same module."""
+
+    class _Numpy:
+        def __getattr__(self, name):
+            import numpy
+            module_globals["np"] = numpy
+            return getattr(numpy, name)
+
+    return _Numpy()
+
+
+np = _lazy_numpy(globals())
 
 HAWK = "H"
 DOVE = "D"

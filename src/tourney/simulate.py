@@ -42,6 +42,11 @@ worker keeps its own buffers and sums the wins of its chunks, and the
 run's wins are the sum of the workers' sums, so the counts do not depend
 on the number of CPUs.  There is no option to set: a run of at most CHUNK
 trials stays in the calling thread.
+
+Importing the module does not import numpy, so the CLI can read a
+`SimConfig` without it.  The module global `np` is primitives'
+`_lazy_numpy` stand-in until a run first looks numpy up, possibly in a
+worker thread, and is numpy itself from then on.
 """
 
 from __future__ import annotations
@@ -54,11 +59,11 @@ import sys
 import threading
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import ParameterError
-from .primitives import DOVE, HAWK, Csf, TullockCsf
+from .primitives import DOVE, HAWK, Csf, TullockCsf, _lazy_numpy
 from .stage1 import SpeSolution
+
+np = _lazy_numpy(globals())
 
 CHUNK = 1 << 18
 # rows per slice of a chunk: a structural slice of (BLOCK, 6) draws takes

@@ -1,7 +1,7 @@
 """Which modules a caller loads and which names the package exports: the
-audit, the Monte Carlo engine and the CLI load only when used.  Each
-import-set test runs a fresh interpreter, because this one has imported
-every layer already."""
+audit, the Monte Carlo engine and the CLI load only when used, and numpy
+only when a caller first builds an array.  Each import-set test runs a
+fresh interpreter, because this one has imported every layer already."""
 
 import contextlib
 import importlib.util
@@ -54,6 +54,35 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("tourney"))))
                       "tourney.stage1", "tourney.stage2"]
 
 
+def test_solving_imports_no_numpy():
+    # both CSFs in every bracket seeding, and a refused spec: the whole solve
+    # runs on Python floats
+    result = last_line("""
+import itertools, json, sys
+import tourney
+from tourney import (InteriorityError, PowerCost, ProbitUniformCsf, TournamentSpec,
+                     TullockCsf, solve_tournament)
+specs = [TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0), cost=PowerCost(3.0, 12.0)),
+         TournamentSpec(prize=20.0, csf=ProbitUniformCsf(5.0, 0.5),
+                        cost=PowerCost(3.0, 27.0))]
+solved = refused = 0
+for spec, t in itertools.product(specs, itertools.product("HD", repeat=4)):
+    try:
+        solve_tournament(TournamentSpec(prize=spec.prize, csf=spec.csf,
+                                        cost=spec.cost, bracket=(t[:2], t[2:])))
+        solved += 1
+    except InteriorityError:
+        refused += 1
+try:
+    solve_tournament(TournamentSpec(prize=1.0, csf=TullockCsf(r=1.0),
+                                    cost=PowerCost(3.0, 12.0), bracket=("HH", "HH")))
+except InteriorityError:
+    refused += 1
+print(json.dumps([solved, refused, "numpy" in sys.modules]))
+""")
+    assert result == [32, 1, False]
+
+
 def imported(*argv):
     """Modules a `python -X importtime` run of argv imports, by name."""
     proc = run_python("-X", "importtime", *argv)
@@ -65,8 +94,67 @@ def imported(*argv):
 def test_cli_solve_loads_no_audit():
     modules = imported("-m", "tourney", "solve", EXAMPLE)
     assert "tourney.cli" in modules and "tourney.stage1" in modules
-    assert "tourney.verification" not in modules
-    assert "tourney.verification" in imported("-m", "tourney", "verify", EXAMPLE)
+    assert "tourney.verification" not in modules and "numpy" not in modules
+    verify = imported("-m", "tourney", "verify", EXAMPLE)
+    assert "tourney.verification" in verify and "numpy" in verify
+    assert "numpy" in imported("-m", "tourney", "simulate", EXAMPLE,
+                               "--trials", "1000")
+
+
+# each validated method on scalars, the first line being numpy's first user
+VALIDATED = """
+from tourney import PowerCost, ProbitUniformCsf, TullockCsf
+from tourney.primitives import effective_effort
+noise, cost = ProbitUniformCsf(5.0, 0.5), PowerCost(3.0, 12.0)
+values = [TullockCsf().win_prob(1.0, 2.0),
+          TullockCsf(r=0.5).win_prob_partials(1.0, 2.0),
+          noise.win_prob(4.0, 1.0), noise.win_prob_partials(4.0, 1.0),
+          noise.performance(2.0), noise.noise_diff_cdf(-1.5),
+          noise.noise_diff_density(0.5), effective_effort(3.0, 1.25),
+          cost.cost(2.0), cost.marginal(2.0), cost.marginal_inverse(0.5),
+          cost.curvature(2.0)]
+"""
+
+
+def test_a_validated_method_loads_numpy_on_first_call():
+    namespace = {}
+    exec(VALIDATED, namespace)
+    assert namespace["values"][0] == 1 / 3
+    result = last_line(f"""
+import json, sys
+import tourney.primitives as primitives
+before = "numpy" in sys.modules
+exec({VALIDATED!r})
+import numpy
+print(json.dumps([before, repr(values), primitives.np is numpy]))
+""")
+    assert result == [False, repr(namespace["values"]), True]
+
+
+def test_simulate_loads_numpy_inside_its_workers():
+    # past two chunks a run spreads over worker threads, which then hold
+    # numpy's first lookups; the counts match this process's run
+    code = """
+from tourney import (PowerCost, SimConfig, TournamentSpec, TullockCsf,
+                     simulate_tournament, solve_tournament)
+from tourney.simulate import CHUNK
+solution = solve_tournament(TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
+                                           cost=PowerCost(3.0, 12.0)))
+wins = [simulate_tournament(solution, SimConfig(trials=2 * CHUNK + 1000, seed=7,
+                                                mode=mode)).wins
+        for mode in ("direct", "structural")]
+"""
+    namespace = {}
+    exec(code, namespace)
+    result = last_line(f"""
+import json, sys
+import tourney.simulate as simulate
+before = "numpy" in sys.modules
+exec({code!r})
+import numpy
+print(json.dumps([before, wins, simulate.np is numpy]))
+""")
+    assert result == [False, [list(w) for w in namespace["wins"]], True]
 
 
 def test_every_public_name_resolves():
