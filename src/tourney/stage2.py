@@ -31,6 +31,7 @@ their `__post_init__` checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ParameterError, SolverError
@@ -48,11 +49,15 @@ def base_effort(csf: Csf, v: float) -> float:
     if isinstance(csf, ProbitUniformCsf):
         beta = csf.f_exponent
         try:
-            return (beta * v / (2.0 * csf.half_width)) ** (1.0 / (1.0 - beta))
+            # the quotient itself can overflow to inf, which pow leaves inf
+            b = (beta * v / (2.0 * csf.half_width)) ** (1.0 / (1.0 - beta))
         except OverflowError:
-            raise SolverError(
-                f"final-stage base effort (beta v / 2a)^(1/(1-beta)) exceeds the "
-                f"float range at beta={beta:g}, a={csf.half_width:g}, v={v:g}") from None
+            b = math.inf
+        if b < math.inf:
+            return b
+        raise SolverError(
+            f"final-stage base effort (beta v / 2a)^(1/(1-beta)) exceeds the "
+            f"float range at beta={beta:g}, a={csf.half_width:g}, v={v:g}")
     raise ParameterError(f"unknown success function {csf!r}")
 
 

@@ -92,6 +92,22 @@ def test_base_effort_overflow_is_a_solver_error():
     assert gate.minimal_v_estimate is None
 
 
+def test_base_effort_quotient_overflow_is_the_same_solver_error():
+    # beta v / 2a = 0.9e300 / 2e-150 is inf before the power, and Python's
+    # float division returns inf where its power would raise OverflowError
+    spec = TournamentSpec(prize=1e300, csf=ProbitUniformCsf(1e-150, 0.9),
+                          cost=PowerCost(2.0, 1.0))
+    message = ("final-stage base effort (beta v / 2a)^(1/(1-beta)) exceeds the "
+               "float range at beta=0.9, a=1e-150, v=1e+300")
+    for solve in (lambda: base_effort(spec.csf, spec.prize),
+                  lambda: solve_stage2(spec.csf, spec.cost, spec.prize),
+                  lambda: solve_tournament(spec)):
+        with pytest.raises(SolverError) as excinfo:
+            solve()
+        assert type(excinfo.value) is SolverError
+        assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("csf, v", [(RATIO_CSF, 8e201), (NOISE_CSF, 20.0)])
 def test_sabotage_cost_overflow_is_a_solver_error(csf, v):
     # s = 6e200 is finite, but s**2 leaves the float range before the division
