@@ -19,10 +19,8 @@ from one `marginal` per audit for the hawks' sabotage, and the solver calls
 each power is libm pow and raises OverflowError past the float range.
 The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
 on one Python float, for the semifinal root's inner loop.  So a solve needs
-no numpy, and the module does not import it: its global `np` is the
-stand-in from `_lazy_numpy`, which imports numpy on the first attribute
-lookup and puts the real module in its place.  `simulate` uses the same
-stand-in.
+no numpy, and importing the module does not import it: the global `np` is
+`_lazy_numpy`'s stand-in until first use, as in `simulate`.
 
 The noise CSF's win probability is one formula, the CDF of the difference
 of two uniform draws on [-a, a] at the performance gap t:

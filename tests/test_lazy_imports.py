@@ -42,45 +42,30 @@ def last_line(code):
 
 
 def test_solving_loads_only_the_solver():
-    loaded = last_line("""
-import json, sys
-import tourney
-solution = tourney.solve_tournament(tourney.TournamentSpec(
-    prize=80.0, csf=tourney.TullockCsf(r=1.0), cost=tourney.PowerCost(3.0, 12.0)))
-assert solution.type_win_probs["D"] > 0.5
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("tourney"))))
-""")
-    assert loaded == ["tourney", "tourney.errors", "tourney.primitives",
-                      "tourney.stage1", "tourney.stage2"]
-
-
-def test_solving_imports_no_numpy():
     # both CSFs in every bracket seeding, and a refused spec: the whole solve
     # runs on Python floats
     result = last_line("""
 import itertools, json, sys
-import tourney
 from tourney import (InteriorityError, PowerCost, ProbitUniformCsf, TournamentSpec,
                      TullockCsf, solve_tournament)
 specs = [TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0), cost=PowerCost(3.0, 12.0)),
          TournamentSpec(prize=20.0, csf=ProbitUniformCsf(5.0, 0.5),
                         cost=PowerCost(3.0, 27.0))]
-solved = refused = 0
-for spec, t in itertools.product(specs, itertools.product("HD", repeat=4)):
-    try:
-        solve_tournament(TournamentSpec(prize=spec.prize, csf=spec.csf,
-                                        cost=spec.cost, bracket=(t[:2], t[2:])))
-        solved += 1
-    except InteriorityError:
-        refused += 1
+solved = [solve_tournament(TournamentSpec(prize=spec.prize, csf=spec.csf, cost=spec.cost,
+                                          bracket=(t[:2], t[2:])))
+          for spec, t in itertools.product(specs, itertools.product("HD", repeat=4))]
 try:
     solve_tournament(TournamentSpec(prize=1.0, csf=TullockCsf(r=1.0),
                                     cost=PowerCost(3.0, 12.0), bracket=("HH", "HH")))
+    refused = False
 except InteriorityError:
-    refused += 1
-print(json.dumps([solved, refused, "numpy" in sys.modules]))
+    refused = True
+print(json.dumps([len(solved), refused, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("tourney"))]))
 """)
-    assert result == [32, 1, False]
+    assert result == [32, True, False,
+                      ["tourney", "tourney.errors", "tourney.primitives",
+                       "tourney.stage1", "tourney.stage2"]]
 
 
 def imported(*argv):
@@ -117,18 +102,35 @@ values = [TullockCsf().win_prob(1.0, 2.0),
 
 
 def test_a_validated_method_loads_numpy_on_first_call():
+    # eight threads race to be numpy's first user, each switching every
+    # microsecond; each must read the values this process reads
     namespace = {}
     exec(VALIDATED, namespace)
     assert namespace["values"][0] == 1 / 3
     result = last_line(f"""
-import json, sys
+import json, sys, threading
 import tourney.primitives as primitives
 before = "numpy" in sys.modules
-exec({VALIDATED!r})
+barrier, reprs = threading.Barrier(8), []
+def first_user():
+    namespace = {{}}
+    barrier.wait()
+    exec({VALIDATED!r}, namespace)
+    reprs.append(repr(namespace["values"]))
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=first_user) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(0.005)
 import numpy
-print(json.dumps([before, repr(values), primitives.np is numpy]))
+print(json.dumps([before, any(t.is_alive() for t in threads), reprs,
+                  primitives.np is numpy]))
 """)
-    assert result == [False, repr(namespace["values"]), True]
+    assert result == [False, False, [repr(namespace["values"])] * 8, True]
 
 
 def test_simulate_loads_numpy_inside_its_workers():
