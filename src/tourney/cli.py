@@ -9,13 +9,15 @@ A scenario file's blocks are the input records' own fields: the csf block
 holds a `type` ('tullock' or 'probit_uniform') and that CSF's fields, and
 the cost, solver and sim blocks hold the fields of `PowerCost`,
 `SolverSettings` and `SimConfig`.  A field without a default is required,
-any other key is an error, and each value is read by its field's declared
-type (float, int or str) before the record validates it.  An error names
-its block (`csf:`, `cost:`, `solver:`, `sim:`), whether a reader or the
-record found it; one from the spec itself (prize, bracket) names the file.
-The JSON views written by `--json` are the records' `asdict` with the same
-CSF `type` tag, so a solution's `spec` block reads back as the scenario it
-came from.
+any other key is an error, and one reader checks each value, the prize
+included, against its field's declared type (float, int or str; never a
+bool) before the record validates it.  An error names its block (`csf:`,
+`cost:`, `solver:`, `sim:`), whether the reader or the record found it;
+one from the spec itself (prize, bracket) names the file.  The JSON views
+written by `--json` are the records' `asdict` with the same CSF `type`
+tag, so a solution's `spec` block reads back as the scenario it came from;
+`simulate --json` is the one JSON form of a simulation result.  Each
+subcommand's parser carries its handler, which `run` calls.
 
 Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
@@ -80,49 +82,39 @@ def _check_keys(obj, allowed: set, required: set, where: str) -> None:
         _fail(where, f"missing key(s) {missing}")
 
 
-def _number(obj, key: str, where: str) -> float:
+# the types a value of each declared field type may have, and their name
+_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+          "str": (str, "a string")}
+
+
+def _read(obj, key: str, kind: str, where: str):
+    """obj[key] as a value of the declared field type kind: 'float' takes
+    an integer too and returns a float, and no field takes a bool."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(where, f"{key} must be a number, got {value!r}")
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        _fail(where, f"{key} must be {name}, got {value!r}")
     try:
-        return float(value)
+        return float(value) if kind == "float" else value
     except OverflowError:
         _fail(where, f"{key} is an integer too large for a float")
-
-
-def _integer(obj, key: str, where: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _string(obj, key: str, where: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        _fail(where, f"{key} must be a string, got {value!r}")
-    return value
-
-
-# the reader of each field type an input record declares
-_READERS = {"float": _number, "int": _integer, "str": _string}
 
 
 def _arguments(cls, obj, where: str) -> dict:
     """The keyword arguments for cls given in the JSON object obj.  The
     record's fields are the allowed keys, those without a default are
-    required, and each value goes through its type's reader."""
+    required, and each value is read by its declared type."""
     record = fields(cls)
     required = {f.name for f in record
                 if f.default is MISSING and f.default_factory is MISSING}
     _check_keys(obj, {f.name for f in record}, required, where)
-    return {f.name: _READERS[f.type](obj, f.name, where)
+    return {f.name: _read(obj, f.name, f.type, where)
             for f in record if f.name in obj}
 
 
 def _validated(cls, where: str, **arguments):
     """cls(**arguments), with a ParameterError from the record's own
-    validation prefixed by where, as the readers prefix theirs."""
+    validation prefixed by where, as the reader prefixes its own."""
     try:
         return cls(**arguments)
     except ParameterError as exc:
@@ -135,7 +127,8 @@ def _parse_csf(obj):
     kind = obj["type"]
     # an unhashable type ([] or {}) must not reach the dict lookup
     if not isinstance(kind, str) or kind not in _CSF_TYPES:
-        _fail("csf", f"unknown CSF type {kind!r} (expected 'tullock' or 'probit_uniform')")
+        _fail("csf", f"unknown CSF type {kind!r} "
+                     f"(expected {' or '.join(map(repr, _CSF_TYPES))})")
     cls = _CSF_TYPES[kind]
     fields_only = {key: value for key, value in obj.items() if key != "type"}
     return _validated(cls, "csf", **_arguments(cls, fields_only, "csf"))
@@ -149,7 +142,7 @@ def _scenario_from_dict(data, origin: str) -> tuple[TournamentSpec, SimConfig]:
     cost = _validated(PowerCost, "cost", **_arguments(PowerCost, data["cost"], "cost"))
     solver = _arguments(SolverSettings, data.get("solver", {}), "solver")
     sim = _validated(SimConfig, "sim", **_arguments(SimConfig, data.get("sim", {}), "sim"))
-    prize = _number(data, "prize", origin)
+    prize = _read(data, "prize", "float", origin)
     solver = _validated(SolverSettings, "solver", **solver)
     bracket = {"bracket": data["bracket"]} if "bracket" in data else {}
     spec = _validated(TournamentSpec, origin, prize=prize, csf=csf, cost=cost,
@@ -430,15 +423,18 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a scenario and print the candidate")
+    p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("scenario", help="path to a scenario JSON file")
     p_solve.add_argument("--json", help="write the solution to this JSON file")
     p_solve.add_argument("--csv", help="write the per-player table to this CSV file")
 
     p_verify = sub.add_parser("verify", help="run the global deviation checks")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("scenario", help="path to a scenario JSON file")
     p_verify.add_argument("--json", help="write the report to this JSON file")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo the solved tournament")
+    p_sim.set_defaults(handler=_cmd_simulate)
     p_sim.add_argument("scenario", help="path to a scenario JSON file")
     p_sim.add_argument("--json", help="write the result to this JSON file")
     p_sim.add_argument("--csv", help="write the per-player table to this CSV file")
@@ -449,23 +445,16 @@ def _parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replicate",
                            help="compare both bundled scenarios to their "
                                 "published reference figures")
+    p_rep.set_defaults(handler=_cmd_replicate)
     p_rep.add_argument("--json", help="write the comparison to this JSON file")
     return parser
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "replicate": _cmd_replicate,
-}
 
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except InteriorityError as exc:
         print(f"error: no interior candidate: {exc}", file=sys.stderr)
         return 3
@@ -475,10 +464,7 @@ def run(argv=None) -> int:
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"error: arithmetic failure: {exc}", file=sys.stderr)
         return 3
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

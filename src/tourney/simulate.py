@@ -52,12 +52,11 @@ worker thread, and is numpy itself from then on.
 from __future__ import annotations
 
 import contextvars
-import json
 import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .primitives import DOVE, HAWK, Csf, TullockCsf, _lazy_numpy
@@ -115,9 +114,6 @@ class SimResult:
     ci99: tuple[float, float, float, float]
     type_freq: dict[str, float]
     type_expected: dict[str, float]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:

@@ -121,10 +121,6 @@ class TournamentSpec:
                 raise ParameterError(f"{name} must be {what}, got {value!r}")
         object.__setattr__(self, "bracket", _normalize_bracket(self.bracket))
 
-    @property
-    def types(self) -> tuple[str, str, str, str]:
-        return self.bracket[0] + self.bracket[1]
-
 
 def _continuation_values(menu: PayoffMenu, p_parallel_hawk: float,
                          opponent_pool: tuple[str, str]) -> tuple[float, float]:

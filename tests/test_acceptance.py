@@ -227,7 +227,7 @@ def test_simulation_matches_analytic_probabilities():
             band = 3.0 * math.sqrt(expected * (1.0 - expected) / config.trials)
             assert abs(result.type_freq["D"] - expected) <= band, (spec, mode)
             again = simulate_tournament(sol, config)
-            assert again.to_json() == result.to_json()
+            assert again == result
     assert time.perf_counter() - started < 30.0
 
 

@@ -351,10 +351,10 @@ class TestArithmeticFailures:
                                        FloatingPointError])
     def test_exit_three_with_one_error_line(self, monkeypatch, capsys,
                                             scenario_path, error):
-        def handler(_args):
+        def simulate_tournament(*_args):
             raise error("float range left")
 
-        monkeypatch.setitem(cli._HANDLERS, "simulate", handler)
+        monkeypatch.setattr(cli, "simulate_tournament", simulate_tournament)
         assert cli.run(["simulate", str(scenario_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -497,6 +497,29 @@ class TestScenarioParsing:
         assert message.startswith(f"{block}: ")
         assert ("missing key(s)" in message) != ("unknown key(s)" in message)
         assert named in message
+
+    @pytest.mark.parametrize("change, message", [
+        ({"cost": {"exponent": "3", "divisor": 12.0}},
+         "cost: exponent must be a number, got '3'"),
+        ({"sim": {"trials": 1.5}}, "sim: trials must be an integer, got 1.5"),
+        ({"sim": {"trials": True}}, "sim: trials must be an integer, got True"),
+        ({"sim": {"seed": 1.5}}, "sim: seed must be an integer, got 1.5"),
+        ({"sim": {"seed": True}}, "sim: seed must be an integer, got True"),
+        ({"sim": {"mode": 3}}, "sim: mode must be a string, got 3"),
+        ({"cost": {"exponent": 3.0, "divisor": 10 ** 400}},
+         "cost: divisor is an integer too large for a float"),
+        ({"prize": "80"}, "{path}: prize must be a number, got '80'"),
+    ], ids=["float-given-a-string", "int-given-a-float", "int-given-a-bool",
+            "seed-given-a-float", "seed-given-a-bool", "str-given-an-int",
+            "float-past-the-range", "prize-given-a-string"])
+    def test_a_value_of_the_wrong_type_is_named(self, tmp_path, change,
+                                                message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(RATIO_SCENARIO, **change)))
+        proc = run_cli("solve", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message.format(path=path)}\n"
+        assert proc.stdout == ""
 
     def test_rejects_boolean_prize(self, tmp_path):
         path = tmp_path / "s.json"

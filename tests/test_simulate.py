@@ -40,7 +40,7 @@ class TestDeterminism:
         first = simulate_tournament(ratio_solution, config)
         second = simulate_tournament(ratio_solution, config)
         assert first.wins == second.wins
-        assert first.to_json() == second.to_json()
+        assert first == second
 
     def test_different_seeds_differ(self, ratio_solution):
         a = simulate_tournament(ratio_solution, SimConfig(trials=100_000, seed=1))

@@ -293,7 +293,6 @@ class TestSpecValidation:
         spec = TournamentSpec(prize=1.0, csf=TullockCsf(), cost=PowerCost(3.0, 12.0),
                               bracket=[["H", "D"], ["D", "D"]])
         assert spec.bracket == (("H", "D"), ("D", "D"))
-        assert spec.types == ("H", "D", "D", "D")
 
     # a field of the wrong type is refused with its repr when the spec is
     # built, not left to fail inside the solve
