@@ -8,8 +8,11 @@ class ParameterError(ValueError):
 class InteriorityError(RuntimeError):
     """No interior equilibrium candidate exists for these parameters.
 
-    Raised when the prize is too small to support positive continuation
-    values, or when a noise contest saturates so marginal incentives vanish.
+    Raised when the prize cannot support positive continuation values,
+    and the message says on which side it lies: too small, or too large,
+    which happens under the noise CSF, where the final's base effort
+    outgrows its share of the prize.  Also raised when a noise contest
+    saturates so marginal incentives vanish.
     """
 
 

@@ -381,9 +381,10 @@ def _mixed_matches(spec: TournamentSpec, values, pools) -> tuple[MatchSolution, 
         b_hawk, b_dove, p_hawk, a_val, b_val = _ratio_root(values, spec.csf.r, spec.solver)
     else:
         b_hawk, b_dove, p_hawk, a_val, b_val = _noise_root(values, spec.csf, spec.solver)
-    s1 = _sabotage_level(spec.cost, a_val / b_val)
+    y = a_val / b_val
+    s1 = _sabotage_level(spec.cost, y)
     hawk = (HAWK, Effort(b_hawk, s1), b_hawk, p_hawk, a_val,
-            p_hawk * a_val - _sabotage_cost(spec.cost, s1) - b_hawk)
+            p_hawk * a_val - _sabotage_cost(spec.cost, s1, y) - b_hawk)
     dove = (DOVE, Effort(b_dove + s1, 0.0), b_dove, 1.0 - p_hawk, b_val,
             (1.0 - p_hawk) * b_val - (b_dove + s1))
     # pools in the same slot order share one record
@@ -440,7 +441,7 @@ def solve_tournament(spec: TournamentSpec) -> SpeSolution:
             elif pools[i][0] == HAWK:
                 s = stage2.sabotage
                 solved[i] = _same_type_match(spec.csf, HAWK, ab[0], s,
-                                             _sabotage_cost(spec.cost, s))
+                                             _sabotage_cost(spec.cost, s, 1.0))
             else:
                 solved[i] = _same_type_match(spec.csf, DOVE, ab[1], 0.0, 0.0)
             advance = solved[i].hawk_advance_prob

@@ -15,7 +15,9 @@ the success function.
 
 Each closed form is computed once, on Python floats, so every power is
 libm pow whatever numpy's SIMD dispatch.  A power past the float range
-raises OverflowError there, which the solve reports as a SolverError.
+raises OverflowError there.  The solve reports a base effort or sabotage
+level past the range as a SolverError; a sabotage cost whose power
+s**exponent overflows is computed as s * c'(s) / exponent instead.
 
 The results are frozen records (`Effort`, `PayoffMenu`, `Stage2Solution`
 here, the semifinal and tournament records in `stage1`, the audit's in
@@ -61,11 +63,6 @@ def base_effort(csf: Csf, v: float) -> float:
     raise ParameterError(f"unknown success function {csf!r}")
 
 
-def _out_of_range(what: str, cost: PowerCost) -> SolverError:
-    return SolverError(f"final-stage {what} overflows the float range at "
-                       f"exponent={cost.exponent:g}, divisor={cost.divisor:g}")
-
-
 def _sabotage_level(cost: PowerCost, y: float) -> float:
     """cost.marginal_inverse(y) on a positive Python float, whose last step
     is Python's float ** float, libm pow.  Where numpy's power returns inf,
@@ -75,8 +72,10 @@ def _sabotage_level(cost: PowerCost, y: float) -> float:
     try:
         return cost._marginal_inverse(y)
     except OverflowError:
-        raise _out_of_range("sabotage (divisor/exponent)^(1/(exponent-1))",
-                            cost) from None
+        raise SolverError(
+            f"final-stage sabotage (divisor/exponent)^(1/(exponent-1)) overflows "
+            f"the float range at exponent={cost.exponent:g}, "
+            f"divisor={cost.divisor:g}") from None
 
 
 def stage2_sabotage(cost: PowerCost) -> float:
@@ -84,15 +83,15 @@ def stage2_sabotage(cost: PowerCost) -> float:
     return _sabotage_level(cost, 1.0)
 
 
-def _sabotage_cost(cost: PowerCost, s: float) -> float:
-    """cost.cost(s) on a sabotage level s the solve computed, a Python
-    float, failing as _sabotage_level does where the power overflows.  At
-    s = s* the cost is s*/exponent, so the division cannot overflow where
-    the power did not, and a semifinal level lies below s*."""
+def _sabotage_cost(cost: PowerCost, s: float, y: float) -> float:
+    """cost.cost(s) on the level s = _sabotage_level(cost, y) the solve
+    computed, a Python float.  Where the power s**exponent overflows the
+    cost is s * c'(s) / exponent = s * y / exponent instead, finite because
+    a solve asks for y <= 1: the final's cost is s*/exponent."""
     try:
         return cost._cost(s)
     except OverflowError:
-        raise _out_of_range("sabotage cost s**exponent/divisor", cost) from None
+        return s * y / cost.exponent
 
 
 def _record(cls):
@@ -197,6 +196,6 @@ def solve_stage2(csf: Csf, cost: PowerCost, v: float) -> Stage2Solution:
     return Stage2Solution(
         base_effort=b,
         sabotage=s,
-        menu=_menu(v, b, s, _sabotage_cost(cost, s)),
+        menu=_menu(v, b, s, _sabotage_cost(cost, s, 1.0)),
         profiles={p: _profile(p, b, s) for p in PAIRINGS},
     )

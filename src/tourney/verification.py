@@ -217,9 +217,10 @@ def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     stencil = np.stack([np.where(one_sided, z, z - h),
                         np.where(one_sided, z + h, z),
                         np.where(one_sided, z + 2.0 * h, z + h)])
-    # at huge outlays the cost and h * h overflow to inf, which the
-    # curvature test reads as it reads any other number
-    with np.errstate(over="ignore"):
+    # at huge outlays the cost and h * h overflow to inf, and a payoff of
+    # -inf at the candidate itself leaves a NaN curvature; the curvature
+    # test reads either as it reads any other number
+    with np.errstate(over="ignore", invalid="ignore"):
         pay = _payoff(spec.csf, spec.cost, t.frozen(rows, 0),
                       np.where(on_x, stencil, t.x[rows]),
                       np.where(on_x, t.s[rows], stencil))
@@ -238,7 +239,9 @@ def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, floa
     # wins outright under the ratio CSF and a coin flip under bounded noise
     rows = np.flatnonzero(t.hawk)
     p_corner = 1.0 if isinstance(spec.csf, TullockCsf) else 0.5
-    with np.errstate(over="ignore"):
+    # a baseline of -inf, where the candidate's own cost overflows, leaves a
+    # NaN gain, which the gain test refuses as it refuses a positive one
+    with np.errstate(over="ignore", invalid="ignore"):
         bound = p_corner * t.value[rows] - spec.cost._cost(t.x_rival[rows])
         gain = bound - base[rows]
     return _expand(t, gain.tolist(), rows.tolist())

@@ -153,17 +153,24 @@ class TestSolve:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
-    def test_sabotage_cost_overflow_exits_three_without_warnings(self, tmp_path):
-        bad = dict(RATIO_SCENARIO, prize=8e201,
+    def test_sabotage_cost_past_the_power_solves_without_warnings(self, tmp_path):
+        # s*^2 overflows, but c(s*) = s*/2 = 3e200 is finite
+        big = dict(RATIO_SCENARIO, prize=8e201,
                    cost={"exponent": 2, "divisor": 1.2e201})
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(big))
         proc = run_cli("solve", str(path))
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("error:")
-        assert len(proc.stderr.splitlines()) == 1
-        assert "sabotage cost" in proc.stderr
-        assert "float range" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert ("final menu: DD 2e+201 | H vs D 1.7e+201 | D vs H 1.4e+201 "
+                "| HH 1.1e+201") in proc.stdout
+        # the audit's numpy cost is inf at the candidate's own sabotage, so
+        # it cannot certify, and says so without a RuntimeWarning
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "is nan, not negative" in proc.stdout
+        assert proc.stdout.endswith("interior equilibrium: REJECTED\n")
 
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
     def test_underflowing_efforts_exit_three(self, tmp_path, command):
@@ -402,8 +409,9 @@ class TestProcess:
             "H", "D"]
 
     def test_no_traceback_at_process_level(self, tmp_path):
+        # the final's sabotage level (1e300/1.001)^1000 overflows
         bad = dict(RATIO_SCENARIO, prize=8e201,
-                   cost={"exponent": 2, "divisor": 1.2e201})
+                   cost={"exponent": 1.001, "divisor": 1e300})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         proc = run_process("solve", str(path))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tourney import (Effort, ParameterError, PayoffMenu, PowerCost,
-                     ProbitUniformCsf, SolverError, TournamentSpec, TullockCsf,
-                     existence_gate, solve_tournament)
+from tourney import (Effort, InteriorityError, ParameterError, PayoffMenu,
+                     PowerCost, ProbitUniformCsf, SolverError, TournamentSpec,
+                     TullockCsf, existence_gate, solve_tournament)
 from tourney.stage2 import (_sabotage_cost, _sabotage_level, base_effort,
                             solve_stage2, stage2_sabotage)
 
@@ -108,14 +108,34 @@ def test_base_effort_quotient_overflow_is_the_same_solver_error():
         assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("csf, v", [(RATIO_CSF, 8e201), (NOISE_CSF, 20.0)])
-def test_sabotage_cost_overflow_is_a_solver_error(csf, v):
-    # s = 6e200 is finite, but s**2 leaves the float range before the division
+@pytest.mark.parametrize("csf, v, menu", [
+    (RATIO_CSF, 8e201, PayoffMenu(2e201, 1.7e201, 1.4e201, 1.1e201)),
+    (NOISE_CSF, 20.0, PayoffMenu(9.0, -3e200, -6e200, -9e200)),
+], ids=["ratio", "noise"])
+def test_sabotage_cost_past_the_power_is_finite(csf, v, menu):
+    # s* = 6e200 and c(s*) = s* c'(s*) / 2 = 3e200 are finite, but s*^2
+    # leaves the float range before the division
     cost = PowerCost(2.0, 1.2e201)
-    with pytest.raises(SolverError, match="sabotage cost .* float range"):
-        solve_stage2(csf, cost, v)
-    with pytest.raises(SolverError, match="sabotage cost .* float range"):
-        solve_tournament(TournamentSpec(prize=v, csf=csf, cost=cost))
+    assert _sabotage_cost(cost, 6e200, 1.0) == 3e200
+    stage2 = solve_stage2(csf, cost, v)
+    assert stage2.sabotage == 6e200
+    assert stage2.menu == menu
+    spec = TournamentSpec(prize=v, csf=csf, cost=cost)
+    if csf is NOISE_CSF:
+        # a hawk's final costs 3e200 against a prize of 20
+        with pytest.raises(InteriorityError, match="prize too small"):
+            solve_tournament(spec)
+        return
+    sol = solve_tournament(spec)
+    assert sol.stage2 == stage2
+    assert sol.type_win_probs["D"] == pytest.approx(0.5475, abs=5e-5)
+    # the mixed semifinal's cost overflows too: c(s1) = s1 (A/B) / 2
+    match = sol.matches[0]
+    (a_val, b_val), s1 = match.values, match.efforts[0].s
+    with pytest.raises(OverflowError):
+        s1 ** 2.0
+    assert match.payoffs[0] == (match.win_probs[0] * a_val
+                                - s1 * (a_val / b_val) / 2.0 - match.effective[0])
 
 
 def test_sabotage_overflow_is_a_solver_error():
@@ -186,9 +206,11 @@ def _bits(x) -> bytes:
 @settings(max_examples=300)
 @given(exponent=st.floats(1.0, 6.0, exclude_min=True),
        divisor=st.floats(1e-30, 1e300), y=st.floats(1e-12, 1e12))
-# near the float range: inf, and a finite level within e of the range
+# near the float range: inf, a finite level within e of the range, and a
+# level whose power overflows though its cost is finite
 @example(exponent=1.001, divisor=1e300, y=1.0)
 @example(exponent=2.0, divisor=1e300, y=1.6e8)
+@example(exponent=2.0, divisor=1.2e201, y=1.0)
 def test_float_closed_forms_equal_the_validated_methods(exponent, divisor, y):
     cost = PowerCost(exponent, divisor)
     with np.errstate(over="ignore"):
@@ -200,15 +222,13 @@ def test_float_closed_forms_equal_the_validated_methods(exponent, divisor, y):
             _sabotage_level(cost, y)
         return
     assert _bits(_sabotage_level(cost, y)) == _bits(level)
-    # the cost is Python's float ** float, libm pow, or a SolverError where
-    # that power overflows
+    # the cost is Python's float ** float, libm pow, or where that power
+    # overflows level * c'(level) / exponent
     try:
         expected = level ** exponent / divisor
     except OverflowError:
-        with pytest.raises(SolverError, match="sabotage cost .* float range"):
-            _sabotage_cost(cost, level)
-        return
-    assert _bits(_sabotage_cost(cost, level)) == _bits(expected)
+        expected = level * y / exponent
+    assert _bits(_sabotage_cost(cost, level, y)) == _bits(expected)
 
 
 def test_level_near_the_float_range_equals_the_validated_method():
