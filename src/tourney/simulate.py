@@ -27,13 +27,18 @@ tied, and only up to the last tied row's slice; because each chunk has its
 own generator, the coins it does draw are the ones the full layout would
 give.
 
-A chunk is consumed in slices of BLOCK rows through one reused draw buffer
-small enough to stay in a core's L2 cache.  Successive fills of the buffer
-continue the chunk's stream, so the slices hold exactly the draws of the
-layout above.  Scores are computed in place into reused rows, and each
-slice is tallied as soon as its outcomes are known.  A structural slice
-with a tie keeps a copy of its outcomes and ties until the chunk's coins,
-drawn slice by slice through the same buffer, settle them.
+A chunk is consumed in slices of BLOCK rows, and successive draws continue
+the chunk's stream, so the slices hold exactly the draws of the layout
+above.  A direct slice takes its draws as raw Philox words and compares
+each against the integer bound that decides u < p exactly, so no word is
+turned into a double.  A structural slice is drawn into one reused buffer
+small enough to stay in a core's L2 cache, which is transformed once, in
+place and whole, into the part of the scores that holds no effort; each
+match then takes its two efforts into two contiguous score rows, which are
+compared.  Each slice is tallied as soon as its outcomes are known.  A
+structural slice with a tie keeps a copy of its outcomes and ties until
+the chunk's coins, drawn slice by slice through the same buffer, settle
+them.
 
 The chunks of a run are spread over the usable CPUs, one worker thread per
 CPU and never more workers than chunks, with the calling thread as worker
@@ -66,11 +71,13 @@ np = _lazy_numpy(globals())
 
 CHUNK = 1 << 18
 # rows per slice of a chunk: a structural slice of (BLOCK, 6) draws takes
-# 768 KiB, which stays in a core's L2 cache
+# 768 KiB, which stays in a core's L2 cache while it is transformed in place
+# and scored, and a direct slice's (BLOCK, 3) raw words take 384 KiB
 BLOCK = 1 << 14
 MODES = ("direct", "structural")
-# the largest trial count a run accepts: at 20-50 ns per trial, minutes of
-# CPU; a larger count would run for hours or never end
+# the largest trial count a run accepts: at about 13-14 ns per trial direct
+# and 35-45 ns structural on one CPU, minutes of CPU; a larger count would
+# run for hours or never end
 MAX_TRIALS = 10 ** 10
 
 # two-sided 99% normal quantile for the reported confidence bands
@@ -121,27 +128,53 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _scores_into(csf: Csf, b: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Structural scores of effective effort b on uniforms u, written to out.
+def _raw_bound(p: float) -> int | None:
+    """The bound below which a raw Philox word w gives a uniform u < p, or
+    None when every word does.
 
-    Under the ratio CSF the score is the race b / Exp(1) with Exp(1) drawn as
-    -log u, and a zero effort never scores.  Under the noise CSF it is the
-    performance b**f plus uniform noise on [-a, a].  The operations are those
-    of ``b * (-1.0 / np.log(u))`` and ``b ** f + (2.0 * u - 1.0) * a``, in
-    that order, so the scores carry the same bits as those expressions.
+    numpy turns w into the double u = (w >> 11) * 2**-53.  For p below 1,
+    p * 2**53 is exact, so u < p holds exactly when w < ceil(p * 2**53) << 11;
+    a p of at most 0, or NaN, gives the bound 0, which no word is below.
+    """
+    if p >= 1.0:
+        return None
+    if not p > 0.0:
+        return 0
+    return math.ceil(math.ldexp(p, 53)) << 11
+
+
+def _match_scores(csf: Csf, pairs, noise: np.ndarray, scores: np.ndarray):
+    """Each match's structural scores on one slice of uniforms, yielded match
+    by match as the two rows of scores, which the next match overwrites.
+
+    Columns 2k and 2k + 1 of noise drive match k's contestants, at the
+    efforts pairs[k].  Under the ratio CSF the score is the race b / Exp(1)
+    with Exp(1) drawn as -log u, and a zero effort never scores.  Under the
+    noise CSF it is the performance b**f plus uniform noise on [-a, a].
+    noise is first turned in place, whole, into the part that holds no
+    effort: -1/log u, or (2u - 1) a.  A column then takes its effort into a
+    score row.  The operations are those of ``b * (-1.0 / np.log(u))`` and
+    ``b ** f + (2.0 * u - 1.0) * a``, in that order, so the scores carry the
+    same bits as those expressions; a zero effort times -1/log u, which lies
+    in [0, 2**53], is +0.0.
     """
     if isinstance(csf, TullockCsf):
-        if not b > 0.0:
-            out.fill(0.0)
-            return out
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(u, out=out)
-            np.divide(-1.0, out, out=out)
-            return np.multiply(b, out, out=out)
-    np.multiply(2.0, u, out=out)
-    np.subtract(out, 1.0, out=out)
-    np.multiply(out, csf.half_width, out=out)
-    return np.add(b ** csf.f_exponent, out, out=out)
+            np.log(noise, out=noise)
+            np.divide(-1.0, noise, out=noise)
+        score = np.multiply
+        terms = [[b if b > 0.0 else 0.0 for b in pair] for pair in pairs]
+    else:
+        np.multiply(2.0, noise, out=noise)
+        np.subtract(noise, 1.0, out=noise)
+        np.multiply(noise, csf.half_width, out=noise)
+        score = np.add
+        terms = [[b ** csf.f_exponent for b in pair] for pair in pairs]
+    y_a, y_b = scores
+    for k, (t_a, t_b) in enumerate(terms):
+        score(noise[:, 2 * k], t_a, out=y_a)
+        score(noise[:, 2 * k + 1], t_b, out=y_b)
+        yield y_a, y_b
 
 
 def _race_efforts(csf: Csf, b_a: float, b_b: float) -> tuple[float, float]:
@@ -181,16 +214,21 @@ def _slices(n: int, rows: int):
 
 
 def _direct_wins(thresholds, rng: np.random.Generator, n: int,
-                 buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                 rows: np.ndarray) -> np.ndarray:
     """Wins of one chunk of n trials, where match k goes to its first
-    contestant when draw k of the trial falls below thresholds[k]."""
+    contestant when draw k of the trial falls below thresholds[k]; the draws
+    are compared as raw Philox words against their _raw_bound."""
+    bounds = [_raw_bound(p) for p in thresholds]
     wins = np.zeros(4, dtype=np.int64)
-    for start, stop in _slices(n, len(buf)):
-        draws = buf[:stop - start]
-        outcomes = rows[:, :stop - start]
-        rng.random(out=draws)
-        for k, p in enumerate(thresholds):
-            np.less(draws[:, k], p, out=outcomes[k])
+    for start, stop in _slices(n, rows.shape[1]):
+        m = stop - start
+        words = rng.bit_generator.random_raw(3 * m).reshape(m, 3)
+        outcomes = rows[:, :m]
+        for k, bound in enumerate(bounds):
+            if bound is None:
+                outcomes[k].fill(True)
+            else:
+                np.less(words[:, k], np.uint64(bound), out=outcomes[k])
         wins += _tally(*outcomes)
     return wins
 
@@ -210,11 +248,9 @@ def _structural_wins(solution: SpeSolution, rng: np.random.Generator, n: int,
     for start, stop in _slices(n, len(buf)):
         noise = buf[:stop - start]
         outcomes, tie = rows[:, :stop - start], ties[:, :stop - start]
-        y_a, y_b = scores[:, :stop - start]
         rng.random(out=noise)
-        for k, (b_a, b_b) in enumerate(pairs):
-            _scores_into(csf, b_a, noise[:, 2 * k], y_a)
-            _scores_into(csf, b_b, noise[:, 2 * k + 1], y_b)
+        for k, (y_a, y_b) in enumerate(
+                _match_scores(csf, pairs, noise, scores[:, :stop - start])):
             np.greater(y_a, y_b, out=outcomes[k])
             np.equal(y_a, y_b, out=tie[k])
         if tie.any():
@@ -302,16 +338,16 @@ def simulate_tournament(solution: SpeSolution, config: SimConfig = SimConfig(),
     def worker(first: int, step: int):
         """Wins of chunks first, first + step, first + 2 step, ..., one
         chunk at a time."""
-        buf = np.empty((block, 3 if direct else 6))
         rows = np.empty((3, block), dtype=bool)
         if not direct:
+            buf = np.empty((block, 6))
             scores = np.empty((2, block))
             ties = np.empty((3, block), dtype=bool)
         for chunk_index in range(first, chunks, step):
             rng = _chunk_rng(config.seed, chunk_index)
             n = min(CHUNK, trials - chunk_index * CHUNK)
             if direct:
-                yield _direct_wins(thresholds, rng, n, buf, rows)
+                yield _direct_wins(thresholds, rng, n, rows)
             else:
                 yield _structural_wins(solution, rng, n, buf, scores, rows,
                                        ties)

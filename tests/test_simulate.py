@@ -10,8 +10,8 @@ import pytest
 from tourney import (ParameterError, PowerCost, ProbitUniformCsf, SimConfig,
                      TournamentSpec, TullockCsf, simulate_tournament,
                      solve_tournament)
-from tourney.simulate import (CHUNK, MAX_TRIALS, _chunk_rng, _race_efforts,
-                              _scores_into)
+from tourney.simulate import (CHUNK, MAX_TRIALS, _chunk_rng, _match_scores,
+                              _race_efforts)
 
 RATIO_SPEC = TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
                             cost=PowerCost(3.0, 12.0))
@@ -133,10 +133,13 @@ class TestStructuralMode:
                                                     mode="structural"))
 
     def test_zero_effort_race_never_scores(self):
-        u = np.random.default_rng(0).random(200)
-        out = np.empty(200)
-        assert not _scores_into(TullockCsf(r=1.0), 0.0, u, out).any()
-        assert (_scores_into(TullockCsf(r=1.0), 1.0, u, out) > 0.0).all()
+        # each match pits a zero effort, which also meets a draw of exactly
+        # 0.0, against a unit effort
+        u = np.random.default_rng(0).random((200, 6))
+        u[0, ::2] = 0.0
+        for zero, unit in _match_rows(TullockCsf(r=1.0), [(0.0, 1.0)] * 3, u):
+            assert not zero.any() and not np.signbit(zero).any()
+            assert (unit > 0.0).all()
 
     def test_tied_scores_fall_back_to_a_fair_coin(self, ratio_solution):
         # zero efforts tie every semifinal race; the coins decide them, so
@@ -149,6 +152,14 @@ class TestStructuralMode:
                                                      mode="structural"))
         for freq in result.freq:
             assert abs(freq - 0.25) <= three_sigma(0.25, n)
+
+
+def _match_rows(csf, pairs, noise):
+    """Each match's score rows from _match_scores on the uniforms noise,
+    which it transforms in place, copied out of the rows it reuses."""
+    scores = np.empty((2, len(noise)))
+    return [(y_a.copy(), y_b.copy())
+            for y_a, y_b in _match_scores(csf, pairs, noise, scores)]
 
 
 def _with_semifinal(solution, k, effective=None, win_probs=None):
@@ -262,21 +273,22 @@ class TestHugeRaceEfforts:
         csf = TullockCsf(r=1.0)
         u = np.random.default_rng(3).random((300, 2))
         u[0] = 5e-324, 1.0 - 2.0 ** -53
-        y_a, y_b = np.empty(300), np.empty(300)
+        u[1] = 0.0, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b_a, b_b = _race_efforts(csf, 1e308, 5e307)
-            _scores_into(csf, b_a, u[:, 0], y_a)
-            _scores_into(csf, b_b, u[:, 1], y_b)
-        assert np.isfinite(y_a).all() and np.isfinite(y_b).all()
+            # the same match at every position of the slice
+            rows = _match_rows(csf, [(b_a, b_b)] * 3, np.tile(u, 3))
         # the scaled race has the winners of the race it stands for, where
         # that race's scores are finite
         assert (b_a, b_b) == (math.ldexp(1e308, -64), math.ldexp(5e307, -64))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             raw_a = 1e308 * (-1.0 / np.log(u[:, 0]))
             raw_b = 5e307 * (-1.0 / np.log(u[:, 1]))
         finite = np.isfinite(raw_a) & np.isfinite(raw_b)
         assert not finite[0]
-        assert ((y_a > y_b) == (raw_a > raw_b))[finite].all()
+        for y_a, y_b in rows:
+            assert np.isfinite(y_a).all() and np.isfinite(y_b).all()
+            assert ((y_a > y_b) == (raw_a > raw_b))[finite].all()
         # small efforts are left as they are
         assert _race_efforts(csf, 4.13, 4.73) == (4.13, 4.73)

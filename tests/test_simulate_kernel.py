@@ -2,6 +2,7 @@
 replaces, which is kept here as the reference."""
 
 import dataclasses
+import math
 import sys
 import threading
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from tourney import (PowerCost, ProbitUniformCsf, SimConfig, TournamentSpec,
                      TullockCsf, simulate_tournament, solve_tournament)
 from tourney import simulate
-from tourney.simulate import BLOCK, CHUNK, _chunk_rng, _scores_into
+from tourney.simulate import (BLOCK, CHUNK, _chunk_rng, _match_scores,
+                              _raw_bound)
 
 SPECS = {
     "ratio": TournamentSpec(prize=80.0, csf=TullockCsf(r=1.0),
@@ -142,14 +144,69 @@ def test_blocked_engine_matches_whole_chunk_reference(name, mode, variant,
 
 @pytest.mark.parametrize("name", sorted(SOLUTIONS))
 @pytest.mark.parametrize("b", [0.0, 1e-300, 0.37, 4.13, 2.5e8])
-def test_scores_into_equals_the_expressions(name, b):
+def test_match_scores_equal_the_expressions(name, b):
     csf = SPECS[name].csf
-    u = np.random.default_rng(11).random((4096, 2))
-    u[:3, 0] = (0.0, 5e-324, 1.0 - 2.0**-53)
-    out = np.full(4096, np.nan)
-    _scores_into(csf, b, u[:, 0], out)
-    expected = _reference_scores(csf, b, u[:, 0])
-    assert out.tobytes() == expected.tobytes()
+    u = np.random.default_rng(11).random((4096, 6))
+    u[:3] = np.array([0.0, 5e-324, 1.0 - 2.0**-53])[:, None]
+    scores = np.full((2, 4096), np.nan)
+    got = [row.tobytes() for match in
+           _match_scores(csf, [(b, b)] * 3, u.copy(), scores) for row in match]
+    expected = [_reference_scores(csf, b, u[:, j]).tobytes() for j in range(6)]
+    assert got == expected
+
+
+# ----------------------------------------------------------------------
+# Direct draws compared as raw Philox words.
+# ----------------------------------------------------------------------
+
+def _below(words, p):
+    """Whether each raw word's uniform falls below p, as _direct_wins
+    decides it."""
+    bound = _raw_bound(p)
+    if bound is None:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(bound)
+
+
+def _uniforms(words):
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-54, 2.0**-53, 0.5,
+                               np.nextafter(0.5, 0.0), 1.0 - 2.0**-53, 1.0,
+                               math.nan])
+def test_raw_bound_equals_the_uniform_comparison(p):
+    # one Philox stream drawn twice: numpy's uniform is the raw word's top
+    # 53 bits, and the bound decides each draw as u < p does
+    u = _chunk_rng(7, 0).random(100_000)
+    words = _chunk_rng(7, 0).bit_generator.random_raw(100_000)
+    assert np.array_equal(_uniforms(words), u)
+    assert np.array_equal(_below(words, p), u < p)
+    # the words whose uniforms lie next to p, where random draws almost
+    # never fall, and the extreme words
+    j = min(int(p * 2.0**53), 2**53 - 1) if p == p else 0
+    tops = np.arange(max(j - 2, 0), min(j + 3, 2**53), dtype=np.uint64)
+    edges = np.concatenate([tops << np.uint64(11),
+                            (tops << np.uint64(11)) + np.uint64(2047),
+                            np.array([0, 2047, 2048, 2**64 - 1],
+                                     dtype=np.uint64)])
+    assert np.array_equal(_below(edges, p), _uniforms(edges) < p)
+
+
+@pytest.mark.parametrize("p0, p1", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                    (0.0, 0.0)])
+@pytest.mark.parametrize("trials", [BLOCK + 1, CHUNK + 1])
+def test_direct_mode_at_certain_semifinals(p0, p1, trials):
+    solution = SOLUTIONS["ratio"]
+    matches = tuple(dataclasses.replace(match, win_probs=(p, 1.0 - p))
+                    for match, p in zip(solution.matches, (p0, p1)))
+    solution = dataclasses.replace(solution, matches=matches)
+    config = SimConfig(trials=trials, seed=7, mode="direct")
+    wins = simulate_tournament(solution, config).wins
+    assert wins == _reference_wins(solution, config)
+    # a certain semifinal loser never takes the title
+    assert (wins[0] == 0) == (p0 == 0.0) and (wins[1] == 0) == (p0 == 1.0)
+    assert (wins[2] == 0) == (p1 == 0.0) and (wins[3] == 0) == (p1 == 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(SOLUTIONS))
