@@ -14,10 +14,13 @@ included, against its field's declared type (float, int or str; never a
 bool) before the record validates it.  An error names its block (`csf:`,
 `cost:`, `solver:`, `sim:`), whether the reader or the record found it;
 one from the spec itself (prize, bracket) names the file.  The JSON views
-written by `--json` are the records' `asdict` with the same CSF `type`
-tag, so a solution's `spec` block reads back as the scenario it came from;
-`simulate --json` is the one JSON form of a simulation result.  Each
-subcommand's parser carries its handler, which `run` calls.
+written by `--json` are built in one walk over each record, not by
+`asdict`: a record becomes the dict of its fields, a tuple a list, and a
+non-finite float null.  A solution's view adds the CSF `type` tag and its
+derived win probabilities and payoffs, so its `spec` block reads back as
+the scenario it came from; `simulate --json` is the one JSON form of a
+simulation result.  Each subcommand's parser carries its handler, which
+`run` calls.
 
 Exit codes: 0 on success, 1 when verification or replication finds a
 mismatch, 2 on bad input (malformed scenario files, unknown keys, bad
@@ -42,7 +45,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from importlib import resources
 
 from .errors import InteriorityError, ParameterError, SolverError
@@ -180,42 +183,42 @@ def parse_scenario(path) -> tuple[TournamentSpec, SimConfig]:
 # Serialization helpers.
 # ----------------------------------------------------------------------
 
-def _spec_to_dict(spec: TournamentSpec):
-    """The spec as a scenario file's blocks; the CSF block names its type."""
-    view = asdict(spec)
-    kind = next(k for k, cls in _CSF_TYPES.items() if isinstance(spec.csf, cls))
-    view["csf"] = {"type": kind, **view["csf"]}
-    return view
-
-
-def solution_to_dict(solution: SpeSolution):
-    """JSON-ready view of a solved tournament."""
-    view = asdict(solution)
-    view.update(spec=_spec_to_dict(solution.spec),
-                semifinal_win_probs=solution.semifinal_win_probs,
-                payoffs=solution.payoffs,
-                type_win_probs=solution.type_win_probs)
-    return view
-
-
-def _finite(value):
-    """value with every non-finite float replaced by None: a rejected
-    report can hold an inf or NaN residual, and strict JSON has no literal
-    for either, so it is written as null."""
+def _json_view(value):
+    """value as JSON-ready data, built in one walk: a record becomes a dict
+    of its fields, a tuple or list a list, a dict the view of its items,
+    and a non-finite float None.  A rejected report can hold an inf or NaN
+    residual, and strict JSON has no literal for either, so it is written
+    as null."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
+        return {key: _json_view(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite(item) for item in value]
+        return [_json_view(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _json_view(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
-def _write_json(path: str, payload) -> None:
+def solution_to_dict(solution: SpeSolution):
+    """JSON-ready view of a solved tournament: its fields, with the spec as
+    a scenario file's blocks (the CSF block names its type), and its
+    derived win probabilities and payoffs."""
+    view = _json_view(solution)
+    kind = next(k for k, cls in _CSF_TYPES.items()
+                if isinstance(solution.spec.csf, cls))
+    view["spec"]["csf"] = {"type": kind, **view["spec"]["csf"]}
+    view.update(semifinal_win_probs=_json_view(solution.semifinal_win_probs),
+                payoffs=_json_view(solution.payoffs),
+                type_win_probs=_json_view(solution.type_win_probs))
+    return view
+
+
+def _write_json(path: str, view) -> None:
+    """Write a JSON-ready view (see _json_view) as one string."""
+    text = json.dumps(view, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_finite(payload), handle, indent=2, sort_keys=True,
-                  allow_nan=False)
-        handle.write("\n")
+        handle.write(text + "\n")
     print(f"wrote {path}")
 
 
@@ -287,9 +290,9 @@ def _cmd_verify(args) -> int:
     verdict = "accepted" if report.interior_ok else "REJECTED"
     print(f"interior equilibrium: {verdict}")
     if args.json:
-        payload = asdict(report)
-        payload["solution"] = solution_to_dict(solution)
-        _write_json(args.json, payload)
+        view = _json_view(report)
+        view["solution"] = solution_to_dict(solution)
+        _write_json(args.json, view)
     return 0 if report.interior_ok else 1
 
 
@@ -315,7 +318,7 @@ def _cmd_simulate(args) -> int:
           f"(expected {result.type_expected['H']:.6f})")
     print(f"all players within 99% bands: {'yes' if covered else 'no'}")
     if args.json:
-        _write_json(args.json, asdict(result))
+        _write_json(args.json, _json_view(result))
     if args.csv:
         _write_csv(args.csv, solution)
     return 0
@@ -406,10 +409,10 @@ def _cmd_replicate(args) -> int:
     print()
     print(f"asserted rows: {'all match' if all_ok else 'MISMATCH FOUND'}")
     if args.json:
-        _write_json(args.json, {
+        _write_json(args.json, _json_view({
             "ratio_scenario": {"rows": rows1, "asserted_rows_match": ok1},
             "noise_scenario": {"rows": rows2, "asserted_rows_match": ok2},
-        })
+        }))
     return 0 if all_ok else 1
 
 

@@ -35,8 +35,10 @@ CSF's ufuncs with a tie fix that writes one prefix-by-suffix slice, or the
 noise CSF's own in-place CDF, so this module holds no CDF arithmetic.
 Outlays whose payoff bound max(value, 0) - x is below a payoff the grid
 attains are skipped, since they cannot hold the argmax; one vectorised
-count finds how many are kept, and every reported number is the one the
-full grid gives.
+count finds how many are kept.  Sabotage levels past the last one whose
+bound max(value, 0) - c(s) reaches that payoff are skipped too; the cut
+reads the cost row numpy computes and needs no monotone cost.  Every
+reported number is the one the full grid gives.
 
 A candidate is accepted only when every layer comes back clean, and one
 gain test, _gains, decides for the corner bound, the oracle and the gate.
@@ -308,6 +310,15 @@ def _kept_rows(top: float, xs: np.ndarray, floor: float) -> int:
     return int(np.count_nonzero(~(top - xs < floor)))
 
 
+def _kept_columns(top: float, c: np.ndarray, floor: float) -> int:
+    """How many leading sabotage levels reach the last one whose cost c
+    leaves a payoff bound fl(top - c) that is not below floor (all of them
+    for a NaN floor).  The cut is found from the last such level, not by a
+    count, so it stays exact where the computed cost row is not monotone."""
+    kept = ~(top - c < floor)
+    return c.size - int(kept[::-1].argmax()) if kept.any() else 0
+
+
 def _gains(gain: float) -> bool:
     """Whether a deviation gains more than GAIN_TOLERANCE (a NaN gain does):
     the one gain test of the corner and oracle notes and of the gate's
@@ -324,30 +335,42 @@ def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
     that every problem reuses.  With need (their baselines), it returns
     None as soon as a problem _gains.
 
-    Only outlays that can hold the argmax are evaluated.  The grid row
+    Only cells that can hold the argmax are evaluated.  The grid row
     nearest each candidate's own outlay goes first, through _payoff: its
-    maximum is a floor the grid attains.  Every payoff has p <= 1 and
-    c(s) >= 0, and rounding is monotone, so a payoff at outlay x is at most
-    fl(max(value, 0) - x).  A grid row whose bound is below the floor lies
-    strictly below the grid maximum and can neither be nor tie the first
-    argmax.  The bound falls as x grows, so those grid rows are a suffix:
-    _kept_rows counts the rest in one vectorised pass, and the suffix is
-    skipped.
+    maximum is a floor the grid attains.  Every payoff has p <= 1, x >= 0
+    and c(s) >= 0, and rounding is monotone, so a payoff at outlay x and
+    sabotage level s is at most fl(max(value, 0) - x) and at most
+    fl(max(value, 0) - c(s)).  A grid row or column whose bound is below
+    the floor lies strictly below the grid maximum and can neither be nor
+    tie the first argmax.  The row bound falls as x grows, so those rows
+    are a suffix, which _kept_rows counts in one vectorised pass.  The
+    columns past the last one whose bound reaches the floor are cut too,
+    read off the problem's cost row: cutting after the last kept column,
+    not counting them, needs no monotone cost, so the cut is exact whatever
+    numpy's ** rounds.  The kept rows by kept columns are one contiguous
+    slice of the buffers, and the argmax maps back to the full grid's flat
+    index.
     """
     nearest = np.minimum(np.searchsorted(xs, t.x[rows]), xs.size - 1)
     floor = _payoff(csf, cost, t.frozen(rows, 1), xs[nearest, None],
                     ss).max(axis=1).tolist()
-    out = np.empty((xs.size, ss.shape[1]))
+    m = ss.shape[1]
+    out = np.empty(xs.size * m)
     tmp = np.empty_like(out)
     col = xs[:, None]
     flat, top = [], []
     for i, (frozen, s, low) in enumerate(zip(
             zip(*(c.tolist() for c in t.frozen(rows, 0))), ss, floor)):
-        kept = _kept_rows(max(frozen[0], 0.0), xs, low)
-        pay = _grid_payoff(csf, cost, frozen, col[:kept], s,
-                           out[:kept], tmp[:kept]).reshape(-1)
-        flat.append(int(pay.argmax()))
-        top.append(float(pay[flat[-1]]))
+        bound = max(frozen[0], 0.0)
+        kept = _kept_rows(bound, xs, low)
+        width = _kept_columns(bound, cost._cost(s), low)
+        size = kept * width
+        pay = _grid_payoff(csf, cost, frozen, col[:kept], s[:width],
+                           out[:size].reshape(kept, width),
+                           tmp[:size].reshape(kept, width)).reshape(-1)
+        cell = int(pay.argmax())
+        flat.append(cell // width * m + cell % width)
+        top.append(float(pay[cell]))
         if need is not None:
             # the running best the search makes of the top: a NaN never
             # replaces the initial -inf

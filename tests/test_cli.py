@@ -5,15 +5,18 @@ captured; two tests run `python -m tourney` as a process.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from tourney import (ParameterError, SimConfig, SolverSettings, cli,
-                     parse_scenario, simulate)
+from tourney import (ParameterError, SimConfig, SolverSettings, TullockCsf,
+                     cli, parse_scenario, simulate, solve_tournament,
+                     verification)
 
 RATIO_SCENARIO = {
     "prize": 80.0,
@@ -393,6 +396,81 @@ class TestReplicate:
         assert "asserted rows: all match" in proc.stdout
         assert "recorded" in proc.stdout
         assert proc.stdout.count("MISMATCH") == 0
+
+
+def _stock_solution(solution):
+    """A solution's JSON view from dataclasses.asdict: the spec's CSF block
+    names its type, and the derived probabilities and payoffs are added."""
+    view = dataclasses.asdict(solution)
+    kind = ("tullock" if isinstance(solution.spec.csf, TullockCsf)
+            else "probit_uniform")
+    view["spec"]["csf"] = {"type": kind, **view["spec"]["csf"]}
+    view.update(semifinal_win_probs=solution.semifinal_win_probs,
+                payoffs=solution.payoffs,
+                type_win_probs=solution.type_win_probs)
+    return view
+
+
+def _stock_bytes(payload):
+    """payload written as strict JSON with every non-finite float as null,
+    indented by two spaces, keys sorted, one newline at the end."""
+
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(item) for item in value]
+        return value
+
+    text = json.dumps(finite(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    return (text + "\n").encode()
+
+
+class TestJsonViews:
+    @pytest.mark.parametrize("scenario, verify_code", [
+        (RATIO_SCENARIO, 0),
+        ({"prize": 20.0,
+          "csf": {"type": "probit_uniform", "half_width": 5.0,
+                  "f_exponent": 0.5},
+          "cost": {"exponent": 3.0, "divisor": 27.0},
+          "bracket": [["D", "H"], ["H", "H"]]}, 1),
+        # the dove's effective effort is 0.0 in the audit: inf and NaN
+        # residuals, written as null
+        ({"prize": 1e150,
+          "csf": {"type": "probit_uniform", "half_width": 4e153,
+                  "f_exponent": 0.9},
+          "cost": {"exponent": 1.5, "divisor": 1e-12}}, 1),
+    ], ids=["ratio-accepted", "noise-rejected", "non-finite-residuals"])
+    def test_bytes_equal_the_asdict_views(self, tmp_path, scenario,
+                                          verify_code):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        spec, sim = parse_scenario(path)
+        solution = solve_tournament(spec)
+        report = verification.verify_solution(solution)
+        result = simulate.simulate_tournament(
+            solution, dataclasses.replace(sim, trials=5000))
+        want = {
+            "solve": _stock_solution(solution),
+            "verify": dict(dataclasses.asdict(report),
+                           solution=_stock_solution(solution)),
+            "simulate": dataclasses.asdict(result),
+        }
+        codes = {"solve": 0, "verify": verify_code, "simulate": 0}
+        for command, payload in want.items():
+            out = tmp_path / f"{command}.json"
+            trials = ("--trials", "5000") if command == "simulate" else ()
+            proc = run_cli(command, str(path), "--json", str(out), *trials)
+            assert proc.returncode == codes[command], proc.stderr
+            assert out.read_bytes() == _stock_bytes(payload)
+        if spec.prize == 1e150:
+            residuals = list(report.foc_residuals.values())
+            assert not all(math.isfinite(value) for value in residuals)
+            written = json.loads((tmp_path / "verify.json").read_text())
+            assert None in written["foc_residuals"].values()
 
 
 class TestProcess:

@@ -13,8 +13,8 @@ from tourney import (PowerCost, ProbitUniformCsf, TournamentSpec, TullockCsf,
                      solve_tournament, verification)
 from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, GAIN_TOLERANCE,
                                   _argmax_rows, _around, _baseline,
-                                  _grid_payoff, _kept_rows, _linspace_rows,
-                                  _oracle, _payoff, _Table)
+                                  _grid_payoff, _kept_columns, _kept_rows,
+                                  _linspace_rows, _oracle, _payoff, _Table)
 
 
 def _reference_2d(csf, cost, t, rows, prize, n):
@@ -110,6 +110,12 @@ def _assert_matches_reference(spec, t, n):
 RATIO = TullockCsf(r=1.0)
 NOISE = ProbitUniformCsf(half_width=5.0, f_exponent=0.5)
 COST = PowerCost(3.0, 12.0)
+# a steep cost: two of the hawk's 50 sabotage columns are kept, and the
+# coarse argmax sits in the second
+STEEP = (TournamentSpec(prize=80.0,
+                        csf=ProbitUniformCsf(half_width=0.01, f_exponent=0.5),
+                        cost=PowerCost(4.0, 0.01)),
+         _table([(True, 40.0, 16.3, 0.0, 16.5, 0.0)]), 50)
 
 
 @pytest.mark.parametrize("n", [50, 128, 400])
@@ -158,6 +164,7 @@ def _problems(draw):
 @example((TournamentSpec(prize=100.0, csf=NOISE, cost=PowerCost(3.0, 0.27)),
           _table([(True, 24.75, 1.53, 2.0, 1.53, 2.0),
                   (False, 24.85, 1.84, 0.0, 1.53, 2.0)]), 400))
+@example(STEEP)
 def test_pruned_oracle_equals_the_full_grid_search(problem):
     _assert_matches_reference(*problem)
 
@@ -264,6 +271,73 @@ def _kept_rows_cases(draw):
 @given(_kept_rows_cases())
 def test_kept_rows_count_equals_the_bisection(case):
     assert _kept_rows(*case) == _kept_rows_by_bisection(*case)
+
+
+def test_kept_columns_never_cut_at_or_above_the_floor():
+    c = COST._cost(np.linspace(0.0, 6.7, 128))
+    top = 30.0
+    bounds = top - c
+    assert (np.diff(bounds) < 0.0).all()
+    for column in (0, 5, 37, 127):
+        # the column whose bound equals the floor is kept, the next is not
+        assert _kept_columns(top, c, bounds[column]) == column + 1
+    assert _kept_columns(top, c, -math.inf) == c.size
+    assert _kept_columns(top, c, math.inf) == 0
+
+
+def test_nan_floor_keeps_every_column_and_an_infinite_cost_is_cut():
+    c = np.array([0.0, 1.0, 2.0, math.inf])
+    for top in (0.0, 30.0):
+        assert _kept_columns(top, c, math.nan) == c.size
+    assert _kept_columns(30.0, c, 0.0) == 3
+    assert _kept_columns(30.0, np.array([0.0, math.inf, 1.0]), 0.0) == 3
+
+
+def test_cost_row_need_not_be_monotone():
+    # bounds 30, 25, 29, -10, 28, -20, -30 against the floor 25: the kept
+    # columns are 0, 1, 2 and 4, and the cut falls after the last of them
+    c = np.array([0.0, 5.0, 1.0, 40.0, 2.0, 50.0, 60.0])
+    assert _kept_columns(30.0, c, 25.0) == 5
+    assert _kept_columns(30.0, c[:4], 25.0) == 3
+
+
+def _kept_columns_by_scan(top, c, floor):
+    """One past the last sabotage level whose bound fl(top - c) is not
+    below floor, found by a scan over Python floats."""
+    return max((j + 1 for j, cost in enumerate(c.tolist())
+                if not top - cost < floor), default=0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(_special, st.floats(0.0, 1e3)), min_size=1,
+                max_size=60),
+       st.one_of(_special, st.floats(-1e3, 1e3)),
+       st.one_of(_special, st.floats(-1e3, 1e3)))
+def test_kept_columns_equal_the_scan(costs, top, floor):
+    c = np.array(costs)
+    with np.errstate(invalid="ignore"):
+        assert _kept_columns(top, c, floor) == _kept_columns_by_scan(top, c, floor)
+
+
+def test_steep_cost_evaluates_the_kept_columns_only(monkeypatch):
+    spec, t, n = STEEP
+    frozen = (t.value[0], t.x_rival[0], t.s_rival[0])
+    xs = np.linspace(0.0, spec.prize, n)
+    ss = np.linspace(0.0, t.x_rival[0], n)
+    pay = _payoff(spec.csf, spec.cost, frozen, xs[:, None], ss)
+    # the grid's own maximum is the highest floor: two columns reach it,
+    # and the first argmax is in the second
+    assert _kept_columns(t.value[0], spec.cost._cost(ss), pay.max()) == 2
+    assert pay.argmax() % n == 1
+    shapes = []
+
+    def spy(csf, cost, frozen, x, s, out, tmp):
+        shapes.append(out.shape)
+        return _grid_payoff(csf, cost, frozen, x, s, out, tmp)
+
+    monkeypatch.setattr(verification, "_grid_payoff", spy)
+    _assert_matches_reference(*STEEP)
+    assert shapes[0][1] == 2
 
 
 @pytest.mark.parametrize("r", [1.0, 0.3])
