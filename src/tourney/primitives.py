@@ -33,9 +33,10 @@ finite, so no evaluation overflows.  Construction also keeps 4a**2 (the
 density's denominator) a normal float, so neither denominator underflows
 to 0.  It is evaluated three ways with the same operations in the same
 order: `_cdf` on arrays and 0-d inputs, `_cdf_float` on one Python float,
-and `_cdf_into` in place on the audit's grids.  The square is the one step that can round differently: an array
-squares through np.square (`_cdf`'s `** 2` and `_cdf_into`), while a 0-d
-input and a Python float square through libm pow.  The two disagree in the
+and `_cdf_into` in place on the audit's grids.  The square is the one
+step that can round differently: an array squares through np.square
+(`_cdf`'s `** 2` and `_cdf_into`), while a 0-d input and a Python float
+square through libm pow.  The two disagree in the
 last bit at about 4 of 10 000 points, so the solver's float CDF and the
 audit's array CDF can differ by an ulp or two; the values and sign bits
 are otherwise identical.

@@ -45,10 +45,14 @@ gain test, _gains, decides for the corner bound, the oracle and the gate.
 The existence gate then maps out the smallest prize for which that
 happens, which is genuinely useful under the noise CSF: bounded noise lets
 weak players free-ride on luck, so admissibility can vanish even where the
-interior formulas still produce numbers.  The gate needs only the verdict,
-so each of its probes stops at the first failing layer, cheapest first,
-and its oracle stops at the first problem whose running best already gains
-more than the tolerance; the finished search would report that gain too.
+interior formulas still produce numbers.  One sequence, _layers, runs the
+layers in one order for both the report and the gate's probes: the
+semifinal payoff signs and the menu order, the corner bound, first order,
+second order, then the oracle, cheapest and likeliest to fail first.  The
+report drains it and lists the notes in its own order; a probe needs only
+the verdict, so it stops at the first failing layer, and its oracle stops
+at the first problem whose running best already gains more than the
+tolerance; the finished search would report that gain too.
 """
 
 from __future__ import annotations
@@ -511,6 +515,40 @@ def _stage_notes(solution: SpeSolution) -> list[str]:
     return notes
 
 
+# The layers in the order the report lists their notes.
+_REPORT_ORDER = ("foc", "soc", "corner", "oracle", "stage")
+
+
+def _layers(solution: SpeSolution, n: int, gate: bool):
+    """The audit of a candidate as (layer, report fields, notes), one layer
+    at a time, in the one order both verify_solution and the gate's probe
+    run them: cheapest and likeliest to fail first (stage notes, corner
+    bound, FOC, SOC, then the oracle), all on one table.  With gate, the
+    oracle stops at the first problem whose running best gains; its layer
+    then has one failing note and no fields.  The table is built before
+    the first layer, so a table the audit refuses raises ParameterError
+    from the first step."""
+    spec = solution.spec
+    t = _table(solution)
+    yield "stage", {}, _stage_notes(solution)
+    base = _baseline(spec.csf, spec.cost, t)
+    corner = _corner(spec, t, base)
+    yield "corner", {"corner_gains": corner}, _corner_notes(corner)
+    foc = foc_residuals(spec, t)
+    yield "foc", {"foc_residuals": foc}, _foc_notes(foc)
+    soc = soc_check(spec, t)
+    yield "soc", {"soc_values": soc}, _soc_notes(soc)
+    found = _oracle(spec, t, n, need=base if gate else None)
+    if found is None:
+        yield "oracle", {}, ["oracle deviation gains"]
+        return
+    best, best_x, best_s = found
+    gains = _expand(t, [pay - b for pay, b in zip(best.tolist(), base.tolist())])
+    argmax = _expand(t, list(zip(best_x.tolist(), best_s.tolist())))
+    yield ("oracle", {"oracle_gains": gains, "oracle_argmax": argmax},
+           _oracle_notes(gains, argmax))
+
+
 def verify_solution(solution: SpeSolution, *, grid: int | None = None,
                     ) -> VerificationReport:
     """Run every acceptance layer against a candidate and report honestly.
@@ -519,31 +557,16 @@ def verify_solution(solution: SpeSolution, *, grid: int | None = None,
     tolerance, every own-coordinate curvature is strictly negative, no
     corner deviation pays, the grid oracle finds no profitable move for
     anyone, semifinal payoffs are nonnegative and the final-stage menu is
-    strictly ordered.  Notes name each failure, first failure first.
-    grid, when given, replaces the spec's oracle_grid.
+    strictly ordered.  Notes name each failure, layer by layer in that
+    order.  grid, when given, replaces the spec's oracle_grid.
     """
-    spec = solution.spec
-    n = _grid_size(spec, grid)
-    t = _table(solution)
-    foc = foc_residuals(spec, t)
-    soc = soc_check(spec, t)
-    base = _baseline(spec.csf, spec.cost, t)
-    corner = _corner(spec, t, base)
-    best, best_x, best_s = _oracle(spec, t, n)
-    oracle_gains = _expand(t, [pay - b for pay, b in zip(best.tolist(), base.tolist())])
-    oracle_argmax = _expand(t, list(zip(best_x.tolist(), best_s.tolist())))
-    notes = (_foc_notes(foc) + _soc_notes(soc) + _corner_notes(corner)
-             + _oracle_notes(oracle_gains, oracle_argmax)
-             + _stage_notes(solution))
-    return VerificationReport(
-        foc_residuals=foc,
-        soc_values=soc,
-        corner_gains=corner,
-        oracle_gains=oracle_gains,
-        oracle_argmax=oracle_argmax,
-        interior_ok=not notes,
-        notes=tuple(notes),
-    )
+    fields, notes = {}, {}
+    # the loop files each layer's notes under its name as it unpacks them
+    for layer, values, notes[layer] in _layers(
+            solution, _grid_size(solution.spec, grid), gate=False):
+        fields.update(values)
+    notes = [note for layer in _REPORT_ORDER for note in notes[layer]]
+    return VerificationReport(**fields, interior_ok=not notes, notes=tuple(notes))
 
 
 # ----------------------------------------------------------------------
@@ -561,23 +584,14 @@ class GateResult:
 
 def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
     """verify_solution(...).interior_ok at this prize, without the report.
-    Any failing layer rejects the candidate, so the probe runs the layers
-    cheapest and likeliest to fail first (stage notes, corner bound, FOC,
-    SOC, then the oracle) and stops at its first failing layer."""
+    Any failing layer rejects the candidate, so the probe drains the same
+    sequence of layers as the report, _layers, and stops at its first
+    failing layer."""
     try:
         solution = solve_tournament(replace(spec, prize=prize))
     except (InteriorityError, SolverError):
         return False
-    spec = solution.spec
-    t = _table(solution)
-    if _stage_notes(solution):
-        return False
-    base = _baseline(spec.csf, spec.cost, t)
-    if (_corner_notes(_corner(spec, t, base))
-            or _foc_notes(foc_residuals(spec, t))
-            or _soc_notes(soc_check(spec, t))):
-        return False
-    return _oracle(spec, t, n, need=base) is not None
+    return not any(notes for _, _, notes in _layers(solution, n, gate=True))
 
 
 def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
@@ -591,10 +605,11 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     final bracket.  Under bounded noise admissibility need not be monotone
     in the prize, so the estimate maps the edge of the window that was
     found, and the notes say when the requested prize itself was rejected.
-    A probe gives the same verdict as verify_solution, but stops at its
-    first failing layer, and no prize is probed twice.  A probe prize the
-    float range cannot hold (a product overflowing to inf or underflowing
-    to 0) fails without being solved.
+    A probe runs the same sequence of layers as verify_solution, so it
+    gives the same verdict, but stops at its first failing layer, and no
+    prize is probed twice.  A probe prize the float range cannot hold (a
+    product overflowing to inf or underflowing to 0) fails without being
+    solved.
     """
     n = _grid_size(spec, grid)
     verdicts: dict[float, bool] = {}

@@ -377,8 +377,9 @@ def _audit_ok(spec, prize):
 
 @st.composite
 def _acceptance_draws(draw):
-    """A spec drawn as the acceptance grid draws them and a prize within a
-    decade either side of the grid's reference prize."""
+    """A spec drawn as the acceptance grid draws them, in one of the sixteen
+    seedings, and a prize within a decade either side of the grid's
+    reference prize."""
     exponent = draw(st.floats(1.5, 4.0))
     if draw(st.booleans()):
         r = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
@@ -398,6 +399,7 @@ def _acceptance_draws(draw):
         spec = TournamentSpec(
             prize=1.0, csf=ProbitUniformCsf(half_width=width, f_exponent=beta),
             cost=PowerCost(exponent, exponent * s_target ** (exponent - 1.0)))
+    spec = dataclasses.replace(spec, bracket=draw(st.sampled_from(_BRACKETS)))
     return spec, reference * 10.0 ** draw(st.floats(-1.0, 1.0))
 
 
@@ -413,11 +415,18 @@ def test_gate_verdict_equals_the_full_audit_on_drawn_specs(draw):
 # probe runs).  The oracle searches the doves' 1-D lines, then the hawks'
 # 2-D grids; a refinement step shows as a search that stops with no coarse
 # grid failing.
-_CHEAP = ["corner", "foc", "soc"]
+_CHEAP = ["stage", "corner", "foc", "soc"]
+_STAGE_SPEC = TournamentSpec(prize=0.8820256300338674,
+                             csf=TullockCsf(r=0.7615166753151847),
+                             cost=PowerCost(5.676083605281502, 0.0023272175838974945))
 _FIRST_FAILURES = {
+    # the semifinal doves expect a negative payoff
+    "stage": (_STAGE_SPEC.csf, _STAGE_SPEC.cost, _STAGE_SPEC.prize,
+              {"second-order", "corner", "oracle", "semifinal0_player1",
+               "semifinal1_player1"}, ["stage"]),
     "corner": (TullockCsf(r=1.0),
                PowerCost(2.5655850431357674, 26.15807766971548),
-               139.48713838548846, {"corner"}, ["corner"]),
+               139.48713838548846, {"corner"}, ["stage", "corner"]),
     "soc": (ProbitUniformCsf(half_width=2.3563247235469946, f_exponent=0.3),
             PowerCost(3.1647937634526313, 1442.2606838204467),
             1676.235506917709, {"second-order", "oracle"}, _CHEAP),
@@ -450,8 +459,9 @@ def test_probe_stops_at_its_first_failing_layer(where, monkeypatch):
             return result
         return wrapped
 
-    for name, attr, notes in zip(_CHEAP, ("_corner", "foc_residuals", "soc_check"),
-                                 (_corner_notes, _foc_notes, _soc_notes)):
+    for name, attr, notes in zip(_CHEAP, ("_stage_notes", "_corner", "foc_residuals",
+                                          "soc_check"),
+                                 (list, _corner_notes, _foc_notes, _soc_notes)):
         monkeypatch.setattr(verification, attr, spy(
             getattr(verification, attr), lambda args, name=name: name,
             lambda result, notes=notes: bool(notes(result))))
@@ -469,6 +479,29 @@ def test_probe_stops_at_its_first_failing_layer(where, monkeypatch):
     report = verify_solution(solve_tournament(spec), grid=128)
     assert not report.interior_ok
     assert {note.split()[0] for note in report.notes} == flagged
+    _note_layers(report)
+
+
+# The layer each note comes from, by its first word; a stage note names a
+# semifinal player or the final-stage menu.
+_NOTE_LAYERS = {"first-order": "foc", "second-order": "soc", "corner": "corner",
+                "oracle": "oracle"}
+_REPORT_ORDER = ["foc", "soc", "corner", "oracle", "stage"]
+
+
+def _note_layers(report) -> list[str]:
+    """The layer of each of the report's notes, asserted never to move
+    backwards in the order the report lists its layers."""
+    layers = [_NOTE_LAYERS.get(note.split()[0], "stage") for note in report.notes]
+    ranks = [_REPORT_ORDER.index(layer) for layer in layers]
+    assert ranks == sorted(ranks), layers
+    return layers
+
+
+def test_report_lists_its_notes_layer_by_layer():
+    report = verify_solution(solve_tournament(_STAGE_SPEC), grid=128)
+    assert _note_layers(report) == (["soc"] * 2 + ["corner"] * 2 + ["oracle"] * 4
+                                    + ["stage"] * 2)
 
 
 def test_gate_probes_each_prize_once(monkeypatch):
