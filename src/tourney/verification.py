@@ -524,10 +524,10 @@ def _layers(solution: SpeSolution, n: int, gate: bool):
     at a time, in the one order both verify_solution and the gate's probe
     run them: cheapest and likeliest to fail first (stage notes, corner
     bound, FOC, SOC, then the oracle), all on one table.  With gate, the
-    oracle stops at the first problem whose running best gains; its layer
-    then has one failing note and no fields.  The table is built before
-    the first layer, so a table the audit refuses raises ParameterError
-    from the first step."""
+    oracle stops at the first problem whose running best gains, and its
+    layer has no fields and one failing note when it stops, none when it
+    finishes.  The table is built before the first layer, so a table the
+    audit refuses raises ParameterError from the first step."""
     spec = solution.spec
     t = _table(solution)
     yield "stage", {}, _stage_notes(solution)
@@ -539,8 +539,10 @@ def _layers(solution: SpeSolution, n: int, gate: bool):
     soc = soc_check(spec, t)
     yield "soc", {"soc_values": soc}, _soc_notes(soc)
     found = _oracle(spec, t, n, need=base if gate else None)
-    if found is None:
-        yield "oracle", {}, ["oracle deviation gains"]
+    if gate:
+        # the probe needs only the verdict: its search stops exactly when a
+        # running best gains, which the finished search would report too
+        yield "oracle", {}, ["oracle deviation gains"] if found is None else []
         return
     best, best_x, best_s = found
     gains = _expand(t, [pay - b for pay, b in zip(best.tolist(), base.tolist())])
@@ -584,7 +586,7 @@ class GateResult:
 
 def _candidate_ok(spec: TournamentSpec, prize: float, n: int) -> bool:
     """verify_solution(...).interior_ok at this prize, without the report.
-    Any failing layer rejects the candidate, so the probe drains the same
+    Any failing layer rejects the candidate, so the probe runs the same
     sequence of layers as the report, _layers, and stops at its first
     failing layer."""
     try:
