@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,6 +520,48 @@ def test_gate_probes_each_prize_once(monkeypatch):
     assert result.minimal_v_estimate == pytest.approx(47.515188237374343, rel=0.011)
     assert probed[64.0] == 1 and probed[32.0] == 1
     assert max(probed.values()) == 1
+
+
+# the outward scan's factors in probe order: 2, 1/2, 4, 1/4, ..., 2**20, 2**-20
+_SCAN = [factor for k in range(1, 21) for factor in (2.0 ** k, 2.0 ** -k)]
+
+
+@pytest.mark.parametrize("prize, rule, probes, estimate, notes", [
+    # the scan first passes at 64; halving it returns to 32, which the scan
+    # has rejected, so the bisection of [32, 64] follows at once
+    (1.0, lambda p: p >= 47.5,
+     [1.0] + _SCAN[:11] + [45.254833995939045, 53.817370576237735,
+                           49.35074641305411, 47.258436670063986,
+                           48.29326168298954, 47.77304730532048,
+                           47.51504530792809],
+     47.51504530792809, ("prize 1 is rejected, but 64 admits an equilibrium",)),
+    (5000.0, lambda p: p >= 47.5,
+     [5000.0 * 2.0 ** -k for k in range(8)] + [
+         55.242717280199024, 46.453402929793796, 50.65779510355507,
+         48.51007078412047, 47.470599999237066, 47.98752094167461,
+         47.72836066299834],
+     47.72836066299834, ()),
+    (1.0, lambda p: True, [2.0 ** -k for k in range(61)], 2.0 ** -60,
+     ("no failing prize found down to 8.67362e-19; the estimate is an upper bound",)),
+    (1.0, lambda p: False, [1.0] + _SCAN, None,
+     ("no admissible prize within a factor of 2**20 of 1",)),
+], ids=["threshold-from-1", "threshold-from-5000", "always-passes", "always-fails"])
+def test_gate_probe_sequence(prize, rule, probes, estimate, notes, monkeypatch):
+    # stubbed probes pin every prize the gate tries, in order, and what it
+    # makes of their verdicts
+    seen = []
+
+    def stub(spec, probe, n):
+        assert n == 128
+        seen.append(probe)
+        return rule(probe)
+
+    monkeypatch.setattr(verification, "_candidate_ok", stub)
+    spec, _ = parse_scenario(Path(verification.__file__).parent
+                             / "scenarios" / "example1.json")
+    result = existence_gate(dataclasses.replace(spec, prize=prize), grid=128)
+    assert seen == probes
+    assert result == verification.GateResult(rule(prize), estimate, notes)
 
 
 @pytest.mark.parametrize("prize", [1e305, 5e-324])
