@@ -272,6 +272,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _max(values) -> float:
+    """The largest value, or NaN when any value is NaN: max() alone keeps
+    whichever side comes first when one side is NaN."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _cmd_verify(args) -> int:
     spec, _ = parse_scenario(args.scenario)
     solution = solve_tournament(spec)
@@ -279,12 +286,12 @@ def _cmd_verify(args) -> int:
     # audit, and a replaced attribute is the one called
     report = sys.modules[__name__].verify_solution(solution)
     print(f"first-order residual (max abs): "
-          f"{max(abs(v) for v in report.foc_residuals.values()):.3e}")
-    print(f"second-order curvature (max): {max(report.soc_values.values()):.6g}")
+          f"{_max(abs(v) for v in report.foc_residuals.values()):.3e}")
+    print(f"second-order curvature (max): {_max(report.soc_values.values()):.6g}")
     corner = report.corner_gains.values()
     print("corner deviation gain (max): "
-          + (f"{max(corner):.6g}" if corner else "n/a (no hawk)"))
-    print(f"oracle deviation gain (max): {max(report.oracle_gains.values()):.6g}")
+          + (f"{_max(corner):.6g}" if corner else "n/a (no hawk)"))
+    print(f"oracle deviation gain (max): {_max(report.oracle_gains.values()):.6g}")
     for note in report.notes:
         print(f"  - {note}")
     verdict = "accepted" if report.interior_ok else "REJECTED"

@@ -276,13 +276,13 @@ def _argmax_rows(pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, flat[np.arange(len(flat)), idx]
 
 
-def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
+def _grid_payoff(csf, c, frozen, x, s, out, tmp):
     """_payoff(csf, cost, frozen, x, s) for an ascending outlay column x
-    (K x 1) and an ascending sabotage row s, written into out (K x len(s))
-    with tmp as scratch, with no temporary of the grid's size.  The ratio
-    CSF runs _win_prob's ufuncs on the same operands in the same order and
-    the noise CSF overwrites the gaps with its _cdf_into, so every cell is
-    bit-identical to _payoff's."""
+    (K x 1) and an ascending sabotage row s with its cost row c =
+    cost._cost(s), written into out (K x len(s)) with tmp as scratch, with
+    no temporary of the grid's size.  The ratio CSF runs _win_prob's ufuncs
+    on the same operands in the same order and the noise CSF overwrites the
+    gaps with its _cdf_into, so every cell is bit-identical to _payoff's."""
     value, x_rival, s_rival = frozen
     bo = np.maximum(0.0, x - s_rival)
     br = np.maximum(0.0, x_rival - s)
@@ -302,7 +302,7 @@ def _grid_payoff(csf, cost, frozen, x, s, out, tmp):
         np.subtract(csf._performance(bo), csf._performance(br), out=out)
         csf._cdf_into(out, tmp)
     np.multiply(out, value, out=out)
-    np.subtract(out, cost._cost(s), out=out)
+    np.subtract(out, c, out=out)
     return np.subtract(out, x, out=out)
 
 
@@ -351,9 +351,10 @@ def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
     columns past the last one whose bound reaches the floor are cut too,
     read off the problem's cost row: cutting after the last kept column,
     not counting them, needs no monotone cost, so the cut is exact whatever
-    numpy's ** rounds.  The kept rows by kept columns are one contiguous
-    slice of the buffers, and the argmax maps back to the full grid's flat
-    index.
+    numpy's ** rounds.  The kept columns of that same cost row go on to the
+    kernel, so the row is computed once.  The kept rows by kept columns
+    are one contiguous slice of the buffers, and the argmax maps back to
+    the full grid's flat index.
     """
     nearest = np.minimum(np.searchsorted(xs, t.x[rows]), xs.size - 1)
     floor = _payoff(csf, cost, t.frozen(rows, 1), xs[nearest, None],
@@ -367,9 +368,10 @@ def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
             zip(*(c.tolist() for c in t.frozen(rows, 0))), ss, floor)):
         bound = max(frozen[0], 0.0)
         kept = _kept_rows(bound, xs, low)
-        width = _kept_columns(bound, cost._cost(s), low)
+        c = cost._cost(s)
+        width = _kept_columns(bound, c, low)
         size = kept * width
-        pay = _grid_payoff(csf, cost, frozen, col[:kept], s[:width],
+        pay = _grid_payoff(csf, c[:width], frozen, col[:kept], s[:width],
                            out[:size].reshape(kept, width),
                            tmp[:size].reshape(kept, width)).reshape(-1)
         cell = int(pay.argmax())
@@ -600,18 +602,27 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
     """Decide whether the prize supports a verified equilibrium and estimate
     the smallest prize nearby that does.
 
-    If the requested prize fails, prizes are probed geometrically outward
-    (factors of two, up to 2**20 both ways) for any that passes; from a
-    passing prize the boundary below it is bracketed by halving and then
-    bisected to one percent.  The estimate is always the passing end of the
-    final bracket.  Under bounded noise admissibility need not be monotone
-    in the prize, so the estimate maps the edge of the window that was
-    found, and the notes say when the requested prize itself was rejected.
-    A probe runs the same sequence of layers as verify_solution, so it
-    gives the same verdict, but stops at its first failing layer, and no
-    prize is probed twice.  A probe prize the float range cannot hold (a
-    product overflowing to inf or underflowing to 0) fails without being
-    solved.
+    The search runs in three phases, each noting what it decides:
+    1. Scan.  If the requested prize fails, the first passing prize of
+       2**k and 2**-k times it, for k = 1..20 in that order, takes its
+       place; a note names both, and if none passes, a note says so and
+       the gate returns no estimate.
+    2. Halving.  From the passing prize hi, hi / 2 replaces hi while it
+       passes, at most 60 times.  If it never fails, a note says the
+       estimate hi is only an upper bound.
+    3. Bisection.  The bracket [hi / 2, hi] is bisected geometrically to
+       one percent.
+    The estimate is always the passing end of the final bracket.  Under
+    bounded noise admissibility need not be monotone in the prize, so the
+    estimate maps the edge of the window that was found, and the notes say
+    when the requested prize itself was rejected.
+
+    verdicts, the probe record, maps each probed prize to its verdict in
+    probe order, so no prize is probed twice.  A probe runs the same
+    sequence of layers as verify_solution, so it gives the same verdict,
+    but stops at its first failing layer.  A probe prize the float range
+    cannot hold (a product overflowing to inf or underflowing to 0) fails
+    without being solved.
     """
     n = _grid_size(spec, grid)
     verdicts: dict[float, bool] = {}
@@ -621,43 +632,28 @@ def existence_gate(spec: TournamentSpec, grid: int | None = None) -> GateResult:
             verdicts[prize] = 0.0 < prize < math.inf and _candidate_ok(spec, prize, n)
         return verdicts[prize]
 
-    notes = []
     ok_here = ok(spec.prize)
-    passing = spec.prize if ok_here else None
-    if passing is None:
-        for k in range(1, 21):
-            for factor in (2.0 ** k, 2.0 ** -k):
-                probe = spec.prize * factor
-                if ok(probe):
-                    passing = probe
-                    break
-            if passing is not None:
-                break
-        if passing is None:
-            notes.append(
-                f"no admissible prize within a factor of 2**20 of {spec.prize:g}")
-            return GateResult(False, None, tuple(notes))
-        notes.append(
-            f"prize {spec.prize:g} is rejected, but {passing:g} admits an equilibrium")
-
-    hi = passing
-    lo = None
-    probe = passing
+    hi, notes = spec.prize, ()
+    if not ok_here:
+        hi = next((probe for k in range(1, 21)
+                   for probe in (spec.prize * 2.0 ** k, spec.prize * 2.0 ** -k)
+                   if ok(probe)), None)
+        if hi is None:
+            return GateResult(False, None, (
+                f"no admissible prize within a factor of 2**20 of {spec.prize:g}",))
+        notes = (f"prize {spec.prize:g} is rejected, but {hi:g} admits an equilibrium",)
     for _ in range(60):
-        probe *= 0.5
-        if ok(probe):
-            hi = probe
-        else:
-            lo = probe
+        if not ok(hi * 0.5):
             break
-    if lo is None:
-        notes.append(
-            f"no failing prize found down to {probe:g}; the estimate is an upper bound")
-        return GateResult(ok_here, hi, tuple(notes))
+        hi *= 0.5
+    else:
+        return GateResult(ok_here, hi, notes + (
+            f"no failing prize found down to {hi:g}; the estimate is an upper bound",))
+    lo = hi * 0.5
     while hi / lo > 1.01:
         mid = math.sqrt(lo * hi)
         if ok(mid):
             hi = mid
         else:
             lo = mid
-    return GateResult(ok_here, hi, tuple(notes))
+    return GateResult(ok_here, hi, notes)

@@ -8,6 +8,7 @@ _ACCEPTANCE_ORDER = (
     "test_noise_scenario_replication",
     "test_ratio_scenario_replication",
     "test_dove_advantage_across_parameter_grid",
+    "test_no_certified_hawk_advantage",
     "test_sabotage_unaffected_by_prize",
     "test_payoff_menu_ordering",
     "test_no_profitable_deviation_at_accepted_equilibria",

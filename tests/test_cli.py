@@ -175,6 +175,30 @@ class TestSolve:
         assert "is nan, not negative" in proc.stdout
         assert proc.stdout.endswith("interior equilibrium: REJECTED\n")
 
+    def test_verify_summary_shows_a_nan_after_the_first_value(self, tmp_path):
+        # the first curvature is -0 and the hawks' are NaN: max() alone
+        # would print -0, since it keeps its first value against a NaN
+        big = dict(RATIO_SCENARIO, prize=8e201,
+                   cost={"exponent": 2, "divisor": 1.2e201},
+                   bracket=[["D", "D"], ["H", "H"]])
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(big))
+        proc = run_cli("verify", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert ("second-order curvature semifinal0_player0_effort is -0, "
+                "not negative") in proc.stdout
+        assert "second-order curvature semifinal1_player0_effort is nan" in proc.stdout
+        assert "second-order curvature (max): nan\n" in proc.stdout
+        assert "corner deviation gain (max): nan\n" in proc.stdout
+
+    @pytest.mark.parametrize("values", [[-0.0, math.nan], [math.nan, -0.0],
+                                        [1.0, math.nan, 2.0]])
+    def test_summary_maximum_is_nan_wherever_the_nan_sits(self, values):
+        assert math.isnan(cli._max(values))
+        assert math.isnan(cli._max(iter(values)))
+        assert cli._max([-0.0, 2.0, 1.0]) == 2.0
+
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
     def test_underflowing_efforts_exit_three(self, tmp_path, command):
         bad = {"prize": 1e-06,

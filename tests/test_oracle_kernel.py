@@ -102,8 +102,8 @@ def _assert_matches_reference(spec, t, n):
         frozen = (t.value[r], t.x_rival[r], t.s_rival[r])
         ss = np.linspace(0.0, t.x_rival[r], n)
         want = _payoff(spec.csf, spec.cost, frozen, xs[:, None], ss)
-        got = _grid_payoff(spec.csf, spec.cost, frozen, xs[:, None], ss,
-                           out, np.empty_like(out))
+        got = _grid_payoff(spec.csf, spec.cost._cost(ss), frozen, xs[:, None],
+                           ss, out, np.empty_like(out))
         np.testing.assert_array_equal(got, want)
 
 
@@ -204,9 +204,9 @@ def test_duplicate_problems_share_one_search(csf, monkeypatch):
     assert t.of[:4] == (0, 1, 0, 1)
     grids = []
 
-    def spy(csf, cost, frozen, *args):
+    def spy(csf, c, frozen, *args):
         grids.append(frozen)
-        return _grid_payoff(csf, cost, frozen, *args)
+        return _grid_payoff(csf, c, frozen, *args)
 
     monkeypatch.setattr(verification, "_grid_payoff", spy)
     report = verification.verify_solution(sol, grid=50)
@@ -331,9 +331,11 @@ def test_steep_cost_evaluates_the_kept_columns_only(monkeypatch):
     assert pay.argmax() % n == 1
     shapes = []
 
-    def spy(csf, cost, frozen, x, s, out, tmp):
+    def spy(csf, c, frozen, x, s, out, tmp):
         shapes.append(out.shape)
-        return _grid_payoff(csf, cost, frozen, x, s, out, tmp)
+        # the kernel reads the cost row of exactly its kept sabotage levels
+        np.testing.assert_array_equal(c, spec.cost._cost(s))
+        return _grid_payoff(csf, c, frozen, x, s, out, tmp)
 
     monkeypatch.setattr(verification, "_grid_payoff", spy)
     _assert_matches_reference(*STEEP)
@@ -354,5 +356,6 @@ def test_steep_cost_evaluates_the_kept_columns_only(monkeypatch):
 def test_tie_cells_match_the_payoff(r, xs, ss, frozen):
     csf = TullockCsf(r=r)
     out = np.empty((xs.size, ss.size))
-    got = _grid_payoff(csf, COST, frozen, xs[:, None], ss, out, np.empty_like(out))
+    got = _grid_payoff(csf, COST._cost(ss), frozen, xs[:, None], ss, out,
+                       np.empty_like(out))
     np.testing.assert_array_equal(got, _payoff(csf, COST, frozen, xs[:, None], ss))
