@@ -13,14 +13,23 @@ OWN win probability, so the rival component is negative.
 Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`, `_marginal_inverse`), where the formula lives.  The
-audit calls the kernels directly on arrays it has validated once, apart
-from one `marginal` per audit for the hawks' sabotage, and the solver calls
-`_cost` and `_marginal_inverse` on its own nonnegative Python floats, where
-each power is libm pow and raises OverflowError past the float range.
-The noise CSF's `_cdf_float` and `_density_float` are `_cdf` and `_density`
-on one Python float, for the semifinal root's inner loop.  So a solve needs
-no numpy, and importing the module does not import it: the global `np` is
-`_lazy_numpy`'s stand-in until first use, as in `simulate`.
+audit's grid oracle calls the kernels directly on arrays it has validated
+once.  The solver calls `_cost` and `_marginal_inverse` on its own
+nonnegative Python floats, where each power is libm pow and raises
+OverflowError past the float range.
+
+The kernels named `_float` take one Python float per argument and never
+touch numpy.  The noise CSF's `_cdf_float` and `_density_float` serve the
+semifinal root's inner loop.  The audit's cheap layers (the baseline,
+corner bound, first and second order) run `_win_prob_float`,
+`_partials_float` and `PowerCost._cost_float`, which give the array
+kernels' bits: the same operations in the same order, and each power
+through `_power`, which takes numpy's fast paths for the exponents 2, 0.5,
+1, 0 and -1 and numpy's inf where Python raises.  Without numpy's AVX-512
+kernels an array power is libm pow, so the two agree bit for bit; with
+them they differ in the last bits of about 5% of non-fast powers.  So a
+solve needs no numpy, and importing the module does not import it: the
+global `np` is `_lazy_numpy`'s stand-in until first use, as in `simulate`.
 
 The noise CSF's win probability is one formula, the CDF of the difference
 of two uniform draws on [-a, a] at the performance gap t:
@@ -35,11 +44,12 @@ to 0.  It is evaluated three ways with the same operations in the same
 order: `_cdf` on arrays and 0-d inputs, `_cdf_float` on one Python float,
 and `_cdf_into` in place on the audit's grids.  The square is the one
 step that can round differently: an array squares through np.square
-(`_cdf`'s `** 2` and `_cdf_into`), while a 0-d input and a Python float
-square through libm pow.  The two disagree in the
-last bit at about 4 of 10 000 points, so the solver's float CDF and the
-audit's array CDF can differ by an ulp or two; the values and sign bits
-are otherwise identical.
+(`_cdf`'s `** 2` and `_cdf_into`), while a 0-d input squares through libm
+pow.  `_cdf_float` squares as a 0-d input does for the solver and, with
+`array_bits`, as an array does for the audit.  The two disagree in the
+last bit at about 4 of 10 000 points, so the solver's CDF and the audit's
+can differ by an ulp or two; the values and sign bits are otherwise
+identical.
 """
 
 from __future__ import annotations
@@ -101,6 +111,34 @@ def _checked(what: str, *values, strict: bool = False) -> list[np.ndarray]:
     return arrays
 
 
+def _power(x: float, y: float) -> float:
+    """numpy's x ** y for a float array x and a Python float y, on one
+    nonnegative Python float x: numpy's fast paths for the exponents 2,
+    0.5, 1, 0 and -1 (a square, sqrt, x, 1, a reciprocal), libm pow for the
+    rest, and numpy's inf where Python raises (0 against a negative
+    exponent, or a power past the float range)."""
+    if y == 2.0:
+        return x * x
+    if y == 0.5:
+        return math.sqrt(x)
+    if y == 1.0:
+        return x
+    if y == 0.0:
+        return 1.0
+    try:
+        return 1.0 / x if y == -1.0 else x ** y
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _quotient(a: float, b: float) -> float:
+    """numpy's a / b on Python floats for b >= 0: a / 0 is NaN for a zero or
+    NaN a, and an infinity of a's sign otherwise, where Python raises."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) if a and a == a else math.nan
+
+
 def effective_effort(x, rival_sabotage):
     """Productive effort that survives the rival's sabotage, floored at zero."""
     xa, sa = _checked("efforts and sabotage must be nonnegative", x, rival_sabotage)
@@ -148,6 +186,21 @@ class TullockCsf:
         d_own = r * bo ** (r - 1.0) * br ** r / tot2
         d_rival = -r * br ** (r - 1.0) * bo ** r / tot2
         return d_own, d_rival
+
+    def _win_prob_float(self, bo: float, br: float) -> float:
+        """_win_prob on nonnegative Python floats, with its bits."""
+        po = _power(bo, self.r)
+        tot = po + _power(br, self.r)
+        return po / tot if tot > 0.0 else 0.5
+
+    def _partials_float(self, bo: float, br: float) -> tuple[float, float]:
+        """_partials on nonnegative Python floats, with its bits; a zero
+        effort gives numpy's inf or NaN."""
+        r = self.r
+        po, pr = _power(bo, r), _power(br, r)
+        tot2 = (po + pr) * (po + pr)
+        return (_quotient(r * _power(bo, r - 1.0) * pr, tot2),
+                _quotient(-r * _power(br, r - 1.0) * po, tot2))
 
 
 @dataclass(frozen=True)
@@ -216,11 +269,13 @@ class ProbitUniformCsf:
         q = (2.0 * a - np.minimum(np.abs(t), 2.0 * a)) ** 2 / (8.0 * a * a)
         return np.abs((t > 0.0) - q)
 
-    def _cdf_float(self, t: float) -> float:
+    def _cdf_float(self, t: float, array_bits: bool = False) -> float:
         """_cdf on one Python float, with the same operations, and the bits
-        _cdf gives a 0-d input: both square through libm pow."""
+        _cdf gives a 0-d input (a square through libm pow) or, with
+        array_bits, an array (np.square, an exact product)."""
         a = self.half_width
-        q = (2.0 * a - min(abs(t), 2.0 * a)) ** 2 / (8.0 * a * a)
+        room = 2.0 * a - min(abs(t), 2.0 * a)
+        q = (room * room if array_bits else room ** 2) / (8.0 * a * a)
         return abs((t > 0.0) - q)
 
     def _cdf_into(self, t: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -253,6 +308,21 @@ class ProbitUniformCsf:
         dens = self._density(self._gap(bo, br))
         beta = self.f_exponent
         return dens * beta * bo ** (beta - 1.0), -dens * beta * br ** (beta - 1.0)
+
+    def _gap_float(self, bo: float, br: float) -> float:
+        return _power(bo, self.f_exponent) - _power(br, self.f_exponent)
+
+    def _win_prob_float(self, bo: float, br: float) -> float:
+        """_win_prob on nonnegative Python floats, with its array bits."""
+        return self._cdf_float(self._gap_float(bo, br), array_bits=True)
+
+    def _partials_float(self, bo: float, br: float) -> tuple[float, float]:
+        """_partials on nonnegative Python floats, with its bits; a zero
+        effort gives numpy's inf or NaN."""
+        dens = self._density_float(self._gap_float(bo, br))
+        beta = self.f_exponent
+        return (dens * beta * _power(bo, beta - 1.0),
+                -dens * beta * _power(br, beta - 1.0))
 
 
 Csf = TullockCsf | ProbitUniformCsf
@@ -307,6 +377,11 @@ class PowerCost:
         Python float the power is Python's, which raises OverflowError
         where numpy's would return inf."""
         return s ** self.exponent / self.divisor
+
+    def _cost_float(self, s: float) -> float:
+        """_cost on a nonnegative Python float with the bits numpy's power
+        gives an array, inf where the power overflows."""
+        return _power(s, self.exponent) / self.divisor
 
     def _marginal(self, s):
         """Unchecked kernel of marginal: nonnegative floats or arrays in."""

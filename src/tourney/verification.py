@@ -83,23 +83,17 @@ class _Table:
     each: pick an outlay x and (hawks only) a sabotage level s against the
     frozen rival outlay (x_rival, s_rival) and collect p * value - c(s) - x.
     keys are the report's keys in order, and of[i] is the row of keys[i]'s
-    problem: players with identical data share one row."""
+    problem: players with identical data share one row.  Each column is a
+    tuple with one Python float (a bool for hawk) per row."""
 
     keys: tuple[str, ...]
     of: tuple[int, ...]
-    hawk: np.ndarray
-    value: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    x_rival: np.ndarray
-    s_rival: np.ndarray
-
-    def frozen(self, rows, dims: int) -> tuple[np.ndarray, ...]:
-        """(value, x_rival, s_rival) of the rows, shaped to broadcast over
-        grids with `dims` trailing axes."""
-        shape = (-1,) + (1,) * dims
-        return tuple(col[rows].reshape(shape)
-                     for col in (self.value, self.x_rival, self.s_rival))
+    hawk: tuple[bool, ...]
+    value: tuple[float, ...]
+    x: tuple[float, ...]
+    s: tuple[float, ...]
+    x_rival: tuple[float, ...]
+    s_rival: tuple[float, ...]
 
 
 def _table(solution: SpeSolution) -> _Table:
@@ -126,15 +120,15 @@ def _table(solution: SpeSolution) -> _Table:
     index: dict[tuple, int] = {}
     of = tuple(index.setdefault((row[1] == HAWK, *row[2:]), len(index))
                for row in rows)
-    cols = np.array([problem[1:] for problem in index], dtype=float).T
-    bad = ~(np.isfinite(cols).all(axis=0) & (cols[1:] >= 0).all(axis=0))
-    if bad.any():
-        row = rows[of.index(int(np.argmax(bad)))]
-        raise ParameterError(
-            f"choice problem {row[0]} needs a finite value and finite, "
-            f"nonnegative efforts, got {row[2:]}")
-    return _Table(tuple(row[0] for row in rows), of,
-                  np.array([problem[0] for problem in index]), *cols)
+    for p, problem in enumerate(index):
+        if not (all(map(math.isfinite, problem[1:])) and min(problem[2:]) >= 0.0):
+            row = rows[of.index(p)]
+            raise ParameterError(
+                f"choice problem {row[0]} needs a finite value and finite, "
+                f"nonnegative efforts, got {row[2:]}")
+    hawk, *cols = zip(*index)
+    return _Table(tuple(row[0] for row in rows), of, hawk,
+                  *(tuple(map(float, col)) for col in cols))
 
 
 def _payoff(csf, cost, frozen, x, s):
@@ -145,10 +139,24 @@ def _payoff(csf, cost, frozen, x, s):
     return p * value - cost._cost(s) - x
 
 
-def _baseline(csf, cost, t: _Table) -> np.ndarray:
-    # a huge outlay's cost overflows to inf, a payoff the gain tests read
-    with np.errstate(over="ignore"):
-        return _payoff(csf, cost, t.frozen(slice(None), 0), t.x, t.s)
+def _payoff_float(csf, cost, frozen, x: float, s: float) -> float:
+    """_payoff on Python floats, with its bits; a huge outlay's cost is inf,
+    a payoff the gain tests read."""
+    value, x_rival, s_rival = frozen
+    bo, br = x - s_rival, x_rival - s
+    # np.maximum(0.0, b), as no effective effort is NaN
+    p = csf._win_prob_float(bo if bo > 0.0 else 0.0, br if br > 0.0 else 0.0)
+    return p * value - cost._cost_float(s) - x
+
+
+def _frozen(t: _Table) -> list[tuple[float, float, float]]:
+    """Every problem's (value, x_rival, s_rival)."""
+    return list(zip(t.value, t.x_rival, t.s_rival))
+
+
+def _baseline(csf, cost, t: _Table) -> list[float]:
+    return [_payoff_float(csf, cost, frozen, x, s)
+            for frozen, x, s in zip(_frozen(t), t.x, t.s)]
 
 
 def _expand(t: _Table, values: list, rows=None) -> dict:
@@ -159,12 +167,16 @@ def _expand(t: _Table, values: list, rows=None) -> dict:
     return {key: entry[p] for key, p in zip(t.keys, t.of) if p in entry}
 
 
-def _per_coordinate(t: _Table, effort: np.ndarray, sabotage: np.ndarray) -> dict[str, float]:
+def _hawks(t: _Table) -> list[int]:
+    return [p for p, hawk in enumerate(t.hawk) if hawk]
+
+
+def _per_coordinate(t: _Table, effort: list, sabotage: list) -> dict[str, float]:
     """Entries keyed in report order: each key's effort, then its sabotage
     when it is a hawk (`sabotage` holds the hawk problems only)."""
-    sabotage = _expand(t, sabotage.tolist(), np.flatnonzero(t.hawk).tolist())
+    sabotage = _expand(t, sabotage, _hawks(t))
     out = {}
-    for key, value in _expand(t, effort.tolist()).items():
+    for key, value in _expand(t, effort).items():
         out[key + "_effort"] = value
         if key in sabotage:
             out[key + "_sabotage"] = sabotage[key]
@@ -192,15 +204,18 @@ def foc_residuals(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     rival minus the marginal sabotage cost.  All vanish at an interior
     candidate.
     """
-    h = t.hawk
+    hawks = _hawks(t)
+    marginal = spec.cost.marginal(np.array([t.s[p] for p in hawks])).tolist()
     # a zero effective effort has no finite partial: its residual comes out
     # inf or NaN, which the first-order test rejects
-    with np.errstate(all="ignore"):
-        d_own, d_rival = spec.csf._partials(np.maximum(0.0, t.x - t.s_rival),
-                                            np.maximum(0.0, t.x_rival - t.s))
-        effort = d_own * t.value - 1.0
-        sabotage = -d_rival[h] * t.value[h] - spec.cost.marginal(t.s[h])
-    return _per_coordinate(t, effort, sabotage)
+    partials = []
+    for x, s, x_rival, s_rival in zip(t.x, t.s, t.x_rival, t.s_rival):
+        bo, br = x - s_rival, x_rival - s
+        partials.append(spec.csf._partials_float(bo if bo > 0.0 else 0.0,
+                                                 br if br > 0.0 else 0.0))
+    return _per_coordinate(
+        t, [d_own * value - 1.0 for (d_own, _), value in zip(partials, t.value)],
+        [-partials[p][1] * t.value[p] - m for p, m in zip(hawks, marginal)])
 
 
 def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
@@ -211,46 +226,44 @@ def soc_check(spec: TournamentSpec, t: _Table) -> dict[str, float]:
     coordinate.  The step is absolute-floored so that curvature is measured
     at a scale deviations actually live on, not lost to round-off.
     """
+    csf, cost = spec.csf, spec.cost
+
+    def curvature(frozen, x: float, s: float, on_x: bool) -> float:
+        z = x if on_x else s
+        h = _SOC_STEP * abs(z)
+        h = h if h >= _SOC_STEP else _SOC_STEP
+        # one-sided stencil for coordinates too close to the boundary
+        stencil = (z, z + h, z + 2.0 * h) if z - h < 0.0 else (z - h, z, z + h)
+        pay = ([_payoff_float(csf, cost, frozen, u, s) for u in stencil] if on_x
+               else [_payoff_float(csf, cost, frozen, x, u) for u in stencil])
+        return (pay[2] - 2.0 * pay[1] + pay[0]) / (h * h)
+
     # one three-point stencil per coordinate: productive effort for every
-    # row, then sabotage for the hawk rows, all evaluated in one call
-    k = t.hawk.size
-    rows = np.concatenate([np.arange(k), np.flatnonzero(t.hawk)])
-    on_x = np.arange(rows.size) < k
-    z = np.where(on_x, t.x[rows], t.s[rows])
-    h = np.maximum(_SOC_STEP * np.abs(z), _SOC_STEP)
-    # one-sided stencil for coordinates too close to the boundary
-    one_sided = z - h < 0.0
-    stencil = np.stack([np.where(one_sided, z, z - h),
-                        np.where(one_sided, z + h, z),
-                        np.where(one_sided, z + 2.0 * h, z + h)])
-    # at huge outlays the cost and h * h overflow to inf, and a payoff of
-    # -inf at the candidate itself leaves a NaN curvature; the curvature
-    # test reads either as it reads any other number
-    with np.errstate(over="ignore", invalid="ignore"):
-        pay = _payoff(spec.csf, spec.cost, t.frozen(rows, 0),
-                      np.where(on_x, stencil, t.x[rows]),
-                      np.where(on_x, t.s[rows], stencil))
-        curvature = (pay[2] - 2.0 * pay[1] + pay[0]) / (h * h)
-    return _per_coordinate(t, curvature[on_x], curvature[~on_x])
+    # row, then sabotage for the hawk rows.  At huge outlays the cost and
+    # h * h overflow to inf, and a payoff of -inf at the candidate itself
+    # leaves a NaN curvature; the curvature test reads either as it reads
+    # any other number
+    frozen = _frozen(t)
+    return _per_coordinate(
+        t, [curvature(*problem, True) for problem in zip(frozen, t.x, t.s)],
+        [curvature(frozen[p], t.x[p], t.s[p], False) for p in _hawks(t)])
 
 
 # ----------------------------------------------------------------------
 # Corner bound and grid oracle.
 # ----------------------------------------------------------------------
 
-def _corner(spec: TournamentSpec, t: _Table, base: np.ndarray) -> dict[str, float]:
+def _corner(spec: TournamentSpec, t: _Table, base: list[float]) -> dict[str, float]:
     """Every hawk's corner gain over its baseline, keyed per player; base
     holds the baselines of all problems."""
     # wiping out the rival's entire outlay and entering with token effort
     # wins outright under the ratio CSF and a coin flip under bounded noise
-    rows = np.flatnonzero(t.hawk)
+    rows = _hawks(t)
     p_corner = 1.0 if isinstance(spec.csf, TullockCsf) else 0.5
     # a baseline of -inf, where the candidate's own cost overflows, leaves a
     # NaN gain, which the gain test refuses as it refuses a positive one
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = p_corner * t.value[rows] - spec.cost._cost(t.x_rival[rows])
-        gain = bound - base[rows]
-    return _expand(t, gain.tolist(), rows.tolist())
+    return _expand(t, [p_corner * t.value[p] - spec.cost._cost_float(t.x_rival[p])
+                       - base[p] for p in rows], rows)
 
 
 def _linspace_rows(lo: np.ndarray, hi, points: int) -> np.ndarray:
@@ -332,12 +345,13 @@ def _gains(gain: float) -> bool:
     return not gain <= GAIN_TOLERANCE
 
 
-def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
+def _coarse(csf, cost, x: np.ndarray, frozen: np.ndarray, xs: np.ndarray,
             ss: np.ndarray, need=None):
     """Each problem's first flat argmax over the grid xs x ss[i], for the
-    i-th of the table's rows, and the payoff there, computed in two buffers
-    that every problem reuses.  With need (their baselines), it returns
-    None as soon as a problem _gains.
+    i-th problem of the outlays x and the (value, x_rival, s_rival) rows
+    of frozen, and the payoff there (a list of floats), computed in two
+    buffers that every problem reuses.  With need (their baselines), it
+    returns None as soon as a problem _gains.
 
     Only cells that can hold the argmax are evaluated.  The grid row
     nearest each candidate's own outlay goes first, through _payoff: its
@@ -356,22 +370,21 @@ def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
     are one contiguous slice of the buffers, and the argmax maps back to
     the full grid's flat index.
     """
-    nearest = np.minimum(np.searchsorted(xs, t.x[rows]), xs.size - 1)
-    floor = _payoff(csf, cost, t.frozen(rows, 1), xs[nearest, None],
+    nearest = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+    floor = _payoff(csf, cost, frozen[:, :, None], xs[nearest, None],
                     ss).max(axis=1).tolist()
     m = ss.shape[1]
     out = np.empty(xs.size * m)
     tmp = np.empty_like(out)
     col = xs[:, None]
     flat, top = [], []
-    for i, (frozen, s, low) in enumerate(zip(
-            zip(*(c.tolist() for c in t.frozen(rows, 0))), ss, floor)):
-        bound = max(frozen[0], 0.0)
+    for i, (problem, s, low) in enumerate(zip(zip(*frozen.tolist()), ss, floor)):
+        bound = max(problem[0], 0.0)
         kept = _kept_rows(bound, xs, low)
         c = cost._cost(s)
         width = _kept_columns(bound, c, low)
         size = kept * width
-        pay = _grid_payoff(csf, c[:width], frozen, col[:kept], s[:width],
+        pay = _grid_payoff(csf, c[:width], problem, col[:kept], s[:width],
                            out[:size].reshape(kept, width),
                            tmp[:size].reshape(kept, width)).reshape(-1)
         cell = int(pay.argmax())
@@ -383,23 +396,23 @@ def _coarse(csf, cost, t: _Table, rows: np.ndarray, xs: np.ndarray,
             running = top[-1] if top[-1] > -math.inf else -math.inf
             if _gains(running - need[i]):
                 return None
-    return np.array(flat), np.array(top)
+    return np.array(flat), top
 
 
-def _search(csf, cost, t: _Table, rows: np.ndarray, prize: float, n: int,
+def _search(csf, cost, x: np.ndarray, frozen: np.ndarray, prize: float, n: int,
             two_d: bool, need=None):
-    """The best deviation of each problem in the table's rows as (payoff, x,
-    s) arrays.  With two_d (hawks against a positive rival outlay): an n x n
-    grid of productive effort on [0, prize] crossed with sabotage on
-    [0, x_rival], then two 21 x 21 refinements around the incumbent best
-    cell.  Otherwise (doves, and hawks whose rival spends nothing): 40 n + 1
-    outlays against one zero-sabotage column, which is never refined, then
-    two 201-point refinements.  With need (their baselines), it returns
-    None as soon as a problem's running best _gains."""
-    k = rows.size
+    """The best deviation of each problem, given by its outlay x and its
+    (value, x_rival, s_rival) row of frozen, as (payoff, x, s) lists.  With
+    two_d (hawks against a positive rival outlay): an n x n grid of
+    productive effort on [0, prize] crossed with sabotage on [0, x_rival],
+    then two 21 x 21 refinements around the incumbent best cell.  Otherwise
+    (doves, and hawks whose rival spends nothing): 40 n + 1 outlays against
+    one zero-sabotage column, which is never refined, then two 201-point
+    refinements.  With need (their baselines), it returns None as soon as a
+    problem's running best _gains."""
+    k = x.size
     at = np.arange(k)
-    frozen = t.frozen(rows, 2)
-    x_rival = t.x_rival[rows]
+    x_rival = frozen[1]
     if two_d:
         xs = np.linspace(0.0, prize, n)
         ss = _linspace_rows(np.zeros(k), x_rival, n)
@@ -410,14 +423,12 @@ def _search(csf, cost, t: _Table, rows: np.ndarray, prize: float, n: int,
         ss = np.zeros((k, 1))
         points = _DOVE_REFINE
     cell_x = xs[1] - xs[0]
-    best = np.full(k, -np.inf)
-    best_x = np.zeros(k)
-    best_s = np.zeros(k)
+    best, best_x, best_s = [-math.inf] * k, [0.0] * k, [0.0] * k
     for step in range(3):
         if step == 0:
             # one problem at a time, so that memory holds one coarse grid
             # (and its scratch) and not k of them
-            coarse = _coarse(csf, cost, t, rows, xs, ss, need)
+            coarse = _coarse(csf, cost, x, frozen, xs, ss, need)
             if coarse is None:
                 return None
             flat, top = coarse
@@ -429,42 +440,47 @@ def _search(csf, cost, t: _Table, rows: np.ndarray, prize: float, n: int,
             if two_d:
                 ss = _around(s_at, cell_s, x_rival, points)
                 cell_s = ss[:, 1] - ss[:, 0]
-            flat, top = _argmax_rows(_payoff(csf, cost, frozen,
+            flat, top = _argmax_rows(_payoff(csf, cost, frozen[:, :, None, None],
                                              xs[:, :, None], ss[:, None, :]))
+            top = top.tolist()
             i, j = np.divmod(flat, ss.shape[1])
             x_at, s_at = xs[at, i], ss[at, j]
-        better = top > best
-        best = np.where(better, top, best)
-        best_x = np.where(better, x_at, best_x)
-        best_s = np.where(better, s_at, best_s)
-        if need is not None and any(_gains(run - b) for run, b
-                                    in zip(best.tolist(), need)):
+        # a NaN top never replaces the running best
+        for p, found in enumerate(zip(top, x_at.tolist(), s_at.tolist())):
+            if found[0] > best[p]:
+                best[p], best_x[p], best_s[p] = found
+        if need is not None and any(_gains(run - b) for run, b in zip(best, need)):
             return None
     return best, best_x, best_s
 
 
-def _oracle(spec: TournamentSpec, t: _Table, n: int, need: np.ndarray | None = None):
+def _oracle(spec: TournamentSpec, t: _Table, n: int, need: list[float] | None = None):
     """Grid-search every problem's deviation space once: the best payoff
-    and its (x, s), as (best, best_x, best_s) arrays over the problems.
+    and its (x, s), as (best, best_x, best_s) lists over the problems.
 
     With need (the problems' baselines) the call returns None as soon as
     one problem's running best gains more than GAIN_TOLERANCE, which the
     finished search would report too.  The doves' lines, the cheapest
-    search and the likeliest to find a gain, run first.
+    search and the likeliest to find a gain, run first.  The table's
+    columns become arrays once, here.
     """
-    two_d = t.hawk & (t.x_rival > 0.0)
-    best, best_x, best_s = (np.empty(two_d.size) for _ in range(3))
+    two_d = [hawk and x_rival > 0.0 for hawk, x_rival in zip(t.hawk, t.x_rival)]
+    x = np.array(t.x)
+    frozen = np.array((t.value, t.x_rival, t.s_rival))
+    found = [[0.0] * len(two_d) for _ in range(3)]
     # a huge outlay's cost overflows to inf, a payoff the gain tests read
     with np.errstate(over="ignore"):
         for hawks in (False, True):
-            rows = np.flatnonzero(two_d == hawks)
-            if rows.size:
-                found = _search(spec.csf, spec.cost, t, rows, spec.prize, n, hawks,
-                                None if need is None else need[rows].tolist())
-                if found is None:
+            rows = [p for p, d in enumerate(two_d) if d == hawks]
+            if rows:
+                got = _search(spec.csf, spec.cost, x[rows], frozen[:, rows], spec.prize,
+                              n, hawks, None if need is None else [need[p] for p in rows])
+                if got is None:
                     return None
-                best[rows], best_x[rows], best_s[rows] = found
-    return best, best_x, best_s
+                for column, values in zip(found, got):
+                    for p, value in zip(rows, values):
+                        column[p] = value
+    return tuple(found)
 
 
 # ----------------------------------------------------------------------
@@ -547,8 +563,8 @@ def _layers(solution: SpeSolution, n: int, gate: bool):
         yield "oracle", {}, ["oracle deviation gains"] if found is None else []
         return
     best, best_x, best_s = found
-    gains = _expand(t, [pay - b for pay, b in zip(best.tolist(), base.tolist())])
-    argmax = _expand(t, list(zip(best_x.tolist(), best_s.tolist())))
+    gains = _expand(t, [pay - b for pay, b in zip(best, base)])
+    argmax = _expand(t, list(zip(best_x, best_s)))
     yield ("oracle", {"oracle_gains": gains, "oracle_argmax": argmax},
            _oracle_notes(gains, argmax))
 

@@ -17,12 +17,20 @@ from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, GAIN_TOLERANCE,
                                   _linspace_rows, _oracle, _payoff, _Table)
 
 
+def _frozen(t, rows, dims):
+    """(value, x_rival, s_rival) of the table's rows as arrays, shaped to
+    broadcast over grids with `dims` trailing axes."""
+    shape = (-1,) + (1,) * dims
+    return tuple(np.array(col)[rows].reshape(shape)
+                 for col in (t.value, t.x_rival, t.s_rival))
+
+
 def _reference_2d(csf, cost, t, rows, prize, n):
     """Every hawk's full n x n coarse grid from _payoff, one problem at a
     time, then two 21 x 21 refinements around the incumbent best cell."""
     k = rows.size
     at = np.arange(k)
-    x_rival = t.x_rival[rows]
+    x_rival = np.array(t.x_rival)[rows]
     xs = np.broadcast_to(np.linspace(0.0, prize, n), (k, n))
     ss = np.array([np.linspace(0.0, top, n) for top in x_rival])
     best = np.full(k, -np.inf)
@@ -30,14 +38,14 @@ def _reference_2d(csf, cost, t, rows, prize, n):
     best_s = np.zeros(k)
     for step in range(3):
         if step == 0:
-            cells = [_argmax_rows(_payoff(csf, cost, t.frozen(rows[[r]], 2),
+            cells = [_argmax_rows(_payoff(csf, cost, _frozen(t, rows[[r]], 2),
                                           xs[r, None, :, None], ss[r, None, None, :]))
                      for r in range(k)]
             flat, top = (np.concatenate(c) for c in zip(*cells))
         else:
             xs = _around(x_at, xs[:, 1] - xs[:, 0], prize, _HAWK_REFINE)
             ss = _around(s_at, ss[:, 1] - ss[:, 0], x_rival, _HAWK_REFINE)
-            flat, top = _argmax_rows(_payoff(csf, cost, t.frozen(rows, 2),
+            flat, top = _argmax_rows(_payoff(csf, cost, _frozen(t, rows, 2),
                                              xs[:, :, None], ss[:, None, :]))
         i, j = np.divmod(flat, ss.shape[1])
         x_at, s_at = xs[at, i], ss[at, j]
@@ -53,7 +61,7 @@ def _reference_1d(csf, cost, t, rows, prize, n):
     two 201-point refinements."""
     k = rows.size
     at = np.arange(k)
-    frozen = t.frozen(rows, 1)
+    frozen = _frozen(t, rows, 1)
     xs = np.broadcast_to(np.linspace(0.0, prize, 40 * n + 1), (k, 40 * n + 1))
     best = np.full(k, -np.inf)
     best_x = np.zeros(k)
@@ -70,8 +78,8 @@ def _reference_1d(csf, cost, t, rows, prize, n):
 
 def _reference_oracle(spec, t, n):
     """(best, best_x, best_s) over the table's problems."""
-    found = tuple(np.empty(t.hawk.size) for _ in range(3))
-    two_d = t.hawk & (t.x_rival > 0.0)
+    found = tuple(np.empty(len(t.hawk)) for _ in range(3))
+    two_d = np.array(t.hawk) & (np.array(t.x_rival) > 0.0)
     for rows, search in ((np.flatnonzero(two_d), _reference_2d),
                          (np.flatnonzero(~two_d), _reference_1d)):
         if rows.size:
@@ -84,21 +92,21 @@ def _reference_oracle(spec, t, n):
 def _table(rows):
     """A table of the problems rows, each (hawk, value, x, s, x_rival,
     s_rival), every problem one key's."""
-    cols = np.array([row[1:] for row in rows], dtype=float).T
+    hawk, *cols = zip(*rows)
     return _Table(tuple(f"problem{i}" for i in range(len(rows))),
-                  tuple(range(len(rows))), np.array([row[0] for row in rows]),
-                  *cols)
+                  tuple(range(len(rows))), hawk,
+                  *(tuple(map(float, col)) for col in cols))
 
 
 def _assert_matches_reference(spec, t, n):
     got = _oracle(spec, t, n)
     want = _reference_oracle(spec, t, n)
     for g, w in zip(got, want, strict=True):
-        assert g.tolist() == w.tolist()
+        assert list(g) == w.tolist()
     # every cell of every coarse grid, not only the argmax
     xs = np.linspace(0.0, spec.prize, n)
     out = np.empty((n, n))
-    for r in range(t.hawk.size):
+    for r in range(len(t.hawk)):
         frozen = (t.value[r], t.x_rival[r], t.s_rival[r])
         ss = np.linspace(0.0, t.x_rival[r], n)
         want = _payoff(spec.csf, spec.cost, frozen, xs[:, None], ss)
@@ -187,8 +195,7 @@ def test_early_rejection_agrees_with_the_finished_search(problem):
         best, _, _ = _oracle(spec, t, n)
         base = _baseline(spec.csf, spec.cost, t)
         early = _oracle(spec, t, n, need=base)
-    gains = any(not pay - b <= GAIN_TOLERANCE
-                for pay, b in zip(best.tolist(), base.tolist()))
+    gains = any(not pay - b <= GAIN_TOLERANCE for pay, b in zip(best, base))
     assert (early is None) == gains
 
 
@@ -200,7 +207,7 @@ def test_duplicate_problems_share_one_search(csf, monkeypatch):
                           bracket=(("H", "D"), ("H", "D")))
     sol = solve_tournament(spec)
     t = verification._table(sol)
-    assert (len(t.keys), t.hawk.size) == (8, 6)
+    assert (len(t.keys), len(t.hawk)) == (8, 6)
     assert t.of[:4] == (0, 1, 0, 1)
     grids = []
 
@@ -211,7 +218,7 @@ def test_duplicate_problems_share_one_search(csf, monkeypatch):
     monkeypatch.setattr(verification, "_grid_payoff", spy)
     report = verification.verify_solution(sol, grid=50)
     # one coarse grid per distinct problem, the doves' lines first
-    two_d = (t.hawk & (t.x_rival > 0.0)).tolist()
+    two_d = [hawk and x_rival > 0.0 for hawk, x_rival in zip(t.hawk, t.x_rival)]
     order = [p for p in range(6) if not two_d[p]] + [p for p in range(6) if two_d[p]]
     assert grids == [(t.value[p], t.x_rival[p], t.s_rival[p]) for p in order]
     for entries in (report.oracle_gains, report.oracle_argmax):

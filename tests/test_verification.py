@@ -7,7 +7,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,10 +235,9 @@ def _player_problem(sol, key):
 def _per_key_table(sol, keys):
     """A table with one row for each of the keys, read from the solution
     without _table's sharing."""
-    rows = [_player_problem(sol, key) for key in keys]
-    cols = np.array([row[1:] for row in rows], dtype=float).T
-    return _Table(tuple(keys), tuple(range(len(keys))),
-                  np.array([row[0] for row in rows]), *cols)
+    hawk, *cols = zip(*(_player_problem(sol, key) for key in keys))
+    return _Table(tuple(keys), tuple(range(len(keys))), hawk,
+                  *(tuple(map(float, col)) for col in cols))
 
 
 def _report_of(spec, t, n):
@@ -249,8 +247,8 @@ def _report_of(spec, t, n):
     best, best_x, best_s = _oracle(spec, t, n)
     gains, argmax = {}, {}
     for key, p in zip(t.keys, t.of):
-        gains[key] = best.tolist()[p] - base.tolist()[p]
-        argmax[key] = (best_x.tolist()[p], best_s.tolist()[p])
+        gains[key] = best[p] - base[p]
+        argmax[key] = (best_x[p], best_s[p])
     return [list(d.items()) for d in (foc_residuals(spec, t), soc_check(spec, t),
                                        _corner(spec, t, base), gains, argmax)]
 
@@ -275,8 +273,7 @@ def _assert_one_row_per_problem(sol):
     """Every key's row is its own problem, no two rows are alike, and every
     row is some key's."""
     t = _table(sol)
-    rows = list(zip(*(col.tolist() for col in (t.hawk, t.value, t.x, t.s,
-                                                t.x_rival, t.s_rival))))
+    rows = list(zip(t.hawk, t.value, t.x, t.s, t.x_rival, t.s_rival))
     assert [rows[p] for p in t.of] == [_player_problem(sol, key) for key in t.keys]
     assert len(set(rows)) == len(rows) == len(set(t.of))
     return t
@@ -319,7 +316,7 @@ def test_problems_differing_in_one_field_stay_apart(where):
     t = _assert_one_row_per_problem(sol)
     # the unperturbed seeding's 8 keys pose 6 problems; here the second
     # semifinal's two are its own
-    assert (len(t.keys), t.hawk.size) == (8, 8)
+    assert (len(t.keys), len(t.hawk)) == (8, 8)
     _assert_per_player(sol, verify_solution(sol, grid=50), 50)
 
 
@@ -333,7 +330,7 @@ def test_one_row_per_distinct_problem_in_every_bracket(spec):
         sol = solve_tournament(dataclasses.replace(spec, bracket=bracket))
         t = _assert_one_row_per_problem(sol)
         keys += len(t.keys)
-        problems += t.hawk.size
+        problems += len(t.hawk)
         # keys that share a problem get identical entries in every dict
         report = verify_solution(sol, grid=50)
         for a, b in itertools.combinations(range(len(t.keys)), 2):
@@ -347,7 +344,7 @@ def test_one_row_per_distinct_problem_in_every_bracket(spec):
                             report.oracle_argmax):
                 assert entries.get(t.keys[a]) == entries.get(t.keys[b]), bracket
         if bracket in ((("H", "H"), ("H", "H")), (("D", "D"), ("D", "D"))):
-            assert (len(t.keys), t.hawk.size) == (5, 2)
+            assert (len(t.keys), len(t.hawk)) == (5, 2)
     assert (keys, problems) == (110, 84)
 
 
