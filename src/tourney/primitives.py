@@ -14,22 +14,24 @@ Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`, `_marginal_inverse`), where the formula lives.  The
 audit's grid oracle calls the kernels directly on arrays it has validated
-once.  The solver calls `_cost` and `_marginal_inverse` on its own
-nonnegative Python floats, where each power is libm pow and raises
-OverflowError past the float range.
+once.
 
-The kernels named `_float` take one Python float per argument and never
-touch numpy.  The noise CSF's `_cdf_float` and `_density_float` serve the
-semifinal root's inner loop.  The audit's cheap layers (the baseline,
-corner bound, first and second order) run `_win_prob_float`,
-`_partials_float` and `PowerCost._cost_float`, which give the array
+The solver calls `_cost` and `_marginal_inverse` on its own nonnegative
+Python floats, where each power is libm pow and raises OverflowError past
+the float range, and the noise CSF's `_cdf_float` and `_density_float` in
+the semifinal root's inner loop.  So a solve needs no numpy, and importing
+the module does not import it: the global `np` is `_lazy_numpy`'s
+stand-in until first use, as in `simulate`.
+
+The audit's cheap layers (the baseline, corner bound, first and second
+order) run `_win_prob_float`, `_partials_float` and
+`PowerCost._cost_float` on the Python floats of its table.  Like every
+kernel named `_float` they never touch numpy, and they give the array
 kernels' bits: the same operations in the same order, and each power
 through `_power`, which takes numpy's fast paths for the exponents 2, 0.5,
-1, 0 and -1 and numpy's inf where Python raises.  Without numpy's AVX-512
-kernels an array power is libm pow, so the two agree bit for bit; with
-them they differ in the last bits of about 5% of non-fast powers.  So a
-solve needs no numpy, and importing the module does not import it: the
-global `np` is `_lazy_numpy`'s stand-in until first use, as in `simulate`.
+1, 0 and -1 and gives numpy's inf where Python raises.  Without numpy's
+AVX-512 kernels an array power is libm pow, so the two agree bit for bit;
+with them they differ in the last bits of about 5% of the other powers.
 
 The noise CSF's win probability is one formula, the CDF of the difference
 of two uniform draws on [-a, a] at the performance gap t:
@@ -272,7 +274,7 @@ class ProbitUniformCsf:
     def _cdf_float(self, t: float, array_bits: bool = False) -> float:
         """_cdf on one Python float, with the same operations, and the bits
         _cdf gives a 0-d input (a square through libm pow) or, with
-        array_bits, an array (np.square, an exact product)."""
+        array_bits, an array (np.square, one rounded product)."""
         a = self.half_width
         room = 2.0 * a - min(abs(t), 2.0 * a)
         q = (room * room if array_bits else room ** 2) / (8.0 * a * a)

@@ -23,6 +23,15 @@ and maps every player's key to its row, so every layer measures each
 problem once, and one expansion step keys the results per player for the
 report.
 
+The table holds Python floats, at most eight problems.  At that size
+numpy's per-call cost outweighs the arithmetic, so the cheap layers (the
+baseline payoffs, the corner bound, first and second order) run on the
+floats through the primitives' float kernels, which give the array
+kernels' bits wherever numpy's power is libm pow.  The first-order layer
+prices the hawks' sabotage with one validated `PowerCost.marginal` call
+on an array.  The oracle turns the table into arrays once and runs on
+them.
+
 The oracle runs one search per problem: a coarse grid of outlays
 crossed with sabotage levels, then two refinements around the best cell.  A
 hawk against a positive rival outlay crosses n outlays with n sabotage

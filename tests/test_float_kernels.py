@@ -233,10 +233,30 @@ def _array_layers(spec, t):
             _per_coordinate(t, curvature[on_x].tolist(), curvature[~on_x].tolist()))
 
 
+# problems no solution poses: outlays at and near 0, where the stencil is
+# one-sided, zero effective efforts, a negative value
+_EDGES = [(True, 18.35, 0.0, 1.9, 4.6, 1.9), (True, 40.0, 7.3e-6, 7.3e-6, 5.0, 0.5),
+          (False, 19.0, 2e-6, 0.0, 6.7, 1.9), (True, -3.0, 1.0, 0.5, 6.7, 0.0),
+          (False, 25.0, 4.0, 0.0, 0.0, 0.0)]
+
+
+def _assert_layers(spec, t):
+    base = _baseline(spec.csf, spec.cost, t)
+    got = (base, _corner(spec, t, base), foc_residuals(spec, t), soc_check(spec, t))
+    assert repr(got) == repr(_array_layers(spec, t)), spec
+
+
 def check_layers_on_drawn_specs(count: int) -> int:
     """Assert that every cheap layer gives the array formulas' bits on the
-    solutions of count drawn specs, both CSFs and every seeding, and return
-    how many solved."""
+    edge problems and on the solutions of count drawn specs, both CSFs and
+    every seeding, and return how many solved."""
+    hawk, *cols = zip(*_EDGES)
+    edges = _Table(tuple(map(str, range(len(_EDGES)))), tuple(range(len(_EDGES))),
+                   hawk, *cols)
+    for csf in (TullockCsf(r=1.0), TullockCsf(r=0.5),
+                ProbitUniformCsf(half_width=5.0, f_exponent=0.5)):
+        _assert_layers(TournamentSpec(prize=40.0, csf=csf, cost=PowerCost(3.0, 12.0)),
+                       edges)
     rng = np.random.default_rng(15)
     brackets = [(t[:2], t[2:]) for t in itertools.product("HD", repeat=4)]
     solved = 0
@@ -255,9 +275,7 @@ def check_layers_on_drawn_specs(count: int) -> int:
         except (InteriorityError, SolverError):
             continue
         solved += 1
-        base = _baseline(csf, cost, t)
-        got = (base, _corner(spec, t, base), foc_residuals(spec, t), soc_check(spec, t))
-        assert repr(got) == repr(_array_layers(spec, t)), spec
+        _assert_layers(spec, t)
     return solved
 
 

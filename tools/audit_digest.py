@@ -167,9 +167,10 @@ def differences(a: str, b: str) -> list[str]:
     shape differs too (a flipped verdict, a new note), the first such
     place."""
     pa, pb = _NUMBER.split(a), _NUMBER.split(b)
-    at = [i for i, (x, y) in enumerate(zip(pa, pb)) if x != y]
-    if len(pa) != len(pb):
-        at.append(min(len(pa), len(pb)))
+    # where every common piece agrees, one repr goes on past the other's
+    # last text piece
+    at = ([i for i, (x, y) in enumerate(zip(pa, pb)) if x != y]
+          or [min(len(pa), len(pb)) - 1])
     text = next((i for i in at if i % 2 == 0), None)
     return [_describe(pa, pb, i) for i in dict.fromkeys((at[0], text)) if i is not None]
 
