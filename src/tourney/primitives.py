@@ -14,7 +14,11 @@ Each validated public method checks its inputs and then calls an unchecked
 kernel of the same name with a leading underscore (`_win_prob`, `_partials`,
 `_cost`, `_marginal`, `_marginal_inverse`), where the formula lives.  The
 audit's grid oracle calls the kernels directly on arrays it has validated
-once.
+once, and gets every win probability from `_win_prob_into`, which writes
+it in place into the oracle's buffers.  The ratio CSF's `_win_prob` is
+that kernel on a fresh array, so its ufuncs run in one order, written
+once; the noise CSF's is its gap followed by `_cdf_into`, while its
+`_win_prob` keeps `_cdf` for the bits of 0-d inputs.
 
 The solver calls `_cost` and `_marginal_inverse` on its own nonnegative
 Python floats, where each power is libm pow and raises OverflowError past
@@ -39,19 +43,18 @@ of two uniform draws on [-a, a] at the performance gap t:
     q = (2a - min(|t|, 2a))**2 / (8a**2),    cdf(t) = |[t > 0] - q|,
 
 which is 1 - q where t > 0 and q elsewhere.  Only the chosen side is
-squared, and its square stays below 8a**2, which construction keeps
-finite, so no evaluation overflows.  Construction also keeps 4a**2 (the
-density's denominator) a normal float, so neither denominator underflows
-to 0.  It is evaluated three ways with the same operations in the same
-order: `_cdf` on arrays and 0-d inputs, `_cdf_float` on one Python float,
-and `_cdf_into` in place on the audit's grids.  The square is the one
-step that can round differently: an array squares through np.square
+squared, and its square stays below 8a**2, which construction keeps finite,
+so no evaluation overflows.  Construction also keeps 4a**2 (the density's
+denominator) a normal float, so neither denominator underflows to 0.  It is
+evaluated three ways with the same operations in the same order: `_cdf` on
+arrays and 0-d inputs, `_cdf_float` on one Python float, and `_cdf_into` in
+place on the audit's grids (through `_win_prob_into`).  The square is the
+one step that can round differently: an array squares through np.square
 (`_cdf`'s `** 2` and `_cdf_into`), while a 0-d input squares through libm
 pow.  `_cdf_float` squares as a 0-d input does for the solver and, with
-`array_bits`, as an array does for the audit.  The two disagree in the
-last bit at about 4 of 10 000 points, so the solver's CDF and the audit's
-can differ by an ulp or two; the values and sign bits are otherwise
-identical.
+`array_bits`, as an array does for the audit.  The two disagree in the last
+bit at about 4 of 10 000 points, so the solver's CDF and the audit's can
+differ by an ulp or two; the values and sign bits are otherwise identical.
 """
 
 from __future__ import annotations
@@ -175,11 +178,22 @@ class TullockCsf:
 
     def _win_prob(self, bo, br):
         """Unchecked kernel of win_prob: nonnegative float arrays in."""
+        return self._win_prob_into(bo, br, np.empty(np.broadcast(bo, br).shape))
+
+    def _win_prob_into(self, bo, br, out, tmp=None):
+        """Write the win probability at the effective efforts bo and br into
+        out, their broadcast shape, and return out: po / (po + pr) with the
+        powers po = bo**r and pr = br**r, and one half where the sum is not
+        positive (two zero powers).  tmp is the noise CSF's scratch, unused
+        here.  Only the tie mask has out's size, so a grid whose outlays
+        and sabotage levels broadcast needs no float temporary of its size."""
         po = bo ** self.r
-        pr = br ** self.r
-        tot = po + pr
-        safe = np.where(tot > 0.0, tot, 1.0)
-        return np.where(tot > 0.0, po / safe, 0.5)
+        np.add(po, br ** self.r, out=out)
+        tie = ~(out > 0.0)
+        with np.errstate(invalid="ignore"):
+            np.divide(po, out, out=out)
+        np.copyto(out, 0.5, where=tie)
+        return out
 
     def _partials(self, bo, br):
         """Unchecked kernel of win_prob_partials: positive float arrays in."""
@@ -304,6 +318,12 @@ class ProbitUniformCsf:
     def _win_prob(self, bo, br):
         """Unchecked kernel of win_prob: nonnegative float arrays in."""
         return self._cdf(self._gap(bo, br))
+
+    def _win_prob_into(self, bo, br, out, tmp):
+        """Write _win_prob(bo, br) into out, their broadcast shape, with tmp
+        (out's shape) as scratch, and return out; bit for bit on arrays."""
+        np.subtract(self._performance(bo), self._performance(br), out=out)
+        return self._cdf_into(out, tmp)
 
     def _partials(self, bo, br):
         """Unchecked kernel of win_prob_partials: positive float arrays in."""

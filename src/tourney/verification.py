@@ -37,17 +37,18 @@ crossed with sabotage levels, then two refinements around the best cell.  A
 hawk against a positive rival outlay crosses n outlays with n sabotage
 levels and refines on 21 x 21 cells.  A dove, or a hawk whose rival spends
 nothing, crosses 40 n + 1 outlays with one zero-sabotage column, which is
-never refined, and refines on 201 outlays.  The coarse grids are the bulk.
-Each is computed in two buffers that every problem of a search reuses, by
-an in-place kernel that gives the primitive's payoff bit for bit: the ratio
-CSF's ufuncs with a tie fix that writes one prefix-by-suffix slice, or the
-noise CSF's own in-place CDF, so this module holds no CDF arithmetic.
-Outlays whose payoff bound max(value, 0) - x is below a payoff the grid
-attains are skipped, since they cannot hold the argmax; one vectorised
-count finds how many are kept.  Sabotage levels past the last one whose
-bound max(value, 0) - c(s) reaches that payoff are skipped too; the cut
-reads the cost row numpy computes and needs no monotone cost.  Every
-reported number is the one the full grid gives.
+never refined, and refines on 201 outlays.  Every grid the oracle touches
+goes through one in-place kernel, _grid_payoff, which has the CSF write
+its win probability in place (_win_prob_into), so this module holds no
+CSF arithmetic: each search's floor rows and both refinements, stacked
+over its problems, and each problem's coarse grid, the bulk, in two
+buffers that every problem of a search reuses.  Outlays whose payoff bound
+max(value, 0) - x is below a payoff the grid attains are skipped, since
+they cannot hold the argmax, and so are the sabotage levels past the last
+one whose bound max(value, 0) - c(s) reaches that payoff.  One cut, _kept,
+finds both from the last kept entry; it reads the cost row numpy computes,
+once per search, and needs no monotone cost.  Every reported number is the
+one the full grid gives.
 
 A candidate is accepted only when every layer comes back clean, and one
 gain test, _gains, decides for the corner bound, the oracle and the gate.
@@ -140,17 +141,10 @@ def _table(solution: SpeSolution) -> _Table:
                   *(tuple(map(float, col)) for col in cols))
 
 
-def _payoff(csf, cost, frozen, x, s):
-    """Deviation payoff p * value - c(s) - x against the frozen rival, for
-    nonnegative x and s; unchecked, broadcasts over grids."""
-    value, x_rival, s_rival = frozen
-    p = csf._win_prob(np.maximum(0.0, x - s_rival), np.maximum(0.0, x_rival - s))
-    return p * value - cost._cost(s) - x
-
-
 def _payoff_float(csf, cost, frozen, x: float, s: float) -> float:
-    """_payoff on Python floats, with its bits; a huge outlay's cost is inf,
-    a payoff the gain tests read."""
+    """The deviation payoff p * value - c(s) - x against the frozen rival
+    on Python floats, with _grid_payoff's bits; a huge outlay's cost is
+    inf, a payoff the gain tests read."""
     value, x_rival, s_rival = frozen
     bo, br = x - s_rival, x_rival - s
     # np.maximum(0.0, b), as no effective effort is NaN
@@ -290,57 +284,39 @@ def _around(center: np.ndarray, cell: np.ndarray, hi, points: int) -> np.ndarray
                           np.minimum(hi, center + cell), points)
 
 
-def _argmax_rows(pay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row flat argmax of a stack of grids (first maximum wins) and the
-    payoff there."""
-    flat = pay.reshape(len(pay), -1)
-    idx = flat.argmax(axis=1)
-    return idx, flat[np.arange(len(flat)), idx]
-
-
 def _grid_payoff(csf, c, frozen, x, s, out, tmp):
-    """_payoff(csf, cost, frozen, x, s) for an ascending outlay column x
-    (K x 1) and an ascending sabotage row s with its cost row c =
-    cost._cost(s), written into out (K x len(s)) with tmp as scratch, with
-    no temporary of the grid's size.  The ratio CSF runs _win_prob's ufuncs
-    on the same operands in the same order and the noise CSF overwrites the
-    gaps with its _cdf_into, so every cell is bit-identical to _payoff's."""
+    """The deviation payoff p * value - c - x against the frozen rival
+    (value, x_rival, s_rival), for nonnegative outlays x and sabotage
+    levels s with their costs c, written into out (the broadcast shape)
+    with tmp as scratch, and returned.  The CSF's _win_prob_into writes
+    the win probability in place, so no float temporary has the grid's
+    size.  Every grid the oracle evaluates goes through here: a problem's
+    coarse block (x a column, s and c rows, frozen three floats) and a
+    search's stacked floor rows and refinements (problems on a leading
+    axis, frozen three k x 1 x 1 arrays)."""
     value, x_rival, s_rival = frozen
-    bo = np.maximum(0.0, x - s_rival)
-    br = np.maximum(0.0, x_rival - s)
-    if isinstance(csf, TullockCsf):
-        po = bo ** csf.r
-        pr = br ** csf.r
-        np.add(po, pr, out=out)
-        with np.errstate(invalid="ignore"):
-            np.divide(po, out, out=out)
-        # 0/0 only where both powers are zero, a tie at one half.  With
-        # r > 0 a power rises with its effort, so the zero own powers are a
-        # prefix of the ascending outlays and the zero rival powers a
-        # suffix of the ascending sabotage levels.
-        out[:np.count_nonzero(po == 0.0),
-            pr.size - np.count_nonzero(pr == 0.0):] = 0.5
-    else:
-        np.subtract(csf._performance(bo), csf._performance(br), out=out)
-        csf._cdf_into(out, tmp)
+    csf._win_prob_into(np.maximum(0.0, x - s_rival), np.maximum(0.0, x_rival - s),
+                       out, tmp)
     np.multiply(out, value, out=out)
     np.subtract(out, c, out=out)
     return np.subtract(out, x, out=out)
 
 
-def _kept_rows(top: float, xs: np.ndarray, floor: float) -> int:
-    """How many leading outlays of the ascending xs have a payoff bound
-    fl(top - x) that is not below floor (all of them for a NaN floor).
-    fl(top - x) falls as x rises, so those outlays are a prefix and one
-    vectorised count of them gives its length."""
-    return int(np.count_nonzero(~(top - xs < floor)))
+def _stacked(csf, c: np.ndarray, frozen, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Each problem i's grid xs[i] x ss[i] with the cost rows c[i], one
+    flat row per problem; frozen holds the problems' stacked columns."""
+    out = np.empty((len(xs), xs.shape[1], ss.shape[1]))
+    return _grid_payoff(csf, c[:, None, :], frozen, xs[:, :, None], ss[:, None, :],
+                        out, np.empty_like(out)).reshape(len(xs), -1)
 
 
-def _kept_columns(top: float, c: np.ndarray, floor: float) -> int:
-    """How many leading sabotage levels reach the last one whose cost c
-    leaves a payoff bound fl(top - c) that is not below floor (all of them
-    for a NaN floor).  The cut is found from the last such level, not by a
-    count, so it stays exact where the computed cost row is not monotone."""
+def _kept(top: float, c: np.ndarray, floor: float) -> int:
+    """How many leading entries of c reach the last one that leaves a
+    payoff bound fl(top - c) not below floor (all of them for a NaN floor).
+    The cut is found from the last such entry, not by a count, so it
+    stays exact where c is not monotone, as a computed cost row need not
+    be; on the ascending outlays, whose bound never rises, it is the count
+    of the kept prefix."""
     kept = ~(top - c < floor)
     return c.size - int(kept[::-1].argmax()) if kept.any() else 0
 
@@ -354,46 +330,41 @@ def _gains(gain: float) -> bool:
     return not gain <= GAIN_TOLERANCE
 
 
-def _coarse(csf, cost, x: np.ndarray, frozen: np.ndarray, xs: np.ndarray,
-            ss: np.ndarray, need=None):
+def _coarse(csf, c: np.ndarray, x: np.ndarray, frozen: np.ndarray,
+            xs: np.ndarray, ss: np.ndarray, need=None):
     """Each problem's first flat argmax over the grid xs x ss[i], for the
-    i-th problem of the outlays x and the (value, x_rival, s_rival) rows
-    of frozen, and the payoff there (a list of floats), computed in two
-    buffers that every problem reuses.  With need (their baselines), it
-    returns None as soon as a problem _gains.
+    i-th problem of the outlays x, the (value, x_rival, s_rival) rows of
+    frozen and the cost rows c of ss, and the payoff there (a list of
+    floats), computed in two buffers that every problem reuses.  With need
+    (their baselines), it returns None as soon as a problem _gains.
 
-    Only cells that can hold the argmax are evaluated.  The grid row
-    nearest each candidate's own outlay goes first, through _payoff: its
-    maximum is a floor the grid attains.  Every payoff has p <= 1, x >= 0
-    and c(s) >= 0, and rounding is monotone, so a payoff at outlay x and
+    Only cells that can hold the argmax are evaluated.  The grid rows
+    nearest the candidates' own outlays go first, stacked: each maximum is
+    a floor its grid attains.  Every payoff has p <= 1, x >= 0 and
+    c(s) >= 0, and rounding is monotone, so a payoff at outlay x and
     sabotage level s is at most fl(max(value, 0) - x) and at most
     fl(max(value, 0) - c(s)).  A grid row or column whose bound is below
     the floor lies strictly below the grid maximum and can neither be nor
-    tie the first argmax.  The row bound falls as x grows, so those rows
-    are a suffix, which _kept_rows counts in one vectorised pass.  The
-    columns past the last one whose bound reaches the floor are cut too,
-    read off the problem's cost row: cutting after the last kept column,
-    not counting them, needs no monotone cost, so the cut is exact whatever
-    numpy's ** rounds.  The kept columns of that same cost row go on to the
-    kernel, so the row is computed once.  The kept rows by kept columns
-    are one contiguous slice of the buffers, and the argmax maps back to
-    the full grid's flat index.
+    tie the first argmax.  One cut, _kept, drops the rows and the columns
+    past the last whose bound reaches the floor; it reads the cost row
+    itself, so it needs no monotone cost and is exact whatever numpy's **
+    rounds.  The kept rows by kept columns are one contiguous slice of the
+    buffers, and the argmax maps back to the full grid's flat index.
     """
     nearest = np.minimum(np.searchsorted(xs, x), xs.size - 1)
-    floor = _payoff(csf, cost, frozen[:, :, None], xs[nearest, None],
-                    ss).max(axis=1).tolist()
+    floor = _stacked(csf, c, frozen[:, :, None, None], xs[nearest, None],
+                     ss).max(axis=1).tolist()
     m = ss.shape[1]
     out = np.empty(xs.size * m)
     tmp = np.empty_like(out)
     col = xs[:, None]
     flat, top = [], []
-    for i, (problem, s, low) in enumerate(zip(zip(*frozen.tolist()), ss, floor)):
+    for i, (problem, s, c_i, low) in enumerate(zip(zip(*frozen.tolist()), ss, c, floor)):
         bound = max(problem[0], 0.0)
-        kept = _kept_rows(bound, xs, low)
-        c = cost._cost(s)
-        width = _kept_columns(bound, c, low)
+        kept = _kept(bound, xs, low)
+        width = _kept(bound, c_i, low)
         size = kept * width
-        pay = _grid_payoff(csf, c[:width], problem, col[:kept], s[:width],
+        pay = _grid_payoff(csf, c_i[:width], problem, col[:kept], s[:width],
                            out[:size].reshape(kept, width),
                            tmp[:size].reshape(kept, width)).reshape(-1)
         cell = int(pay.argmax())
@@ -432,12 +403,13 @@ def _search(csf, cost, x: np.ndarray, frozen: np.ndarray, prize: float, n: int,
         ss = np.zeros((k, 1))
         points = _DOVE_REFINE
     cell_x = xs[1] - xs[0]
+    c = cost._cost(ss)
     best, best_x, best_s = [-math.inf] * k, [0.0] * k, [0.0] * k
     for step in range(3):
         if step == 0:
             # one problem at a time, so that memory holds one coarse grid
             # (and its scratch) and not k of them
-            coarse = _coarse(csf, cost, x, frozen, xs, ss, need)
+            coarse = _coarse(csf, c, x, frozen, xs, ss, need)
             if coarse is None:
                 return None
             flat, top = coarse
@@ -449,9 +421,10 @@ def _search(csf, cost, x: np.ndarray, frozen: np.ndarray, prize: float, n: int,
             if two_d:
                 ss = _around(s_at, cell_s, x_rival, points)
                 cell_s = ss[:, 1] - ss[:, 0]
-            flat, top = _argmax_rows(_payoff(csf, cost, frozen[:, :, None, None],
-                                             xs[:, :, None], ss[:, None, :]))
-            top = top.tolist()
+                c = cost._cost(ss)
+            pay = _stacked(csf, c, frozen[:, :, None, None], xs, ss)
+            flat = pay.argmax(axis=1)
+            top = pay[at, flat].tolist()
             i, j = np.divmod(flat, ss.shape[1])
             x_at, s_at = xs[at, i], ss[at, j]
         # a NaN top never replaces the running best

@@ -20,8 +20,9 @@ from tourney import (InteriorityError, PowerCost, ProbitUniformCsf, SolverError,
                      TournamentSpec, TullockCsf, solve_tournament)
 from tourney.primitives import _power, _quotient
 from tourney.verification import (_SOC_STEP, _baseline, _corner, _expand,
-                                  _payoff, _per_coordinate, _table, _Table,
+                                  _per_coordinate, _table, _Table,
                                   foc_residuals, soc_check)
+from where_form import payoff as _payoff
 
 FAST = (2.0, 0.5, 1.0, 0.0, -1.0)
 

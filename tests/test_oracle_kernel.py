@@ -1,7 +1,9 @@
-"""The grid oracle's pruned, in-place coarse search against the plain
-full-grid search it replaces, which is kept here as the reference."""
+"""The grid oracle's pruned, in-place search against the plain full-grid
+search it replaces, which is kept here as the reference, with the
+where-form payoff of `where_form`."""
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +14,17 @@ from hypothesis import strategies as st
 from tourney import (PowerCost, ProbitUniformCsf, TournamentSpec, TullockCsf,
                      solve_tournament, verification)
 from tourney.verification import (_DOVE_REFINE, _HAWK_REFINE, GAIN_TOLERANCE,
-                                  _argmax_rows, _around, _baseline,
-                                  _grid_payoff, _kept_columns, _kept_rows,
-                                  _linspace_rows, _oracle, _payoff, _Table)
+                                  _around, _baseline, _grid_payoff, _kept,
+                                  _linspace_rows, _oracle, _stacked, _Table)
+from where_form import payoff as _payoff
+
+
+def _argmax_rows(pay):
+    """Per-row flat argmax of a stack of grids (first maximum wins) and the
+    payoff there."""
+    flat = pay.reshape(len(pay), -1)
+    idx = flat.argmax(axis=1)
+    return idx, flat[np.arange(len(flat)), idx]
 
 
 def _frozen(t, rows, dims):
@@ -211,9 +221,12 @@ def test_duplicate_problems_share_one_search(csf, monkeypatch):
     assert t.of[:4] == (0, 1, 0, 1)
     grids = []
 
-    def spy(csf, c, frozen, *args):
-        grids.append(frozen)
-        return _grid_payoff(csf, c, frozen, *args)
+    def spy(csf, c, frozen, x, s, out, tmp):
+        # a coarse grid is one problem's 2-D block; the floor rows and the
+        # refinements stack the problems on a leading axis
+        if out.ndim == 2:
+            grids.append(frozen)
+        return _grid_payoff(csf, c, frozen, x, s, out, tmp)
 
     monkeypatch.setattr(verification, "_grid_payoff", spy)
     report = verification.verify_solution(sol, grid=50)
@@ -242,19 +255,19 @@ def test_kept_rows_never_cut_at_or_above_the_floor():
     bounds = top - xs
     for row in (0, 5, 37, 127):
         # the row whose bound equals the floor is kept, the next is not
-        assert _kept_rows(top, xs, bounds[row]) == row + 1
-    assert _kept_rows(top, xs, -math.inf) == xs.size
-    assert _kept_rows(top, xs, math.inf) == 0
+        assert _kept(top, xs, bounds[row]) == row + 1
+    assert _kept(top, xs, -math.inf) == xs.size
+    assert _kept(top, xs, math.inf) == 0
 
 
 def test_nan_floor_keeps_every_row():
     xs = np.linspace(0.0, 80.0, 5121)
     for top in (0.0, 30.0, math.nan):
-        assert _kept_rows(top, xs, math.nan) == xs.size
+        assert _kept(top, xs, math.nan) == xs.size
 
 
 def _kept_rows_by_bisection(top, xs, floor):
-    """The bisection _kept_rows replaced: the first outlay whose bound
+    """The bisection the outlay cut replaced: the first outlay whose bound
     fl(top - x) is below floor, found through a key over numpy scalars."""
     return bisect.bisect_left(xs, True, key=lambda x: top - x < floor)
 
@@ -277,7 +290,7 @@ def _kept_rows_cases(draw):
 @settings(deadline=None, max_examples=300)
 @given(_kept_rows_cases())
 def test_kept_rows_count_equals_the_bisection(case):
-    assert _kept_rows(*case) == _kept_rows_by_bisection(*case)
+    assert _kept(*case) == _kept_rows_by_bisection(*case)
 
 
 def test_kept_columns_never_cut_at_or_above_the_floor():
@@ -287,25 +300,25 @@ def test_kept_columns_never_cut_at_or_above_the_floor():
     assert (np.diff(bounds) < 0.0).all()
     for column in (0, 5, 37, 127):
         # the column whose bound equals the floor is kept, the next is not
-        assert _kept_columns(top, c, bounds[column]) == column + 1
-    assert _kept_columns(top, c, -math.inf) == c.size
-    assert _kept_columns(top, c, math.inf) == 0
+        assert _kept(top, c, bounds[column]) == column + 1
+    assert _kept(top, c, -math.inf) == c.size
+    assert _kept(top, c, math.inf) == 0
 
 
 def test_nan_floor_keeps_every_column_and_an_infinite_cost_is_cut():
     c = np.array([0.0, 1.0, 2.0, math.inf])
     for top in (0.0, 30.0):
-        assert _kept_columns(top, c, math.nan) == c.size
-    assert _kept_columns(30.0, c, 0.0) == 3
-    assert _kept_columns(30.0, np.array([0.0, math.inf, 1.0]), 0.0) == 3
+        assert _kept(top, c, math.nan) == c.size
+    assert _kept(30.0, c, 0.0) == 3
+    assert _kept(30.0, np.array([0.0, math.inf, 1.0]), 0.0) == 3
 
 
 def test_cost_row_need_not_be_monotone():
     # bounds 30, 25, 29, -10, 28, -20, -30 against the floor 25: the kept
     # columns are 0, 1, 2 and 4, and the cut falls after the last of them
     c = np.array([0.0, 5.0, 1.0, 40.0, 2.0, 50.0, 60.0])
-    assert _kept_columns(30.0, c, 25.0) == 5
-    assert _kept_columns(30.0, c[:4], 25.0) == 3
+    assert _kept(30.0, c, 25.0) == 5
+    assert _kept(30.0, c[:4], 25.0) == 3
 
 
 def _kept_columns_by_scan(top, c, floor):
@@ -323,7 +336,7 @@ def _kept_columns_by_scan(top, c, floor):
 def test_kept_columns_equal_the_scan(costs, top, floor):
     c = np.array(costs)
     with np.errstate(invalid="ignore"):
-        assert _kept_columns(top, c, floor) == _kept_columns_by_scan(top, c, floor)
+        assert _kept(top, c, floor) == _kept_columns_by_scan(top, c, floor)
 
 
 def test_steep_cost_evaluates_the_kept_columns_only(monkeypatch):
@@ -334,19 +347,21 @@ def test_steep_cost_evaluates_the_kept_columns_only(monkeypatch):
     pay = _payoff(spec.csf, spec.cost, frozen, xs[:, None], ss)
     # the grid's own maximum is the highest floor: two columns reach it,
     # and the first argmax is in the second
-    assert _kept_columns(t.value[0], spec.cost._cost(ss), pay.max()) == 2
+    assert _kept(t.value[0], spec.cost._cost(ss), pay.max()) == 2
     assert pay.argmax() % n == 1
     shapes = []
 
     def spy(csf, c, frozen, x, s, out, tmp):
-        shapes.append(out.shape)
-        # the kernel reads the cost row of exactly its kept sabotage levels
-        np.testing.assert_array_equal(c, spec.cost._cost(s))
+        if out.ndim == 2:
+            shapes.append(out.shape)
+            # the coarse block reads the cost row of exactly its kept
+            # sabotage levels
+            np.testing.assert_array_equal(c, spec.cost._cost(s))
         return _grid_payoff(csf, c, frozen, x, s, out, tmp)
 
     monkeypatch.setattr(verification, "_grid_payoff", spy)
     _assert_matches_reference(*STEEP)
-    assert shapes[0][1] == 2
+    assert len(shapes) == 1 and shapes[0][1] == 2
 
 
 @pytest.mark.parametrize("r", [1.0, 0.3])
@@ -366,3 +381,71 @@ def test_tie_cells_match_the_payoff(r, xs, ss, frozen):
     got = _grid_payoff(csf, COST._cost(ss), frozen, xs[:, None], ss, out,
                        np.empty_like(out))
     np.testing.assert_array_equal(got, _payoff(csf, COST, frozen, xs[:, None], ss))
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values, NaN included, and equal signs, of zero too."""
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+# (value, x_rival, s_rival) and the outlay and sabotage ranges of problems
+# with zero own powers in the low rows only, zero rival powers in the high
+# columns only, both (every cell a tie, at a value of -0.0) and neither
+_STACK = [
+    ((20.0, 6.7, 30.0), (0.0, 80.0), (0.0, 3.0)),
+    ((20.0, 2.0, 1.0), (5.0, 80.0), (0.0, 6.0)),
+    ((-0.0, 0.0, 90.0), (0.0, 80.0), (0.0, 0.0)),
+    ((20.0, 6.7, 1.9), (5.0, 80.0), (0.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("csf", [RATIO, TullockCsf(r=0.3), NOISE],
+                         ids=["ratio", "ratio-r0.3", "noise"])
+def test_stacked_kernel_equals_one_call_per_problem_and_the_where_form(csf):
+    for size in range(1, len(_STACK) + 1):
+        for stack in itertools.combinations(_STACK, size):
+            frozen, x_range, s_range = (np.array(col) for col in zip(*stack))
+            xs = _linspace_rows(x_range[:, 0], x_range[:, 1], 17)
+            ss = _linspace_rows(s_range[:, 0], s_range[:, 1], 13)
+            c = COST._cost(ss)
+            got = _stacked(csf, c, frozen.T[:, :, None, None], xs, ss)
+            for i, problem in enumerate(stack):
+                out = np.empty((17, 13))
+                one = _grid_payoff(csf, c[i], problem[0], xs[i][:, None], ss[i],
+                                   out, np.empty_like(out))
+                want = _payoff(csf, COST, problem[0], xs[i][:, None], ss[i])
+                assert _same_bits(one, want), (csf, problem)
+                assert _same_bits(got[i].reshape(17, 13), want), (csf, stack)
+
+
+@pytest.mark.parametrize("csf", [RATIO, NOISE], ids=["ratio", "noise"])
+def test_every_oracle_grid_goes_through_the_kernel(csf, monkeypatch):
+    spec = TournamentSpec(prize=80.0, csf=csf, cost=COST,
+                          bracket=(("H", "D"), ("H", "D")))
+    sol = solve_tournament(spec)
+    t = verification._table(sol)
+    shapes, probs = [], []
+
+    def spy(csf, c, frozen, x, s, out, tmp):
+        shapes.append(out.shape)
+        return _grid_payoff(csf, c, frozen, x, s, out, tmp)
+
+    def counted(self, *args):
+        probs.append(args[2].shape)
+        return win_prob_into(self, *args)
+
+    win_prob_into = type(csf)._win_prob_into
+    monkeypatch.setattr(verification, "_grid_payoff", spy)
+    monkeypatch.setattr(type(csf), "_win_prob_into", counted)
+    verification.verify_solution(sol, grid=50)
+    # the kernel is the only caller of the CSF's grid win probability
+    assert probs == shapes
+    # per search, doves first: the stacked floor rows, one coarse block
+    # per problem, then the two stacked refinements
+    two_d = [hawk and x_rival > 0.0 for hawk, x_rival in zip(t.hawk, t.x_rival)]
+    want = []
+    for hawks, m, points in ((False, 1, _DOVE_REFINE), (True, 50, _HAWK_REFINE)):
+        k = two_d.count(hawks)
+        want += [(k, 1, m)] + ["coarse"] * k + [(k, points, points if hawks else 1)] * 2
+    assert [shape if len(shape) == 3 else "coarse" for shape in shapes] == want

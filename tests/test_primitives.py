@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tourney import (InteriorityError, ParameterError, PowerCost,
                      ProbitUniformCsf, TullockCsf)
 from tourney.primitives import effective_effort
+from where_form import win_prob as where_win_prob
 
 tullock_csfs = st.floats(0.05, 1.0).map(TullockCsf)
 probit_csfs = st.builds(ProbitUniformCsf,
@@ -179,6 +180,33 @@ def test_scalar_in_scalar_out_array_in_array_out():
     cost = PowerCost(2.0, 1.0)
     assert isinstance(cost.cost(1.5), float)
     assert isinstance(cost.cost(np.array([1.0])), np.ndarray)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.3, 0.05])
+def test_tullock_win_prob_equals_the_where_form(r):
+    # the in-place kernel writes one half where the where-form does: on
+    # arrays, 0-d inputs and broadcast shapes, with zero and infinite
+    # efforts (inf against inf is NaN in both), signs of zero included
+    csf = TullockCsf(r=r)
+    rng = np.random.default_rng(29)
+    edges = np.array([0.0, 5e-324, 1e-300, 1.0, 3.0, 1e300, np.inf])
+    draws = 10.0 ** rng.uniform(-8, 8, 400)
+    draws[rng.random(400) < 0.2] = 0.0
+    cases = [(edges[:, None], edges), (draws, rng.permutation(draws)),
+             (draws[:, None, None], edges[:, None]), (edges, 2.0)]
+    cases += [(np.array(bo), np.array(br)) for bo in edges for br in edges]
+    for bo, br in cases:
+        with np.errstate(invalid="ignore"):
+            want = where_win_prob(csf, np.asarray(bo), np.asarray(br))
+        got = csf.win_prob(bo, br)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), (bo, br)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (bo, br)
+    for bo, br in ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (math.inf, 1.0)):
+        got = csf.win_prob(bo, br)
+        with np.errstate(invalid="ignore"):
+            want = float(where_win_prob(csf, np.array(bo), np.array(br)))
+        assert isinstance(got, float) and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
