@@ -33,6 +33,11 @@ last dict key after that keyword), both values and, when both are finite
 floats, their distance in ulps; where a word differs too (a flipped
 verdict, a new note), a second line names the first such place.  It then
 prints how many results moved in each section.
+
+Stdout holds the digests alone.  One line on stderr names the Python
+version, the numpy version and the SIMD extensions numpy found on this CPU
+(the `found` list of np.show_runtime()), on which the audited numbers
+depend.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import argparse
 import hashlib
 import math
 import os
+import platform
 import re
 import struct
 import sys
@@ -55,6 +61,19 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 GRIDS = (50, 128, 400)
+
+
+def runtime() -> str:
+    """The Python and numpy versions and numpy's SIMD `found` list, as
+    np.show_runtime() reports them."""
+    import numpy
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return (f"python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"SIMD found: {' '.join(found) or 'none'}")
 
 
 def _outcome(fn, *args, **kwargs):
@@ -206,7 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
-    elif args.lines:
+        return 0
+    print(runtime(), file=sys.stderr)
+    if args.lines:
         with open(args.lines, "w") as listing:
             digest(listing)
     else:

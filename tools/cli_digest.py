@@ -1,6 +1,7 @@
 """One SHA-256 over everything the command line prints and writes.
 
-Run:  python tools/cli_digest.py
+Run:  python tools/cli_digest.py [--lines PATH]
+      python tools/cli_digest.py --compare A B
       (CI adds -W error::RuntimeWarning, so a leaked numpy warning fails it)
 
 It calls tourney.cli.run in process over a corpus of scenario files and
@@ -27,11 +28,24 @@ grid the audit could allocate: the integers among them are either below
 the grid's floor or far past any memory.
 
 Running the script in two checkouts and comparing the printed digests
-shows whether a change moved anything a CLI user sees.
+shows whether a change moved anything a CLI user sees.  It prints the
+digest alone on stdout, and one line on stderr naming the Python version,
+the numpy version and the SIMD extensions numpy found on this CPU (the
+`found` list of np.show_runtime()), on which the audited numbers depend.
+
+--lines PATH also writes one tab-separated line per run to PATH: its
+index, its arguments and exit code with the temporary directory masked, a
+short hash of stdout, of stderr and of each written file, and last the
+masked streams themselves as one JSON list.  --compare A B reads two such
+files, from two checkouts or two numpy dispatches, and lists every run
+that moved: its index and arguments, each stream that moved (the exit
+code, stdout, stderr or a written file) and that stream's first
+differing line.  It then prints how many runs moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -39,6 +53,7 @@ import io
 import itertools
 import json
 import os
+import platform
 import random
 import sys
 import tempfile
@@ -109,12 +124,31 @@ def _command(path) -> str:
     return {"solver": "verify", "sim": "simulate"}.get(block, "solve")
 
 
+def runtime() -> str:
+    """The Python and numpy versions and numpy's SIMD `found` list, as
+    np.show_runtime() reports them."""
+    import numpy
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return (f"python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"SIMD found: {' '.join(found) or 'none'}")
+
+
+def _short(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 class Corpus:
     """Writes scenario files into a temporary directory and runs the CLI
-    on them, feeding every outcome into one hash."""
+    on them, feeding every outcome into one hash and, given a listing, one
+    line per run into it."""
 
-    def __init__(self, tmp: Path):
+    def __init__(self, tmp: Path, listing=None):
         self.tmp = tmp
+        self.listing = listing
         self.digest = hashlib.sha256()
         self.runs = 0
         self.files = 0
@@ -149,6 +183,15 @@ class Corpus:
                 record.append("<no file>")
         text = "\x00".join(record).replace(str(self.tmp), "<tmp>")
         self.digest.update(text.encode() + b"\n")
+        if self.listing is not None:
+            argv, code, *streams = (field.replace(str(self.tmp), "<tmp>")
+                                    for field in record)
+            names = ["stdout", "stderr"] + [name.replace(str(self.tmp), "<tmp>")
+                                            for name in outputs]
+            hashes = " ".join(f"{name}={_short(stream)}"
+                              for name, stream in zip(names, streams))
+            self.listing.write(f"{self.runs}\t{argv}\t{code}\t{hashes}\t"
+                               f"{json.dumps(dict(zip(names, streams)))}\n")
         self.runs += 1
 
 
@@ -204,12 +247,73 @@ def _flags(corpus: Corpus):
         corpus.run("solve", str(raw))
 
 
-def main() -> int:
+def digest(listing=None) -> None:
+    """Print the digest; write each run's line to listing, if given."""
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = Corpus(Path(tmp))
+        corpus = Corpus(Path(tmp), listing)
         for part in (_valid_files, _single_faults, _multi_faults, _flags):
             part(corpus)
     print(f"{corpus.digest.hexdigest()}  ({corpus.runs} runs)")
+
+
+def _read(path: str) -> dict[int, tuple[str, dict[str, str]]]:
+    """Each run of a --lines file: its arguments, and its exit code and
+    streams by name."""
+    runs = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            index, argv, code, _, streams = line.rstrip("\n").split("\t", 4)
+            runs[int(index)] = argv, {"exit code": code, **json.loads(streams)}
+    return runs
+
+
+def _first_difference(a: str, b: str) -> str:
+    """The first line where two streams differ, with both versions."""
+    la, lb = a.splitlines(), b.splitlines()
+    n = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    x, y = (lines[n][:100] if n < len(lines) else "<end>" for lines in (la, lb))
+    return f"line {n + 1}: {x!r} -> {y!r}"
+
+
+def compare(path_a: str, path_b: str) -> None:
+    """Print every run that moved between two --lines listings."""
+    a, b = _read(path_a), _read(path_b)
+    moved = 0
+    for index in sorted(a.keys() | b.keys()):
+        if index not in a or index not in b:
+            moved += 1
+            print(f"{index} only in {path_a if index in a else path_b}")
+            continue
+        (argv, sa), (argv_b, sb) = a[index], b[index]
+        if argv != argv_b:
+            moved += 1
+            print(f"{index} arguments: {argv} -> {argv_b}")
+            continue
+        streams = [name for name in dict.fromkeys([*sa, *sb]) if sa.get(name) != sb.get(name)]
+        if streams:
+            moved += 1
+        for name in streams:
+            print(f"{index} {argv} {name} "
+                  f"{_first_difference(sa.get(name, ''), sb.get(name, ''))}")
+    print(f"  {moved} moved of {len(a.keys() | b.keys())} runs")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--lines", metavar="PATH",
+                        help="also write one line per run, with its streams")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="list the runs that moved between two --lines files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    print(runtime(), file=sys.stderr)
+    if args.lines:
+        with open(args.lines, "w", encoding="utf-8") as listing:
+            digest(listing)
+    else:
+        digest()
     return 0
 
 
