@@ -143,8 +143,8 @@ def _table(solution: SpeSolution) -> _Table:
 
 def _payoff_float(csf, cost, frozen, x: float, s: float) -> float:
     """The deviation payoff p * value - c(s) - x against the frozen rival
-    on Python floats, with _grid_payoff's bits; a huge outlay's cost is
-    inf, a payoff the gain tests read."""
+    on Python floats, with _grid_payoff's bits wherever numpy's power is
+    libm pow; a huge outlay's cost is inf, a payoff the gain tests read."""
     value, x_rival, s_rival = frozen
     bo, br = x - s_rival, x_rival - s
     # np.maximum(0.0, b), as no effective effort is NaN
@@ -302,12 +302,14 @@ def _grid_payoff(csf, c, frozen, x, s, out, tmp):
     return np.subtract(out, x, out=out)
 
 
-def _stacked(csf, c: np.ndarray, frozen, xs: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """Each problem i's grid xs[i] x ss[i] with the cost rows c[i], one
-    flat row per problem; frozen holds the problems' stacked columns."""
+def _stacked(csf, c: np.ndarray, frozen: np.ndarray, xs: np.ndarray,
+             ss: np.ndarray) -> np.ndarray:
+    """Each problem i's grid xs[i] x ss[i] with the cost rows c[i] and the
+    i-th (value, x_rival, s_rival) column of frozen, one flat row per
+    problem."""
     out = np.empty((len(xs), xs.shape[1], ss.shape[1]))
-    return _grid_payoff(csf, c[:, None, :], frozen, xs[:, :, None], ss[:, None, :],
-                        out, np.empty_like(out)).reshape(len(xs), -1)
+    return _grid_payoff(csf, c[:, None, :], frozen[:, :, None, None], xs[:, :, None],
+                        ss[:, None, :], out, np.empty_like(out)).reshape(len(xs), -1)
 
 
 def _kept(top: float, c: np.ndarray, floor: float) -> int:
@@ -352,8 +354,7 @@ def _coarse(csf, c: np.ndarray, x: np.ndarray, frozen: np.ndarray,
     buffers, and the argmax maps back to the full grid's flat index.
     """
     nearest = np.minimum(np.searchsorted(xs, x), xs.size - 1)
-    floor = _stacked(csf, c, frozen[:, :, None, None], xs[nearest, None],
-                     ss).max(axis=1).tolist()
+    floor = _stacked(csf, c, frozen, xs[nearest, None], ss).max(axis=1).tolist()
     m = ss.shape[1]
     out = np.empty(xs.size * m)
     tmp = np.empty_like(out)
@@ -422,7 +423,7 @@ def _search(csf, cost, x: np.ndarray, frozen: np.ndarray, prize: float, n: int,
                 ss = _around(s_at, cell_s, x_rival, points)
                 cell_s = ss[:, 1] - ss[:, 0]
                 c = cost._cost(ss)
-            pay = _stacked(csf, c, frozen[:, :, None, None], xs, ss)
+            pay = _stacked(csf, c, frozen, xs, ss)
             flat = pay.argmax(axis=1)
             top = pay[at, flat].tolist()
             i, j = np.divmod(flat, ss.shape[1])

@@ -409,7 +409,7 @@ def test_stacked_kernel_equals_one_call_per_problem_and_the_where_form(csf):
             xs = _linspace_rows(x_range[:, 0], x_range[:, 1], 17)
             ss = _linspace_rows(s_range[:, 0], s_range[:, 1], 13)
             c = COST._cost(ss)
-            got = _stacked(csf, c, frozen.T[:, :, None, None], xs, ss)
+            got = _stacked(csf, c, frozen.T, xs, ss)
             for i, problem in enumerate(stack):
                 out = np.empty((17, 13))
                 one = _grid_payoff(csf, c[i], problem[0], xs[i][:, None], ss[i],
