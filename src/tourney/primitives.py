@@ -43,18 +43,19 @@ of two uniform draws on [-a, a] at the performance gap t:
     q = (2a - min(|t|, 2a))**2 / (8a**2),    cdf(t) = |[t > 0] - q|,
 
 which is 1 - q where t > 0 and q elsewhere.  Only the chosen side is
-squared, and its square stays below 8a**2, which construction keeps finite,
-so no evaluation overflows.  Construction also keeps 4a**2 (the density's
-denominator) a normal float, so neither denominator underflows to 0.  It is
-evaluated three ways with the same operations in the same order: `_cdf` on
-arrays and 0-d inputs, `_cdf_float` on one Python float, and `_cdf_into` in
-place on the audit's grids (through `_win_prob_into`).  The square is the
-one step that can round differently: an array squares through np.square
-(`_cdf`'s `** 2` and `_cdf_into`), while a 0-d input squares through libm
-pow.  `_cdf_float` squares as a 0-d input does for the solver and, with
-`array_bits`, as an array does for the audit.  The two disagree in the last
-bit at about 4 of 10 000 points, so the solver's CDF and the audit's can
-differ by an ulp or two; the values and sign bits are otherwise identical.
+squared, and its square stays below 8a**2, which construction keeps
+finite, so no evaluation overflows.  Construction also keeps 4a**2 (the
+density's denominator) a normal float, so neither denominator underflows
+to 0.  It is evaluated three ways with the same operations in the same
+order: `_cdf` on arrays and 0-d inputs, `_cdf_float` on one Python float,
+and `_cdf_into` in place on the audit's grids (through `_win_prob_into`).
+The square is the one step that can round differently: an array squares
+through np.square (`_cdf`'s `** 2` and `_cdf_into`), while a 0-d input
+squares through libm pow.  `_cdf_float` squares as a 0-d input does for
+the solver and, with `array_bits`, as an array does for the audit.  The
+two disagree in the last bit at about 4 of 10 000 points, so the solver's
+CDF and the audit's can differ by an ulp or two; the values and sign bits
+are otherwise identical.
 """
 
 from __future__ import annotations
